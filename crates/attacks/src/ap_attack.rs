@@ -105,12 +105,12 @@ impl TrainedAttack for TrainedApAttack {
     }
 
     /// Scratch path: the cell-sequence comes from the shared raster
-    /// cache, the heatmap is rebuilt into the worker's buffer, and
-    /// profile matching prunes with the running best Topsoe score
-    /// (Topsoe partial sums are monotone — see
-    /// `divergence::topsoe_sorted_bounded` — so exceeding the running
-    /// best proves the full score would too; verdict equivalence with
-    /// `predict` is [`crate::scratch::bounded_argmin`]'s contract).
+    /// cache, the heatmap is rebuilt into the worker's buffer, and every
+    /// other profile is matched under the true user's own Topsoe score
+    /// as a fixed bound (Topsoe partial sums are monotone — see
+    /// `divergence::topsoe_sorted_bounded` — so exceeding it proves the
+    /// full score would too; verdict equivalence with `predict` is
+    /// [`crate::scratch::true_user_wins`]' contract).
     fn reidentify_with(
         &self,
         trace: &Trace,
@@ -125,10 +125,10 @@ impl TrainedAttack for TrainedApAttack {
         if heatmap.is_empty() {
             return false; // predict abstains
         }
-        let winner = crate::scratch::bounded_argmin(self.profiles.iter(), |profile, bound| {
-            heatmap.topsoe_bounded(profile, bound.unwrap_or(f64::INFINITY))
-        });
-        winner == Some(true_user)
+        let profiles = self.profiles.heatmaps();
+        crate::scratch::true_user_wins(self.profiles.users(), true_user, |i, bound| {
+            heatmap.topsoe_bounded(&profiles[i], bound)
+        })
     }
 }
 

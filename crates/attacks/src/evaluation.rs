@@ -105,7 +105,10 @@ impl AttackSuite {
     /// protected in the sense of the paper's Eq. 5/6.
     ///
     /// Attacks run in order and evaluation short-circuits on the first
-    /// success (matching Algorithm 1's `while Ak(T') != U` loop).
+    /// success (matching Algorithm 1's `while Ak(T') != U` loop). This
+    /// allocating form goes through [`TrainedAttack::re_identifies`]
+    /// (full `predict` arg-min) and is the reference the scratch path
+    /// ([`AttackSuite::first_reidentifying_with`]) is tested against.
     pub fn first_reidentifying(&self, trace: &Trace, true_user: UserId) -> Option<&'static str> {
         self.attacks
             .iter()
@@ -182,45 +185,6 @@ impl AttackSuite {
             }
         }
         scratch.mark_used();
-    }
-
-    /// [`AttackSuite::protects`], with the attacks evaluated on
-    /// concurrent scoped threads.
-    ///
-    /// The verdict is the union over attacks, so it is identical to the
-    /// sequential one — only wall-clock changes. The first attack runs
-    /// on the calling thread while the rest are spawned; a successful
-    /// re-identification flips a shared flag that not-yet-started
-    /// attacks check so they can skip their work. This trades the
-    /// sequential short-circuit for latency: prefer plain
-    /// [`AttackSuite::protects`] when calls are already fanned out
-    /// across users (the batch pipeline's regime), and this method when
-    /// single-trace latency matters more than total work.
-    pub fn protects_concurrent(&self, trace: &Trace, true_user: UserId) -> bool {
-        use std::sync::atomic::{AtomicBool, Ordering};
-
-        if self.attacks.len() <= 1 {
-            return self.protects(trace, true_user);
-        }
-        let hit = AtomicBool::new(false);
-        std::thread::scope(|scope| {
-            let (first, rest) = self.attacks.split_first().expect("suites are never empty");
-            for attack in rest {
-                let hit = &hit;
-                scope.spawn(move || {
-                    if hit.load(Ordering::Relaxed) {
-                        return;
-                    }
-                    if attack.re_identifies(trace, true_user) {
-                        hit.store(true, Ordering::Relaxed);
-                    }
-                });
-            }
-            if first.re_identifies(trace, true_user) {
-                hit.store(true, Ordering::Relaxed);
-            }
-        });
-        !hit.load(Ordering::Relaxed)
     }
 
     /// Evaluates a whole (possibly obfuscated) dataset: each trace is
@@ -552,14 +516,29 @@ mod tests {
         use crate::AttackScratch;
         use mood_synth::presets;
         let ds = presets::privamov_like().scaled(0.2).generate();
-        let (train, test) = ds.split_chronological(TimeDelta::from_days(15));
+        let (mut train, test) = ds.split_chronological(TimeDelta::from_days(15));
+        // A twin of one background user (identical trace, larger id)
+        // forces exact AP/POI/PIT score ties through the real attacks:
+        // the tie must go to the smaller id whichever twin is the truth.
+        let original = test.iter().next().unwrap();
+        let twin = UserId::new(train.iter().map(|t| t.user().as_u64()).max().unwrap() + 1);
+        let original_bg = train.iter().find(|t| t.user() == original.user()).unwrap();
+        let twin_bg = Trace::new(twin, original_bg.records().to_vec()).unwrap();
+        train.insert(twin_bg).unwrap();
         let suite = full_suite(&train);
         let users: Vec<UserId> = train.iter().map(|t| t.user()).collect();
+        for attack in suite.attacks() {
+            let p = attack.predict(original);
+            let score = |u: UserId| p.scores.iter().find(|s| s.0 == u).map(|s| s.1);
+            assert_eq!(score(original.user()), score(twin), "{}", attack.name());
+        }
 
-        // Raw traces, a jittered variant (standing in for an obfuscated
-        // candidate) and an abstention-inducing moving trace, all scored
-        // on ONE warm scratch: every verdict must equal the predict path.
+        // Raw traces (one also under the twin's id), a jittered variant
+        // (standing in for an obfuscated candidate) and an
+        // abstention-inducing moving trace, all scored on ONE warm
+        // scratch: every verdict must equal the predict path.
         let mut victims: Vec<Trace> = test.iter().cloned().collect();
+        victims.push(Trace::new(twin, original.records().to_vec()).unwrap());
         for t in test.iter().take(3) {
             let jittered: Vec<Record> = t
                 .records()

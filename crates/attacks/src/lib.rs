@@ -113,10 +113,14 @@ pub trait TrainedAttack: Send + Sync {
         self.predict(trace).predicted == Some(true_user)
     }
 
-    /// Scratch-aware [`TrainedAttack::re_identifies`]: the verdict hot
-    /// path, building per-trace features into the caller's reusable
-    /// per-worker buffers instead of fresh allocations, and free to
-    /// prune profile matching with *exact* best-bound early exits.
+    /// Scratch-aware [`TrainedAttack::re_identifies`]: the only verdict
+    /// route in production, building per-trace features into the
+    /// caller's reusable per-worker buffers instead of fresh
+    /// allocations. It answers the yes/no question directly instead of
+    /// computing the full arg-min: the native attacks score the true
+    /// user's profile first and prune every other profile under that
+    /// score as an *exact* bound, stopping at the first one that beats
+    /// it.
     ///
     /// The contract is strict verdict equivalence: for every `(trace,
     /// true_user)` this must return exactly what `re_identifies`

@@ -136,9 +136,9 @@ fn stats_prox(anon: &MarkovChain, cand: &MarkovChain, top_k: usize) -> f64 {
     0.5 * sum + 0.5 * proximity_distance(anon, cand, top_k)
 }
 
-/// [`stats_prox`] with optional best-bound pruning on the stationary
-/// half, which streams the candidate's SoA state centroids through the
-/// two-phase nearest kernel: its terms (`π_i × nearest distance`) are
+/// [`stats_prox`] with best-bound pruning on the stationary half, which
+/// streams the candidate's SoA state centroids through the two-phase
+/// nearest kernel: its terms (`π_i × nearest distance`) are
 /// non-negative, so the partial sum is monotone and `0.5 × partial`
 /// already exceeding `bound` proves the full stats-prox (which only
 /// adds the non-negative proximity half) would too — pruning is exact,
@@ -150,13 +150,14 @@ fn stats_prox_bounded_soa(
     cand: &MarkovChain,
     cand_centroids: &CentroidSoa,
     top_k: usize,
-    bound: Option<f64>,
+    bound: f64,
 ) -> Option<f64> {
     if cand.is_empty() {
         return Some(f64::INFINITY);
     }
     let pi = anon.stationary();
-    let sum = kernels::weighted_nearest_bounded(anon.states(), pi, cand_centroids, bound, 0.5)?;
+    let sum =
+        kernels::weighted_nearest_bounded(anon.states(), pi, cand_centroids, Some(bound), 0.5)?;
     Some(0.5 * sum + 0.5 * proximity_distance(anon, cand, top_k))
 }
 
@@ -181,9 +182,10 @@ impl TrainedAttack for TrainedPitAttack {
 
     /// Scratch path: stays, the anonymous profile (via the shared
     /// POI/PIT cache) and its Markov chain are rebuilt into the
-    /// worker's buffers, and the candidate scan prunes on the
-    /// stationary half (verdict equivalence with `predict` is
-    /// [`crate::scratch::bounded_argmin`]'s contract).
+    /// worker's buffers, and every other candidate is pruned on the
+    /// stationary half under the true user's own stats-prox score as a
+    /// fixed bound (verdict equivalence with `predict` is
+    /// [`crate::scratch::true_user_wins`]' contract).
     fn reidentify_with(
         &self,
         trace: &Trace,
@@ -196,17 +198,10 @@ impl TrainedAttack for TrainedPitAttack {
         if chain.is_empty() {
             return false; // predict abstains
         }
-        let candidates = self
-            .profiles
-            .iter()
-            .map(|(user, cand, centroids)| (user, (cand, centroids)));
-        let winner = crate::scratch::bounded_argmin(
-            candidates,
-            |(cand, centroids): (&MarkovChain, &CentroidSoa), bound| {
-                stats_prox_bounded_soa(chain, cand, centroids, self.top_k, bound)
-            },
-        );
-        winner == Some(true_user)
+        let (chains, centroids) = (self.profiles.chains(), self.profiles.centroids());
+        crate::scratch::true_user_wins(self.profiles.users(), true_user, |i, bound| {
+            stats_prox_bounded_soa(chain, &chains[i], &centroids[i], self.top_k, bound)
+        })
     }
 }
 

@@ -1,6 +1,6 @@
 use std::sync::Arc;
 
-use mood_models::{kernels, CentroidSoa, PoiExtractor, PoiProfile};
+use mood_models::{kernels, PoiExtractor, PoiProfile};
 use mood_trace::{Dataset, Trace, UserId};
 
 use crate::{Attack, AttackScratch, PoiProfileSet, Prediction, ProfileStore, TrainedAttack};
@@ -110,10 +110,11 @@ impl TrainedAttack for TrainedPoiAttack {
     /// from the worker's buffers (the profile via the shared POI/PIT
     /// cache), and candidate matching streams the trained profiles' SoA
     /// centroid arrays through the two-phase nearest kernel, pruning
-    /// with the running best distance (verdict equivalence with
-    /// `predict` is [`crate::scratch::bounded_argmin`]'s contract; the
-    /// kernel is bit-identical to the scalar walk by
-    /// `mood_models::kernels`' proptests).
+    /// every other profile with the true user's own distance as a fixed
+    /// bound (verdict equivalence with `predict` is
+    /// [`crate::scratch::true_user_wins`]' contract; the kernel is
+    /// bit-identical to the scalar walk by `mood_models::kernels`'
+    /// proptests).
     fn reidentify_with(
         &self,
         trace: &Trace,
@@ -126,15 +127,16 @@ impl TrainedAttack for TrainedPoiAttack {
             return false; // predict abstains
         }
         profile.weights_into(weights);
-        let candidates = self
-            .profiles
-            .iter()
-            .map(|(user, _, centroids)| (user, centroids));
-        let winner =
-            crate::scratch::bounded_argmin(candidates, |centroids: &CentroidSoa, bound| {
-                kernels::weighted_nearest_bounded(profile.pois(), weights, centroids, bound, 1.0)
-            });
-        winner == Some(true_user)
+        let centroids = self.profiles.centroids();
+        crate::scratch::true_user_wins(self.profiles.users(), true_user, |i, bound| {
+            kernels::weighted_nearest_bounded(
+                profile.pois(),
+                weights,
+                &centroids[i],
+                Some(bound),
+                1.0,
+            )
+        })
     }
 }
 

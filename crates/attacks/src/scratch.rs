@@ -17,47 +17,51 @@
 //!   one worker at a time (the executor's worker-slot guarantee); it is
 //!   never shared concurrently and needs no synchronization.
 //! * **Determinism** — `reidentify_with` must return exactly what
-//!   `re_identifies` would: the scratch may change *how* features are
-//!   computed (buffer reuse, pruning with exact bounds, verified
-//!   caches), never *what* they evaluate to. Every backend × thread
-//!   count must stay byte-identical to the sequential reference.
+//!   `re_identifies` would: the scratch may change *how* the verdict is
+//!   reached (buffer reuse, verified caches, deciding against the true
+//!   user's own score with exact pruning instead of a full arg-min),
+//!   never *what* it is. Every backend × thread count must stay
+//!   byte-identical to the sequential reference.
 //! * **No carry-over semantics** — contents are an optimization only; a
 //!   fresh scratch must produce the same verdicts as a warm one.
 
 use mood_models::{MarkovChain, PoiExtractor, PoiProfile, Stay, TraceRaster};
 use mood_trace::{Record, Trace, UserId};
 
-/// The pruned profile-matching scan shared by every native
-/// `reidentify_with`: walks `profiles` — which **must** yield users in
-/// ascending order (`BTreeMap` iteration, or a profile set's sorted
-/// `users` slice) — scoring each via `score(profile, running_best)`, a
-/// callback that may return `None` to signal "provably above the bound"
-/// (exact pruning), and returns the winner.
+/// The pruned true-user decision scan shared by every native
+/// `reidentify_with`: does profile matching pick `true_user`?
+///
+/// `users` is a profile set's **ascending** user slice; `score(i,
+/// bound)` scores profile `i` and may return `None` to signal "provably
+/// above `bound`" (exact pruning). The true user's profile is scored
+/// once, unbounded, giving `b*`; every other profile is then scored
+/// under the fixed bound `b*`, and the scan stops at the first one that
+/// beats it.
 ///
 /// **Verdict equivalence with `Prediction::from_scores`** (proven here
 /// once, relied on by all three attacks): `from_scores` sorts by
-/// `(distance, user)` and picks the first finite entry, i.e. the
-/// minimal finite distance with ties broken by the smallest user. This
-/// scan visits users in ascending order and replaces the best only on a
-/// **strictly** smaller score, so an equal later score keeps the
-/// earlier (smaller) user — the same tiebreak — and non-finite scores
-/// are skipped just as `from_scores` never selects them. Pruned
-/// profiles (`score` returned `None` under a bound) provably exceed the
-/// running best, so they could never win. Keep the strict `<`: relaxing
-/// it to `<=` silently breaks parity.
-pub(crate) fn bounded_argmin<P>(
-    profiles: impl IntoIterator<Item = (UserId, P)>,
-    mut score: impl FnMut(P, Option<f64>) -> Option<f64>,
-) -> Option<UserId> {
-    let mut best: Option<(UserId, f64)> = None;
-    for (user, profile) in profiles {
-        if let Some(d) = score(profile, best.map(|(_, b)| b)) {
-            if d.is_finite() && best.is_none_or(|(_, b)| d < b) {
-                best = Some((user, d));
-            }
-        }
-    }
-    best.map(|(user, _)| user)
+/// `(distance, user)` and predicts the first finite entry, i.e. the
+/// minimal finite distance with ties broken by the smallest user. So
+/// `true_user` is predicted iff it is profiled, `b*` is finite, and no
+/// other profile has a finite score `d < b*`, or `d == b*` at a smaller
+/// user (= smaller index, the slice being ascending). Pruned profiles
+/// (`score` returned `None` under `b*`) have a final score `> b*`
+/// because partial sums are monotone, so they beat nothing. Keep the
+/// tie rule index-aware: an equal score only wins from below.
+pub(crate) fn true_user_wins(
+    users: &[UserId],
+    true_user: UserId,
+    mut score: impl FnMut(usize, f64) -> Option<f64>,
+) -> bool {
+    let Ok(own) = users.binary_search(&true_user) else {
+        return false;
+    };
+    let Some(bound) = score(own, f64::INFINITY).filter(|d| d.is_finite()) else {
+        return false;
+    };
+    (0..users.len()).filter(|&i| i != own).all(|i| {
+        score(i, bound).is_none_or(|d| !d.is_finite() || d > bound || (d == bound && i > own))
+    })
 }
 
 /// A one-entry **verified** `(extractor, trace) → POI profile` cache:
@@ -164,5 +168,112 @@ impl AttackScratch {
     /// POI-profile-cache misses so far (fresh extractions).
     pub fn profile_cache_misses(&self) -> u64 {
         self.poi.misses
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::true_user_wins;
+    use crate::Prediction;
+    use mood_trace::UserId;
+    use proptest::prelude::*;
+
+    /// Users `0, 2, 4, …` (ascending, with gaps so odd ids are absent).
+    fn users(n: usize) -> Vec<UserId> {
+        (0..n as u64).map(|i| UserId::new(2 * i)).collect()
+    }
+
+    /// The decision scan over fixed scores, with the exact-pruning
+    /// contract: the closure returns `None` iff the score exceeds the
+    /// bound.
+    fn scan(scores: &[f64], true_user: u64) -> bool {
+        true_user_wins(&users(scores.len()), UserId::new(true_user), |i, bound| {
+            (scores[i] <= bound).then_some(scores[i])
+        })
+    }
+
+    /// The unpruned oracle: the full arg-min names the true user.
+    fn oracle(scores: &[f64], true_user: u64) -> bool {
+        let scored = users(scores.len()).into_iter().zip(scores.iter().copied());
+        Prediction::from_scores(scored.collect()).predicted == Some(UserId::new(true_user))
+    }
+
+    #[test]
+    fn strict_minimum_wins_and_anything_better_loses() {
+        assert!(scan(&[3.0, 1.0, 2.0], 2));
+        assert!(!scan(&[3.0, 1.0, 2.0], 0));
+        assert!(!scan(&[3.0, 1.0, 2.0], 4));
+    }
+
+    #[test]
+    fn ties_go_to_the_smaller_user() {
+        // a tie below the true user beats it; a tie above does not
+        assert!(!scan(&[1.0, 1.0, 5.0], 2));
+        assert!(scan(&[1.0, 1.0, 5.0], 0));
+        assert!(scan(&[5.0, 1.0, 1.0], 2));
+        assert!(!scan(&[5.0, 1.0, 1.0], 4));
+    }
+
+    #[test]
+    fn absent_true_user_never_wins() {
+        assert!(!scan(&[1.0, 2.0], 1));
+        assert!(!scan(&[1.0, 2.0], 9));
+        assert!(!scan(&[], 0));
+    }
+
+    #[test]
+    fn non_finite_own_score_never_wins() {
+        // an abstaining own profile (∞, or no score at all) and NaN
+        assert!(!scan(&[f64::INFINITY, f64::INFINITY], 0));
+        assert!(!scan(&[f64::NEG_INFINITY, 3.0], 0));
+        assert!(!scan(&[f64::NAN, 3.0], 0));
+        assert!(!true_user_wins(&users(2), UserId::new(0), |_, _| None));
+    }
+
+    #[test]
+    fn non_finite_rivals_are_skipped() {
+        assert!(scan(&[f64::INFINITY, 4.0, f64::NEG_INFINITY, f64::NAN], 2));
+    }
+
+    #[test]
+    fn the_scan_stops_at_the_first_better_profile() {
+        let mut scored = Vec::new();
+        let wins = true_user_wins(&users(5), UserId::new(4), |i, bound| {
+            scored.push(i);
+            Some([2.0, 9.0, 5.0, 1.0, 0.5][i]).filter(|d| *d <= bound)
+        });
+        assert!(!wins);
+        assert_eq!(scored, vec![2, 0]);
+    }
+
+    /// A score drawn from a small palette, so ties (and non-finite
+    /// entries) are common.
+    fn palette(k: u8) -> f64 {
+        [0.0, 0.5, 1.0, 1.0, 2.5, f64::INFINITY, f64::NEG_INFINITY][usize::from(k % 7)]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn decision_scan_equals_full_argmin(
+            picks in collection::vec(0u8..7, 0..24),
+            noise in collection::vec(0.0f64..4.0, 24..25),
+            true_user in 0u64..50,
+            tie_heavy in 0u8..2,
+        ) {
+            let scores: Vec<f64> = picks
+                .iter()
+                .zip(&noise)
+                .map(|(&k, &x)| if tie_heavy == 1 { palette(k) } else { x })
+                .collect();
+            prop_assert_eq!(
+                scan(&scores, true_user),
+                oracle(&scores, true_user),
+                "scores {:?}, true user {}",
+                scores,
+                true_user
+            );
+        }
     }
 }

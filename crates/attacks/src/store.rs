@@ -131,6 +131,11 @@ impl PoiProfileSet {
         &self.users
     }
 
+    /// SoA centroid sidecars, parallel to [`PoiProfileSet::profiles`].
+    pub(crate) fn centroids(&self) -> &[CentroidSoa] {
+        &self.centroids
+    }
+
     /// Number of profiled users.
     pub fn len(&self) -> usize {
         self.users.len()
@@ -191,6 +196,11 @@ impl ChainSet {
     /// Users, ascending, parallel to [`ChainSet::chains`].
     pub fn users(&self) -> &[UserId] {
         &self.users
+    }
+
+    /// SoA state-centroid sidecars, parallel to [`ChainSet::chains`].
+    pub(crate) fn centroids(&self) -> &[CentroidSoa] {
+        &self.centroids
     }
 
     /// Number of profiled users.

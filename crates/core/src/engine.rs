@@ -609,11 +609,11 @@ impl MoodEngine {
     /// records into the scratch buffer instead of a fresh allocation —
     /// and judges it against the attack suite on the scratch's attack
     /// arena (features rebuilt into per-worker buffers, profile matching
-    /// pruned by the running best, rasterizations shared between the
-    /// LPPM fast paths and the attacks). Rejected candidates hand their
-    /// buffer back to the scratch for the next candidate; only a
-    /// resilient candidate (the rare case) keeps its buffer, inside the
-    /// returned [`ProtectedTrace`].
+    /// pruned under the true user's own score, rasterizations shared
+    /// between the LPPM fast paths and the attacks). Rejected candidates
+    /// hand their buffer back to the scratch for the next candidate;
+    /// only a resilient candidate (the rare case) keeps its buffer,
+    /// inside the returned [`ProtectedTrace`].
     fn evaluate_candidate(
         &self,
         trace: &Trace,
@@ -833,23 +833,16 @@ impl MoodEngine {
     /// Protects one user's trace end to end (Algorithm 1 plus the §4.2
     /// experimental protocol) and classifies the user.
     pub fn protect_user(&self, trace: &Trace) -> UserProtection {
-        // The raw-trace check runs the attacks concurrently when the
-        // executor has threads to spare; the verdict is the same either
-        // way (a union over attacks and strict scratch/plain verdict
-        // equivalence), so determinism is unaffected. The sequential
-        // variant scores on a pooled scratch, which also pre-warms the
-        // rasterization cache for the raw trace the HMC-first candidate
-        // variants are about to re-raster. It is deliberately outside
-        // the candidate budget: the user's taxonomy class must not
-        // depend on how much compute the request was granted.
+        // The raw-trace check scores on a pooled scratch, which also
+        // pre-warms the rasterization cache for the raw trace the
+        // HMC-first candidate variants are about to re-raster. It is
+        // deliberately outside the candidate budget: the user's taxonomy
+        // class must not depend on how much compute the request was
+        // granted.
         let naturally_protected = self.observe(STAGE_RAW_CHECK, 1, || {
-            if self.executor.max_threads() > 1 {
-                self.suite.protects_concurrent(trace, trace.user())
-            } else {
-                let mut lease = self.scratch.take();
-                self.suite
-                    .protects_with(trace, trace.user(), &mut lease.scratch_mut().attack)
-            }
+            let mut lease = self.scratch.take();
+            self.suite
+                .protects_with(trace, trace.user(), &mut lease.scratch_mut().attack)
         });
 
         let mut budget = BudgetState::new(self.candidate_budget);

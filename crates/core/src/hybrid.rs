@@ -3,7 +3,7 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use mood_attacks::AttackSuite;
+use mood_attacks::{AttackScratch, AttackSuite};
 use mood_lppm::Lppm;
 use mood_metrics::spatio_temporal_distortion;
 use mood_trace::Trace;
@@ -71,12 +71,13 @@ impl HybridLppm {
     /// defeats every attack in `suite` wins. Returns `None` for orphan
     /// users (no single mechanism works).
     pub fn protect_user(&self, trace: &Trace, suite: &AttackSuite) -> Option<ProtectedTrace> {
+        let mut scratch = AttackScratch::new();
         for (i, lppm) in self.ordered.iter().enumerate() {
             let mut h = self.seed ^ trace.user().as_u64().wrapping_mul(0x9e37_79b9_7f4a_7c15);
             h = h.wrapping_add(i as u64);
             let mut rng = StdRng::seed_from_u64(h);
             let candidate = lppm.protect(trace, &mut rng);
-            if suite.protects(&candidate, trace.user()) {
+            if suite.protects_with(&candidate, trace.user(), &mut scratch) {
                 let distortion = spatio_temporal_distortion(trace, &candidate);
                 return Some(ProtectedTrace {
                     trace: candidate,

@@ -174,14 +174,31 @@ impl Hmc {
 
     /// Index of the decoy in `population` for a trace of `user` with
     /// heatmap `own` — the pure function the plan cache memoizes.
+    ///
+    /// The Topsoe arg-min over non-self users, first minimum on ties
+    /// (undefined divergences count as ∞). Later profiles are pruned
+    /// under the running best: Topsoe partial sums are monotone, so a
+    /// pruned profile scores above it, and only a strictly smaller
+    /// score replaces it.
     fn decoy_for(&self, user: UserId, own: &Heatmap) -> Option<usize> {
-        self.population
+        let mut others = self
+            .population
             .iter()
             .enumerate()
-            .filter(|(_, (u, _))| *u != user)
-            .map(|(i, (_, hm))| (i, own.topsoe(hm).unwrap_or(f64::INFINITY)))
-            .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite or inf"))
-            .map(|(i, _)| i)
+            .filter(|(_, (u, _))| *u != user);
+        let (first, (_, hm)) = others.next()?;
+        if own.is_empty() {
+            return Some(first); // every divergence is ∞
+        }
+        let mut best = (first, own.topsoe(hm).unwrap_or(f64::INFINITY));
+        for (i, (_, hm)) in others {
+            if let Some(d) = own.topsoe_bounded(hm, best.1) {
+                if d < best.1 {
+                    best = (i, d);
+                }
+            }
+        }
+        Some(best.0)
     }
 
     /// Builds the rank-matching cell map from `own` onto the decoy: own
@@ -514,6 +531,83 @@ mod tests {
         let fresh = Hmc::paper_default(&bg);
         let _ = fresh.protect(&t1, &mut fresh_rng);
         assert_eq!(p9, fresh.protect(&t9, &mut fresh_rng));
+    }
+
+    /// The unpruned reference `decoy_for` must equal: every non-self
+    /// divergence in full, `min_by`'s first minimum.
+    fn decoy_oracle(hmc: &Hmc, user: UserId, own: &Heatmap) -> Option<usize> {
+        hmc.population
+            .iter()
+            .enumerate()
+            .filter(|(_, (u, _))| *u != user)
+            .map(|(i, (_, hm))| (i, own.topsoe(hm).unwrap_or(f64::INFINITY)))
+            .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite or inf"))
+            .map(|(i, _)| i)
+    }
+
+    #[test]
+    fn pruned_decoy_scan_matches_the_full_scan() {
+        use mood_synth::presets;
+        let ds = presets::privamov_like().scaled(0.3).generate();
+        let (mut bg, test) = ds.split_chronological(TimeDelta::from_days(15));
+        // Twins of two users (identical heatmaps, larger ids): exact
+        // Topsoe ties, which must go to the lower population index.
+        let first_twin = bg.iter().map(|t| t.user().as_u64()).max().unwrap() + 1;
+        let originals: Vec<Trace> = bg.iter().take(2).cloned().collect();
+        for (k, t) in originals.iter().enumerate() {
+            let twin = UserId::new(first_twin + k as u64);
+            bg.insert(Trace::new(twin, t.records().to_vec()).unwrap())
+                .unwrap();
+        }
+        let hmc = Hmc::paper_default(&bg);
+        let outsider = UserId::new(first_twin + 100);
+        let owns: Vec<Heatmap> = bg
+            .iter()
+            .chain(test.iter())
+            .map(|t| Heatmap::from_trace(hmc.grid(), t))
+            .chain([Heatmap::new()])
+            .collect();
+        for own in &owns {
+            for user in bg.user_ids().into_iter().chain([outsider]) {
+                assert_eq!(
+                    hmc.decoy_for(user, own),
+                    decoy_oracle(&hmc, user, own),
+                    "decoy diverged for {user}"
+                );
+            }
+        }
+        // the tie itself: an outsider whose heatmap equals the first
+        // original's gets the original (index 0), not its twin
+        let own = Heatmap::from_trace(hmc.grid(), &originals[0]);
+        assert_eq!(hmc.decoy_for(outsider, &own), Some(0));
+        assert_eq!(
+            hmc.population[hmc.decoy_for(originals[0].user(), &own).unwrap()].0,
+            UserId::new(first_twin)
+        );
+    }
+
+    #[test]
+    fn empty_own_heatmap_takes_the_first_other_user() {
+        let hmc = Hmc::paper_default(&background());
+        for (user, expected) in [(1, 1), (2, 0), (3, 0), (7, 0)] {
+            let user = UserId::new(user);
+            assert_eq!(hmc.decoy_for(user, &Heatmap::new()), Some(expected));
+            assert_eq!(decoy_oracle(&hmc, user, &Heatmap::new()), Some(expected));
+        }
+    }
+
+    #[test]
+    fn single_user_population_decoy_matches_the_full_scan() {
+        let bg = Dataset::from_traces([dwell_trace(1, 46.16, 6.06, 60)]).unwrap();
+        let hmc = Hmc::paper_default(&bg);
+        let own = Heatmap::from_trace(hmc.grid(), &dwell_trace(5, 46.161, 6.061, 40));
+        for own in [own, Heatmap::new()] {
+            for (user, expected) in [(1, None), (5, Some(0))] {
+                let user = UserId::new(user);
+                assert_eq!(hmc.decoy_for(user, &own), expected);
+                assert_eq!(decoy_oracle(&hmc, user, &own), expected);
+            }
+        }
     }
 
     #[test]

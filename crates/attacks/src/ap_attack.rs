@@ -108,9 +108,9 @@ impl TrainedAttack for TrainedApAttack {
     /// cache, the heatmap is rebuilt into the worker's buffer, and every
     /// other profile is matched under the true user's own Topsoe score
     /// as a fixed bound (Topsoe partial sums are monotone — see
-    /// `divergence::topsoe_sorted_bounded` — so exceeding it proves the
-    /// full score would too; verdict equivalence with `predict` is
-    /// [`crate::scratch::true_user_wins`]' contract).
+    /// [`mood_models::divergence::topsoe_soa_bounded`] — so exceeding it
+    /// proves the full score would too; verdict equivalence with
+    /// `predict` is [`crate::scratch::true_user_wins`]' contract).
     fn reidentify_with(
         &self,
         trace: &Trace,
@@ -118,7 +118,10 @@ impl TrainedAttack for TrainedApAttack {
         scratch: &mut AttackScratch,
     ) -> bool {
         let AttackScratch {
-            raster, heatmap, ..
+            raster,
+            heatmap,
+            ap_beater,
+            ..
         } = scratch;
         let cells = raster.cells(self.profiles.grid(), trace);
         heatmap.rebuild_from_cells(cells);
@@ -126,7 +129,7 @@ impl TrainedAttack for TrainedApAttack {
             return false; // predict abstains
         }
         let profiles = self.profiles.heatmaps();
-        crate::scratch::true_user_wins(self.profiles.users(), true_user, |i, bound| {
+        crate::scratch::true_user_wins(self.profiles.users(), true_user, ap_beater, |i, bound| {
             heatmap.topsoe_bounded(&profiles[i], bound)
         })
     }

@@ -154,39 +154,6 @@ impl AttackSuite {
             .is_none()
     }
 
-    /// Batched [`AttackSuite::protects_with`] over a candidate slab:
-    /// writes one verdict per trace into `protected` (cleared first), in
-    /// trace order.
-    ///
-    /// Evaluation is **attack-major** with skip-once-hit: each attack
-    /// streams its trained profile arrays over the whole slab
-    /// ([`TrainedAttack::score_batch`]'s regime), and a candidate
-    /// already re-identified by an earlier attack is skipped by later
-    /// ones. That performs *exactly* the candidate-major short-circuit's
-    /// set of inference calls — candidate `i` reaches attack `k` iff no
-    /// attack before `k` re-identified it — in a different order, and
-    /// since every scratch cache is comparison-verified, call order
-    /// cannot change any verdict: element `i` equals
-    /// `protects_with(&traces[i], true_user, scratch)`.
-    pub fn protects_batch_with(
-        &self,
-        traces: &[Trace],
-        true_user: UserId,
-        scratch: &mut AttackScratch,
-        protected: &mut Vec<bool>,
-    ) {
-        protected.clear();
-        protected.resize(traces.len(), true);
-        for attack in &self.attacks {
-            for (trace, verdict) in traces.iter().zip(protected.iter_mut()) {
-                if *verdict && attack.reidentify_with(trace, true_user, scratch) {
-                    *verdict = false;
-                }
-            }
-        }
-        scratch.mark_used();
-    }
-
     /// Evaluates a whole (possibly obfuscated) dataset: each trace is
     /// attacked under its recorded user as ground truth.
     ///
@@ -586,7 +553,7 @@ mod tests {
     }
 
     #[test]
-    fn score_batch_equals_per_candidate_scoring() {
+    fn warm_scratch_verdicts_equal_cold_scratch_verdicts() {
         use crate::AttackScratch;
         use mood_synth::presets;
         let ds = presets::privamov_like().scaled(0.2).generate();
@@ -594,7 +561,10 @@ mod tests {
         let suite = full_suite(&train);
 
         // A slab per user: their raw trace plus jittered variants
-        // (standing in for LPPM candidates), scored as one batch.
+        // (standing in for LPPM candidates), all scored on ONE scratch
+        // so its caches and beater hints fill up across the slab. Each
+        // candidate must still get the verdict a fresh scratch gives.
+        let mut warm = AttackScratch::new();
         for trace in test.iter().take(4) {
             let mut slab: Vec<Trace> = vec![trace.clone()];
             for (v, d) in [(1, 0.003), (2, -0.006), (3, 0.02)] {
@@ -611,35 +581,29 @@ mod tests {
                 slab.push(Trace::new(trace.user(), jittered).unwrap());
             }
 
-            let mut batch_scratch = AttackScratch::new();
-            let mut verdicts = Vec::new();
-            for attack in suite.attacks() {
-                attack.score_batch(&slab, trace.user(), &mut batch_scratch, &mut verdicts);
-                assert_eq!(verdicts.len(), slab.len());
-                let mut per_candidate = AttackScratch::new();
-                for (candidate, &verdict) in slab.iter().zip(&verdicts) {
+            for candidate in &slab {
+                for attack in suite.attacks() {
                     assert_eq!(
-                        verdict,
-                        attack.reidentify_with(candidate, trace.user(), &mut per_candidate),
-                        "{} batch verdict diverged",
+                        attack.reidentify_with(candidate, trace.user(), &mut warm),
+                        attack.reidentify_with(candidate, trace.user(), &mut AttackScratch::new()),
+                        "{} warm verdict diverged from cold",
                         attack.name()
                     );
                 }
-            }
-
-            // Suite-level slab: attack-major with skip-once-hit must
-            // equal the per-candidate short-circuit walk.
-            let mut protected = Vec::new();
-            suite.protects_batch_with(&slab, trace.user(), &mut batch_scratch, &mut protected);
-            let mut per_candidate = AttackScratch::new();
-            for (candidate, &p) in slab.iter().zip(&protected) {
                 assert_eq!(
-                    p,
-                    suite.protects_with(candidate, trace.user(), &mut per_candidate),
-                    "suite batch verdict diverged"
+                    suite.protects_with(candidate, trace.user(), &mut warm),
+                    suite.protects_with(candidate, trace.user(), &mut AttackScratch::new()),
+                    "suite warm verdict diverged from cold"
                 );
             }
         }
+        // the slabs really exercised the hints: some rival beat a user
+        assert!(
+            [warm.ap_beater, warm.poi_beater, warm.pit_beater]
+                .iter()
+                .any(Option::is_some),
+            "no decision scan ever found a beater"
+        );
     }
 
     #[test]

@@ -138,26 +138,4 @@ pub trait TrainedAttack: Send + Sync {
         let _ = scratch;
         self.re_identifies(trace, true_user)
     }
-
-    /// Batched [`TrainedAttack::reidentify_with`] over a candidate slab:
-    /// appends one verdict per trace to `verdicts` (cleared first), in
-    /// trace order. Streaming a whole slab against the attack's trained
-    /// profiles keeps the profile-side SoA arrays hot across candidates
-    /// and amortizes per-attack dispatch; the contract is strict verdict
-    /// equivalence — element `i` must equal
-    /// `reidentify_with(&traces[i], true_user, scratch)` called in
-    /// order, which the default implementation is verbatim.
-    fn score_batch(
-        &self,
-        traces: &[Trace],
-        true_user: mood_trace::UserId,
-        scratch: &mut AttackScratch,
-        verdicts: &mut Vec<bool>,
-    ) {
-        verdicts.clear();
-        verdicts.reserve(traces.len());
-        for trace in traces {
-            verdicts.push(self.reidentify_with(trace, true_user, scratch));
-        }
-    }
 }

@@ -192,14 +192,19 @@ impl TrainedAttack for TrainedPitAttack {
         true_user: UserId,
         scratch: &mut AttackScratch,
     ) -> bool {
-        let AttackScratch { poi, chain, .. } = scratch;
+        let AttackScratch {
+            poi,
+            chain,
+            pit_beater,
+            ..
+        } = scratch;
         let profile = poi.profile_for(&self.extractor, trace);
         chain.rebuild_from_profile(profile);
         if chain.is_empty() {
             return false; // predict abstains
         }
         let (chains, centroids) = (self.profiles.chains(), self.profiles.centroids());
-        crate::scratch::true_user_wins(self.profiles.users(), true_user, |i, bound| {
+        crate::scratch::true_user_wins(self.profiles.users(), true_user, pit_beater, |i, bound| {
             stats_prox_bounded_soa(chain, &chains[i], &centroids[i], self.top_k, bound)
         })
     }

@@ -121,14 +121,19 @@ impl TrainedAttack for TrainedPoiAttack {
         true_user: UserId,
         scratch: &mut AttackScratch,
     ) -> bool {
-        let AttackScratch { poi, weights, .. } = scratch;
+        let AttackScratch {
+            poi,
+            weights,
+            poi_beater,
+            ..
+        } = scratch;
         let profile = poi.profile_for(&self.extractor, trace);
         if profile.is_empty() {
             return false; // predict abstains
         }
         profile.weights_into(weights);
         let centroids = self.profiles.centroids();
-        crate::scratch::true_user_wins(self.profiles.users(), true_user, |i, bound| {
+        crate::scratch::true_user_wins(self.profiles.users(), true_user, poi_beater, |i, bound| {
             kernels::weighted_nearest_bounded(
                 profile.pois(),
                 weights,

@@ -23,10 +23,19 @@
 //!   never *what* it is. Every backend × thread count must stay
 //!   byte-identical to the sequential reference.
 //! * **No carry-over semantics** — contents are an optimization only; a
-//!   fresh scratch must produce the same verdicts as a warm one.
+//!   fresh scratch must produce the same verdicts as a warm one. That
+//!   includes the beater hints: each attack remembers which rival last
+//!   beat which true user and scores it first next time, but a hint
+//!   only reorders the decision scan, whose verdict does not depend on
+//!   visiting order — a stale, foreign or out-of-range hint costs
+//!   work, never a verdict.
 
 use mood_models::{MarkovChain, PoiExtractor, PoiProfile, Stay, TraceRaster};
 use mood_trace::{Record, Trace, UserId};
+
+/// The rival that last beat a true user in one attack's decision scan:
+/// `(true user, rival index)`, or `None` before any rival won.
+pub(crate) type BeaterHint = Option<(UserId, usize)>;
 
 /// The pruned true-user decision scan shared by every native
 /// `reidentify_with`: does profile matching pick `true_user`?
@@ -37,6 +46,15 @@ use mood_trace::{Record, Trace, UserId};
 /// once, unbounded, giving `b*`; every other profile is then scored
 /// under the fixed bound `b*`, and the scan stops at the first one that
 /// beats it.
+///
+/// **Beater first.** When `hint` names a rival that beat `true_user`
+/// before, that rival is scored right after the own profile — the
+/// candidates of one user tend to lose to the same rival — and the rest
+/// follow in index order; any other rival that beats it becomes the new
+/// hint. The order is pure work: the verdict asks whether *any*
+/// rival beats `b*`, and the tie rule below compares indices, not
+/// visiting order, so a stale, foreign or out-of-range hint cannot
+/// change it.
 ///
 /// **Verdict equivalence with `Prediction::from_scores`** (proven here
 /// once, relied on by all three attacks): `from_scores` sorts by
@@ -51,6 +69,7 @@ use mood_trace::{Record, Trace, UserId};
 pub(crate) fn true_user_wins(
     users: &[UserId],
     true_user: UserId,
+    hint: &mut BeaterHint,
     mut score: impl FnMut(usize, f64) -> Option<f64>,
 ) -> bool {
     let Ok(own) = users.binary_search(&true_user) else {
@@ -59,9 +78,23 @@ pub(crate) fn true_user_wins(
     let Some(bound) = score(own, f64::INFINITY).filter(|d| d.is_finite()) else {
         return false;
     };
-    (0..users.len()).filter(|&i| i != own).all(|i| {
-        score(i, bound).is_none_or(|d| !d.is_finite() || d > bound || (d == bound && i > own))
-    })
+    let mut beats = |i: usize| {
+        score(i, bound).is_some_and(|d| d.is_finite() && (d < bound || (d == bound && i < own)))
+    };
+    let first = match *hint {
+        Some((user, i)) if user == true_user && i != own && i < users.len() => Some(i),
+        _ => None,
+    };
+    if first.is_some_and(&mut beats) {
+        return false;
+    }
+    match (0..users.len()).find(|&i| i != own && Some(i) != first && beats(i)) {
+        Some(i) => {
+            *hint = Some((true_user, i));
+            false
+        }
+        None => true,
+    }
 }
 
 /// A one-entry **verified** `(extractor, trace) → POI profile` cache:
@@ -124,6 +157,12 @@ pub struct AttackScratch {
     pub(crate) weights: Vec<f64>,
     /// PIT-Attack's Markov-chain buffer.
     pub(crate) chain: MarkovChain,
+    /// AP-Attack's beater hint for [`true_user_wins`].
+    pub(crate) ap_beater: BeaterHint,
+    /// POI-Attack's beater hint.
+    pub(crate) poi_beater: BeaterHint,
+    /// PIT-Attack's beater hint.
+    pub(crate) pit_beater: BeaterHint,
     /// Whether any inference ran on this scratch yet (the engine's
     /// `attack_scratch_reuses` observable counts warm starts).
     used: bool,
@@ -173,7 +212,7 @@ impl AttackScratch {
 
 #[cfg(test)]
 mod tests {
-    use super::true_user_wins;
+    use super::{true_user_wins, BeaterHint};
     use crate::Prediction;
     use mood_trace::UserId;
     use proptest::prelude::*;
@@ -187,9 +226,17 @@ mod tests {
     /// contract: the closure returns `None` iff the score exceeds the
     /// bound.
     fn scan(scores: &[f64], true_user: u64) -> bool {
-        true_user_wins(&users(scores.len()), UserId::new(true_user), |i, bound| {
-            (scores[i] <= bound).then_some(scores[i])
-        })
+        scan_hinted(scores, true_user, &mut None)
+    }
+
+    /// [`scan`] starting from (and updating) a beater hint.
+    fn scan_hinted(scores: &[f64], true_user: u64, hint: &mut BeaterHint) -> bool {
+        true_user_wins(
+            &users(scores.len()),
+            UserId::new(true_user),
+            hint,
+            |i, bound| (scores[i] <= bound).then_some(scores[i]),
+        )
     }
 
     /// The unpruned oracle: the full arg-min names the true user.
@@ -212,6 +259,12 @@ mod tests {
         assert!(scan(&[1.0, 1.0, 5.0], 0));
         assert!(scan(&[5.0, 1.0, 1.0], 2));
         assert!(!scan(&[5.0, 1.0, 1.0], 4));
+        // scoring the tie first changes nothing: the rule compares
+        // indices, not visiting order
+        let hint = |user: u64, i: usize| Some((UserId::new(user), i));
+        assert!(scan_hinted(&[1.0, 1.0, 5.0], 0, &mut hint(0, 1)));
+        assert!(scan_hinted(&[5.0, 1.0, 1.0], 2, &mut hint(2, 2)));
+        assert!(!scan_hinted(&[5.0, 1.0, 1.0], 4, &mut hint(4, 1)));
     }
 
     #[test]
@@ -227,7 +280,12 @@ mod tests {
         assert!(!scan(&[f64::INFINITY, f64::INFINITY], 0));
         assert!(!scan(&[f64::NEG_INFINITY, 3.0], 0));
         assert!(!scan(&[f64::NAN, 3.0], 0));
-        assert!(!true_user_wins(&users(2), UserId::new(0), |_, _| None));
+        assert!(!true_user_wins(
+            &users(2),
+            UserId::new(0),
+            &mut None,
+            |_, _| None
+        ));
     }
 
     #[test]
@@ -237,13 +295,25 @@ mod tests {
 
     #[test]
     fn the_scan_stops_at_the_first_better_profile() {
-        let mut scored = Vec::new();
-        let wins = true_user_wins(&users(5), UserId::new(4), |i, bound| {
-            scored.push(i);
-            Some([2.0, 9.0, 5.0, 1.0, 0.5][i]).filter(|d| *d <= bound)
-        });
-        assert!(!wins);
-        assert_eq!(scored, vec![2, 0]);
+        let scores = [2.0, 9.0, 5.0, 1.0, 0.5];
+        let visits = |hint: &mut BeaterHint| {
+            let mut scored = Vec::new();
+            let wins = true_user_wins(&users(5), UserId::new(4), hint, |i, bound| {
+                scored.push(i);
+                Some(scores[i]).filter(|d| *d <= bound)
+            });
+            (wins, scored)
+        };
+        let mut hint = None;
+        assert_eq!(visits(&mut hint), (false, vec![2, 0]));
+        // the beater is remembered and scored first next time
+        assert_eq!(hint, Some((UserId::new(4), 0)));
+        let mut beater_first = Some((UserId::new(4), 4));
+        assert_eq!(visits(&mut beater_first), (false, vec![2, 4]));
+        // a hint that no longer beats is scored once, then skipped
+        let mut stale = Some((UserId::new(4), 1));
+        assert_eq!(visits(&mut stale), (false, vec![2, 1, 0]));
+        assert_eq!(stale, Some((UserId::new(4), 0)));
     }
 
     /// A score drawn from a small palette, so ties (and non-finite
@@ -255,25 +325,54 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
+        // The verdict ignores the hint: none, the own index, an index
+        // out of range, another user's hint, or a stale (arbitrary)
+        // index must all give the full arg-min's answer, and a lost
+        // scan must leave a hint naming a rival that really beats.
         #[test]
         fn decision_scan_equals_full_argmin(
             picks in collection::vec(0u8..7, 0..24),
             noise in collection::vec(0.0f64..4.0, 24..25),
             true_user in 0u64..50,
             tie_heavy in 0u8..2,
+            hint_kind in 0u8..5,
+            hint_index in 0usize..30,
         ) {
             let scores: Vec<f64> = picks
                 .iter()
                 .zip(&noise)
                 .map(|(&k, &x)| if tie_heavy == 1 { palette(k) } else { x })
                 .collect();
+            let own = (true_user / 2) as usize;
+            let me = UserId::new(true_user);
+            let mut hint = match hint_kind {
+                0 => None,
+                1 => Some((me, own)),
+                2 => Some((me, scores.len() + hint_index)),
+                3 => Some((UserId::new(true_user + 1), hint_index)),
+                _ => Some((me, hint_index % scores.len().max(1))),
+            };
+            let wins = scan_hinted(&scores, true_user, &mut hint);
             prop_assert_eq!(
-                scan(&scores, true_user),
+                wins,
                 oracle(&scores, true_user),
-                "scores {:?}, true user {}",
+                "scores {:?}, true user {}, hint kind {}",
                 scores,
-                true_user
+                true_user,
+                hint_kind
             );
+            let rivals_scored = true_user % 2 == 0
+                && scores.get(own).is_some_and(|d| d.is_finite());
+            if let Some((user, i)) = hint.filter(|_| rivals_scored && !wins) {
+                prop_assert!(
+                    user == me && i < scores.len() && i != own,
+                    "hint {:?} names no rival", (user, i)
+                );
+                prop_assert!(
+                    scores[i] < scores[own] || (scores[i] == scores[own] && i < own),
+                    "hinted rival {} does not beat the own score", i
+                );
+            }
         }
     }
 }

@@ -77,76 +77,14 @@ pub fn jensen_shannon<K: Ord + Copy>(p: &BTreeMap<K, f64>, q: &BTreeMap<K, f64>)
 /// assert_eq!(topsoe(&p, &p).unwrap(), 0.0);
 /// ```
 pub fn topsoe<K: Ord + Copy>(p: &BTreeMap<K, f64>, q: &BTreeMap<K, f64>) -> Option<f64> {
-    // Delegate to the one SoA kernel: split keys and masses, totals in
-    // the same per-entry order the sorted adapters use.
+    // Delegate to the one kernel: split keys, sum the totals in key
+    // order, and normalize each mass the way `Heatmap` does.
+    let (tp, tq) = (total(p), total(q));
     let pk: Vec<K> = p.keys().copied().collect();
-    let pw: Vec<f64> = p.values().copied().collect();
+    let pn: Vec<f64> = p.values().map(|&w| (w / tp).max(0.0)).collect();
     let qk: Vec<K> = q.keys().copied().collect();
-    let qw: Vec<f64> = q.values().copied().collect();
-    let tp: f64 = pw.iter().sum();
-    let tq: f64 = qw.iter().sum();
-    topsoe_soa_bounded(&pk, &pw, tp, &qk, &qw, tq, f64::INFINITY)
-}
-
-/// [`topsoe`] over sparse distributions stored as key-sorted slices —
-/// the allocation-free form the candidate hot path uses (heatmaps keep
-/// their cells this way).
-///
-/// The walk merges both supports in key order and accumulates one
-/// combined term per key. Each per-key term is mathematically
-/// non-negative (the pointwise Jensen inequality) and is clamped at 0 to
-/// make that hold bit-exactly under rounding, so partial sums are
-/// monotone — the property [`topsoe_sorted_bounded`]'s pruning rests on.
-///
-/// Returns `None` when either distribution is empty or has non-positive
-/// or non-finite total mass. Slices must be sorted by key with unique
-/// keys; non-negative masses are assumed (negative entries are treated
-/// as zero, matching [`topsoe`]).
-pub fn topsoe_sorted<K: Ord + Copy>(p: &[(K, f64)], q: &[(K, f64)]) -> Option<f64> {
-    topsoe_sorted_bounded(p, q, f64::INFINITY)
-}
-
-/// [`topsoe_sorted`] with **best-bound pruning**: accumulation stops —
-/// returning `None` — as soon as the partial sum exceeds `bound`.
-///
-/// The pruning is exact, not approximate: per-key terms are clamped
-/// non-negative, so the partial sum can only grow; once it exceeds
-/// `bound` the final score provably would too. A `Some(score)` result is
-/// **bit-identical** to the unpruned [`topsoe_sorted`] (same walk, same
-/// accumulation order), so replacing a full arg-min scan with a running
-/// best bound changes no verdict — the profile-matching proptests below
-/// gate exactly that.
-pub fn topsoe_sorted_bounded<K: Ord + Copy>(
-    p: &[(K, f64)],
-    q: &[(K, f64)],
-    bound: f64,
-) -> Option<f64> {
-    let tp: f64 = p.iter().map(|e| e.1).sum();
-    let tq: f64 = q.iter().map(|e| e.1).sum();
-    topsoe_sorted_bounded_with_totals(p, tp, q, tq, bound)
-}
-
-/// [`topsoe_sorted_bounded`] with the total masses supplied by the
-/// caller — the hot-path form for containers that already maintain
-/// their totals (e.g. `Heatmap`): a pruned comparison then pays only
-/// the merge steps it actually walks, not a full re-summation of both
-/// distributions. The caller's totals must equal the slice sums (up to
-/// the caller's own accumulation order); all verdict paths must source
-/// totals the same way to stay bit-consistent.
-pub fn topsoe_sorted_bounded_with_totals<K: Ord + Copy>(
-    p: &[(K, f64)],
-    tp: f64,
-    q: &[(K, f64)],
-    tq: f64,
-    bound: f64,
-) -> Option<f64> {
-    // Split the pair slices and delegate to the SoA kernel — the pair
-    // form is the compatibility adapter, not a second implementation.
-    let pk: Vec<K> = p.iter().map(|e| e.0).collect();
-    let pw: Vec<f64> = p.iter().map(|e| e.1).collect();
-    let qk: Vec<K> = q.iter().map(|e| e.0).collect();
-    let qw: Vec<f64> = q.iter().map(|e| e.1).collect();
-    topsoe_soa_bounded(&pk, &pw, tp, &qk, &qw, tq, bound)
+    let qn: Vec<f64> = q.values().map(|&w| (w / tq).max(0.0)).collect();
+    topsoe_soa_bounded(&pk, &pn, tp, &qk, &qn, tq, f64::INFINITY)
 }
 
 /// How many one-sided keys are accumulated between best-bound checks in
@@ -156,37 +94,74 @@ pub fn topsoe_sorted_bounded_with_totals<K: Ord + Copy>(
 /// still above `bound` at the chunk boundary.
 const ONE_SIDED_CHUNK: usize = 32;
 
-/// [`topsoe_sorted_bounded_with_totals`] over **structure-of-arrays**
-/// slices (keys and masses split) — the production kernel every other
-/// Topsoe entry point delegates to.
+/// Topsoe divergence with **best-bound pruning** over sparse
+/// distributions in **structure-of-arrays** form — the production kernel
+/// every other Topsoe entry point delegates to.
+///
+/// `pk`/`qk` are strictly ascending keys; `pn`/`qn` hold each key's
+/// *normalized* mass `(w / total).max(0.0)`, computed once by the owner
+/// (`Heatmap` keeps them beside its raw counts) instead of once per
+/// comparison. The totals `tp`/`tq` only gate validity: `None` when
+/// either is non-positive or non-finite.
+///
+/// Returns `None` as soon as the partial sum exceeds `bound`. The
+/// pruning is exact, not approximate: per-key terms are clamped
+/// non-negative, so partial sums never decrease and a pruned walk's
+/// final score would exceed `bound` too. A `Some(score)` is
+/// **bit-identical** to the unbounded score and to the scalar pair walk
+/// (the proptests below gate both), so replacing a full arg-min with a
+/// bounded scan changes no verdict.
+///
+/// The walk merges both supports in key order. A one-sided key with
+/// mass `v > 0` contributes `v·ln((2v)/(v+0)) = v·ln 2`, and `(2v)/v`
+/// is **exactly** `2.0` whenever `2v` is finite (doubling is exact), so
+/// one-sided runs accumulate against the `LN_2` constant with no `ln`
+/// call; the logarithm only survives on matched keys.
+///
+/// Under a finite `bound` a **logarithm-free lower-bound pass** runs
+/// first over the same merge, adding Pinsker's lower bound
+/// `(p − q)²/(2(p + q))`, less a rounding margin, instead of the exact
+/// term on matched keys. Each of its terms is at most the
+/// exact walk's term and floating-point addition is monotone, so its
+/// partial sums never exceed the exact walk's in the same order: when
+/// it prunes, the exact walk would have too. Only the calls it cannot
+/// prune pay for the exact walk.
+pub fn topsoe_soa_bounded<K: Ord + Copy>(
+    pk: &[K],
+    pn: &[f64],
+    tp: f64,
+    qk: &[K],
+    qn: &[f64],
+    tq: f64,
+    bound: f64,
+) -> Option<f64> {
+    debug_assert_eq!(pk.len(), pn.len());
+    debug_assert_eq!(qk.len(), qn.len());
+    if tp <= 0.0 || tq <= 0.0 || !tp.is_finite() || !tq.is_finite() {
+        return None;
+    }
+    if bound < f64::INFINITY {
+        merge_walk::<K, false>(pk, pn, qk, qn, bound)?;
+    }
+    merge_walk::<K, true>(pk, pn, qk, qn, bound)
+}
+
+/// The merge both passes of [`topsoe_soa_bounded`] share: `EXACT`
+/// selects the matched-key term ([`matched_term`] or
+/// [`matched_lower_bound`]); one-sided runs and bound checks are the
+/// same in both.
 ///
 /// Two phases per merge step. The *align* phase is the only branchy
 /// part: it walks both key slices and carves the union into one-sided
 /// runs (keys present in exactly one distribution) and matched keys.
-/// The *accumulate* phase is branch-light: a one-sided key `k` with
-/// normalized mass `v > 0` contributes `v·ln((2v)/(v+0)) = v·ln 2`, and
-/// `(2v)/v` is **exactly** `2.0` in IEEE-754 whenever `2v` is finite
-/// (doubling is exact), so the whole run reduces to a fused
-/// multiply–accumulate by the `LN_2` constant with no `ln` call — the
-/// logarithm only survives on matched keys, which are the rare case for
-/// sparse mobility profiles. Term values, accumulation order and prune
-/// outcomes are bit-identical to the scalar pair walk (the proptests
-/// below gate this), per-chunk bound checks included (see
-/// [`ONE_SIDED_CHUNK`]).
-pub fn topsoe_soa_bounded<K: Ord + Copy>(
+/// The *accumulate* phase is branch-light.
+fn merge_walk<K: Ord + Copy, const EXACT: bool>(
     pk: &[K],
-    pw: &[f64],
-    tp: f64,
+    pn: &[f64],
     qk: &[K],
-    qw: &[f64],
-    tq: f64,
+    qn: &[f64],
     bound: f64,
 ) -> Option<f64> {
-    debug_assert_eq!(pk.len(), pw.len());
-    debug_assert_eq!(qk.len(), qw.len());
-    if tp <= 0.0 || tq <= 0.0 || !tp.is_finite() || !tq.is_finite() {
-        return None;
-    }
     let mut sum = 0.0f64;
     let (mut i, mut j) = (0usize, 0usize);
     while i < pk.len() && j < qk.len() {
@@ -198,7 +173,7 @@ pub fn topsoe_soa_bounded<K: Ord + Copy>(
                 while i < pk.len() && pk[i] < qk[j] {
                     i += 1;
                 }
-                if !accumulate_one_sided(&pw[start..i], tp, bound, &mut sum) {
+                if !accumulate_one_sided(&pn[start..i], bound, &mut sum) {
                     return None;
                 }
             }
@@ -208,22 +183,16 @@ pub fn topsoe_soa_bounded<K: Ord + Copy>(
                 while j < qk.len() && qk[j] < pk[i] {
                     j += 1;
                 }
-                if !accumulate_one_sided(&qw[start..j], tq, bound, &mut sum) {
+                if !accumulate_one_sided(&qn[start..j], bound, &mut sum) {
                     return None;
                 }
             }
             std::cmp::Ordering::Equal => {
-                // Matched key: the only place the logarithm survives.
-                let pv = (pw[i] / tp).max(0.0);
-                let qv = (qw[j] / tq).max(0.0);
-                let mut term = 0.0;
-                if pv > 0.0 {
-                    term += pv * ((2.0 * pv) / (pv + qv)).ln();
-                }
-                if qv > 0.0 {
-                    term += qv * ((2.0 * qv) / (pv + qv)).ln();
-                }
-                sum += term.max(0.0);
+                sum += if EXACT {
+                    matched_term(pn[i], qn[j])
+                } else {
+                    matched_lower_bound(pn[i], qn[j])
+                };
                 if sum > bound {
                     return None;
                 }
@@ -232,27 +201,75 @@ pub fn topsoe_soa_bounded<K: Ord + Copy>(
             }
         }
     }
-    if !accumulate_one_sided(&pw[i..], tp, bound, &mut sum) {
+    if !accumulate_one_sided(&pn[i..], bound, &mut sum) {
         return None;
     }
-    if !accumulate_one_sided(&qw[j..], tq, bound, &mut sum) {
+    if !accumulate_one_sided(&qn[j..], bound, &mut sum) {
         return None;
     }
     Some(sum)
 }
 
-/// Accumulates a one-sided run into `sum`, chunked bound checks
-/// included; returns `false` when the partial sum exceeds `bound`.
-///
-/// Per key: `v = (w/t).max(0)` contributes `v·LN_2` (see the kernel
-/// docs for why this equals `v·ln((2v)/v)` bit-for-bit). The overflow
-/// guard keeps even pathological masses exact: when `2v` rounds to
-/// infinity the scalar walk's term is `v·ln(∞) = ∞`, and so is ours.
+/// The exact Topsoe term of a key both distributions hold, with
+/// normalized masses `pv` and `qv`: the only place the logarithm
+/// survives. Clamped at 0 — mathematically the term is non-negative
+/// (pointwise Jensen), and the clamp makes that hold under rounding.
 #[inline]
-fn accumulate_one_sided(ws: &[f64], t: f64, bound: f64, sum: &mut f64) -> bool {
-    for chunk in ws.chunks(ONE_SIDED_CHUNK) {
-        for &w in chunk {
-            let v = (w / t).max(0.0);
+fn matched_term(pv: f64, qv: f64) -> f64 {
+    let mut term = 0.0;
+    if pv > 0.0 {
+        term += pv * ((2.0 * pv) / (pv + qv)).ln();
+    }
+    if qv > 0.0 {
+        term += qv * ((2.0 * qv) / (pv + qv)).ln();
+    }
+    term.max(0.0)
+}
+
+/// Relative and absolute safety margin of [`matched_lower_bound`]:
+/// `m = 2⁻⁴⁰`, some 2¹² times the rounding error of either formula.
+const BOUND_MARGIN: f64 = 1.0 / (1u64 << 40) as f64;
+
+/// Range of `p + q` in which [`matched_lower_bound`] computes its
+/// bound: inside it no intermediate overflows and the absolute margin
+/// `s·m` stays far above the subnormal spacing; outside it the bound is
+/// the trivial 0. Normalized masses are at most 1, so real profiles
+/// never leave it.
+const MATCHED_BOUND_RANGE: std::ops::RangeInclusive<f64> = 1e-150..=1e150;
+
+/// A logarithm-free lower bound on [`matched_term`]`(p, q)`, as
+/// computed, for normalized masses `p, q ≥ 0`.
+///
+/// With `s = p + q` and `x = p/s`, the exact term is `s·KL(x ‖ ½)`, and
+/// Pinsker's inequality `KL(x ‖ ½) ≥ 2(x − ½)²` makes it at least
+/// `(p − q)²/(2s)`. The bound returned is
+/// `(p − q)²/(2s)·(1 − m) − s·m` (clamped at 0) with
+/// `m =` [`BOUND_MARGIN`]: the relative margin covers this formula's
+/// rounding, and the absolute one `s·m` covers the exact term's
+/// cancellation when `p ≈ q` (its error is a few ulps of `s`), so the
+/// computed bound never exceeds the computed exact term.
+#[inline]
+fn matched_lower_bound(p: f64, q: f64) -> f64 {
+    let s = p + q;
+    if !MATCHED_BOUND_RANGE.contains(&s) {
+        return 0.0;
+    }
+    let d = p - q;
+    (d * d / (2.0 * s) * (1.0 - BOUND_MARGIN) - s * BOUND_MARGIN).max(0.0)
+}
+
+/// Accumulates a one-sided run of normalized masses into `sum`, chunked
+/// bound checks included; returns `false` when the partial sum exceeds
+/// `bound`.
+///
+/// Per key: `v` contributes `v·LN_2` (see the kernel docs for why this
+/// equals `v·ln((2v)/v)` bit-for-bit). The overflow guard keeps even
+/// pathological masses exact: when `2v` rounds to infinity the scalar
+/// walk's term is `v·ln(∞) = ∞`, and so is ours.
+#[inline]
+fn accumulate_one_sided(vs: &[f64], bound: f64, sum: &mut f64) -> bool {
+    for chunk in vs.chunks(ONE_SIDED_CHUNK) {
+        for &v in chunk {
             let term = if v > 0.0 {
                 if 2.0 * v < f64::INFINITY {
                     v * LN_2
@@ -339,40 +356,28 @@ fn topsoe_pairs_reference<K: Ord + Copy>(
     Some(sum)
 }
 
-/// Reference Topsoe implementation: the original two-pass lookup-based
-/// accumulation, kept to cross-check the merge walk (term order differs,
-/// so values may differ by rounding noise — never more).
+/// [`topsoe_soa_bounded`] over `(key, raw mass)` pairs with the given
+/// totals, each mass normalized the way `Heatmap` normalizes it: how
+/// the tests feed the kernel the oracle's inputs.
 #[cfg(test)]
-fn topsoe_reference<K: Ord + Copy>(p: &BTreeMap<K, f64>, q: &BTreeMap<K, f64>) -> Option<f64> {
-    let (tp, tq) = (total(p), total(q));
-    if tp <= 0.0 || tq <= 0.0 || !tp.is_finite() || !tq.is_finite() {
-        return None;
-    }
-    let mut sum = 0.0;
-    // Walk the union of supports; BTreeMap keys are ordered so a merge
-    // walk would be possible, but hash-free lookups keep this simple and
-    // the maps are small (hundreds of cells).
-    for (k, &pv) in p {
-        let pv = (pv / tp).max(0.0);
-        let qv = q.get(k).map_or(0.0, |&v| (v / tq).max(0.0));
-        if pv > 0.0 {
-            sum += pv * ((2.0 * pv) / (pv + qv)).ln();
-        }
-        if qv > 0.0 {
-            sum += qv * ((2.0 * qv) / (pv + qv)).ln();
-        }
-    }
-    // keys present only in q
-    for (k, &qv) in q {
-        if p.contains_key(k) {
-            continue;
-        }
-        let qv = (qv / tq).max(0.0);
-        if qv > 0.0 {
-            sum += qv * 2.0f64.ln();
-        }
-    }
-    Some(sum.max(0.0))
+fn kernel_over_pairs(
+    p: &[(u32, f64)],
+    tp: f64,
+    q: &[(u32, f64)],
+    tq: f64,
+    bound: f64,
+) -> Option<f64> {
+    let split = |d: &[(u32, f64)], t: f64| -> (Vec<u32>, Vec<f64>) {
+        d.iter().map(|&(k, w)| (k, (w / t).max(0.0))).unzip()
+    };
+    let ((pk, pn), (qk, qn)) = (split(p, tp), split(q, tq));
+    topsoe_soa_bounded(&pk, &pn, tp, &qk, &qn, tq, bound)
+}
+
+/// Total mass of a pair slice, summed in key order.
+#[cfg(test)]
+fn pair_total(d: &[(u32, f64)]) -> f64 {
+    d.iter().map(|e| e.1).sum()
 }
 
 #[cfg(test)]
@@ -456,24 +461,26 @@ mod tests {
 
     #[test]
     fn sorted_walk_matches_reference_implementation() {
-        let p = dist(&[(0, 0.5), (1, 0.2), (2, 0.3)]);
-        let q = dist(&[(0, 0.1), (1, 0.8), (3, 0.1)]);
-        let walk = topsoe(&p, &q).unwrap();
-        let reference = topsoe_reference(&p, &q).unwrap();
-        assert!((walk - reference).abs() < 1e-12, "{walk} vs {reference}");
+        // The BTreeMap entry point sums and normalizes on its own; it
+        // must still land on the oracle's bits.
+        let p = [(0, 0.5), (1, 0.2), (2, 0.3)];
+        let q = [(0, 0.1), (1, 0.8), (3, 0.1)];
+        let walk = topsoe(&dist(&p), &dist(&q));
+        let reference =
+            topsoe_pairs_reference(&p, pair_total(&p), &q, pair_total(&q), f64::INFINITY);
+        assert_eq!(walk.map(f64::to_bits), reference.map(f64::to_bits));
     }
 
     #[test]
     fn bounded_returns_identical_score_or_prunes() {
-        let p: Vec<(u32, f64)> = vec![(0, 0.5), (1, 0.2), (2, 0.3)];
-        let q: Vec<(u32, f64)> = vec![(0, 0.1), (1, 0.8), (3, 0.1)];
-        let full = topsoe_sorted(&p, &q).unwrap();
-        // infinite bound: bit-identical to the full walk
-        assert_eq!(topsoe_sorted_bounded(&p, &q, f64::INFINITY), Some(full));
-        assert_eq!(topsoe_sorted_bounded(&p, &q, full), Some(full));
+        let p = [(0, 0.5), (1, 0.2), (2, 0.3)];
+        let q = [(0, 0.1), (1, 0.8), (3, 0.1)];
+        let at = |bound| kernel_over_pairs(&p, pair_total(&p), &q, pair_total(&q), bound);
+        let full = at(f64::INFINITY).unwrap();
+        assert_eq!(at(full), Some(full));
         // any bound below the score prunes
-        assert_eq!(topsoe_sorted_bounded(&p, &q, full * 0.99), None);
-        assert_eq!(topsoe_sorted_bounded(&p, &q, 0.0), None);
+        assert_eq!(at(full * 0.99), None);
+        assert_eq!(at(0.0), None);
     }
 
     #[test]
@@ -486,24 +493,87 @@ mod tests {
     #[test]
     fn soa_kernel_handles_extreme_masses() {
         // Masses large enough that 2v overflows: the scalar walk yields
-        // an infinite term and so must the fast path's guard.
+        // an infinite term and so must the fast path's guard. A tiny
+        // total drives v = huge/tiny to ∞, one-sided and matched, and
+        // both passes must agree with the oracle under any bound.
         let huge = f64::MAX / 2.0;
-        let p: Vec<(u32, f64)> = vec![(0, huge)];
-        let q: Vec<(u32, f64)> = vec![(1, 1.0)];
-        // tp supplied as a tiny total drives v = huge/tiny toward ∞
-        let got = topsoe_sorted_bounded_with_totals(&p, 1e-300, &q, 1.0, f64::INFINITY);
-        let want = topsoe_pairs_reference(&p, 1e-300, &q, 1.0, f64::INFINITY);
-        assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits));
+        let p = [(0, huge)];
+        for q in [[(1, 1.0)], [(0, 1.0)]] {
+            for bound in [f64::INFINITY, 1.0, 0.5] {
+                let got = kernel_over_pairs(&p, 1e-300, &q, 1.0, bound);
+                let want = topsoe_pairs_reference(&p, 1e-300, &q, 1.0, bound);
+                assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits));
+            }
+        }
     }
 
     #[test]
     fn sorted_rejects_empty() {
-        let p: Vec<(u32, f64)> = vec![(0, 1.0)];
-        let empty: Vec<(u32, f64)> = vec![];
-        assert!(topsoe_sorted(&p, &empty).is_none());
-        assert!(topsoe_sorted(&empty, &p).is_none());
-        let zero: Vec<(u32, f64)> = vec![(0, 0.0)];
-        assert!(topsoe_sorted(&p, &zero).is_none());
+        let p = [(0, 1.0)];
+        let inf = f64::INFINITY;
+        assert!(kernel_over_pairs(&p, 1.0, &[], 0.0, inf).is_none());
+        assert!(kernel_over_pairs(&[], 0.0, &p, 1.0, inf).is_none());
+        assert!(kernel_over_pairs(&p, 1.0, &[(0, 0.0)], 0.0, inf).is_none());
+    }
+
+    /// The lower-bound pass's premise, swept deterministically: the
+    /// matched-key bound never exceeds the exact term as computed —
+    /// at `p = q`, at masses a few ulps apart, at ratios down to
+    /// 1e-300, at ratios of small counts, and beyond the range in which
+    /// the bound is computed at all.
+    #[test]
+    fn matched_lower_bound_never_exceeds_exact_term() {
+        let check = |p: f64, q: f64| {
+            for (a, b) in [(p, q), (q, p)] {
+                let (u, t) = (matched_lower_bound(a, b), matched_term(a, b));
+                assert!(
+                    (0.0..=t).contains(&u),
+                    "bound {u:e} vs exact {t:e} at p = {a:e}, q = {b:e}"
+                );
+            }
+        };
+        let bases = [
+            1.0,
+            0.5,
+            1.0 / 3.0,
+            0.1,
+            1e-3,
+            1e-9,
+            1e-100,
+            1e-150,
+            1e-300,
+            f64::MIN_POSITIVE,
+            3.0,
+            1e149,
+            1e200,
+            f64::MAX,
+        ];
+        for &p in &bases {
+            let (mut up, mut down) = (p, p);
+            for _ in 0..16 {
+                check(p, up);
+                check(p, down);
+                up = up.next_up();
+                down = down.next_down();
+            }
+            let mut ratio = 1.0;
+            while ratio >= 1e-300 {
+                check(p, p * ratio);
+                check(p, p * (1.0 - ratio));
+                ratio *= 0.3;
+            }
+        }
+        // normalized masses of count-valued heatmaps: a/n against b/m
+        let counts: Vec<f64> = (1..=24).map(f64::from).collect();
+        for &n in counts.iter().chain(&[100.0, 531.0, 1e4, 1e6]) {
+            for &m in counts.iter().chain(&[97.0, 1000.0, 1e6 + 1.0]) {
+                for &a in counts.iter().filter(|&&a| a <= n) {
+                    for &b in counts.iter().filter(|&&b| b <= m) {
+                        check(a / n, b / m);
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -521,6 +591,15 @@ mod proptests {
     /// all-one-sided walks).
     fn arb_dist_edgy() -> impl Strategy<Value = BTreeMap<u32, f64>> {
         proptest::collection::btree_map(0u32..20, 0.01f64..10.0, 0..15)
+    }
+
+    fn pairs(d: BTreeMap<u32, f64>) -> Vec<(u32, f64)> {
+        d.into_iter().collect()
+    }
+
+    /// The kernel over pairs, totals summed in key order.
+    fn soa(p: &[(u32, f64)], q: &[(u32, f64)], bound: f64) -> Option<f64> {
+        kernel_over_pairs(p, pair_total(p), q, pair_total(q), bound)
     }
 
     proptest! {
@@ -549,11 +628,15 @@ mod proptests {
             prop_assert!((0.0..=LN_2 + 1e-9).contains(&js));
         }
 
+        // The BTreeMap entry point (its own totals and normalization)
+        // reproduces the oracle bit for bit.
         #[test]
         fn sorted_walk_agrees_with_reference(p in arb_dist(), q in arb_dist()) {
-            let walk = topsoe(&p, &q).unwrap();
-            let reference = topsoe_reference(&p, &q).unwrap();
-            prop_assert!((walk - reference).abs() < 1e-9, "{walk} vs {reference}");
+            let walk = topsoe(&p, &q);
+            let (p, q) = (pairs(p), pairs(q));
+            let reference =
+                topsoe_pairs_reference(&p, pair_total(&p), &q, pair_total(&q), f64::INFINITY);
+            prop_assert_eq!(walk.map(f64::to_bits), reference.map(f64::to_bits));
         }
 
         // The SoA gate: the run-based kernel must reproduce the scalar
@@ -566,10 +649,8 @@ mod proptests {
             q in arb_dist_edgy(),
             bound_frac in -0.5f64..1.5,
         ) {
-            let p: Vec<(u32, f64)> = p.into_iter().collect();
-            let q: Vec<(u32, f64)> = q.into_iter().collect();
-            let tp: f64 = p.iter().map(|e| e.1).sum();
-            let tq: f64 = q.iter().map(|e| e.1).sum();
+            let (p, q) = (pairs(p), pairs(q));
+            let (tp, tq) = (pair_total(&p), pair_total(&q));
             // bound: infinite (negative draw), or a fraction of the max
             // divergence so pruned and unpruned outcomes are exercised
             let bound = if bound_frac < 0.0 {
@@ -578,12 +659,58 @@ mod proptests {
                 bound_frac * 2.0 * LN_2
             };
             let reference = topsoe_pairs_reference(&p, tp, &q, tq, bound);
-            let soa = topsoe_sorted_bounded_with_totals(&p, tp, &q, tq, bound);
+            let soa = kernel_over_pairs(&p, tp, &q, tq, bound);
             prop_assert_eq!(
                 soa.map(f64::to_bits),
                 reference.map(f64::to_bits),
                 "SoA diverged from scalar walk (bound {})", bound
             );
+        }
+
+        // The two-pass gate: on count-valued, heatmap-like maps the
+        // logarithm-free pass may prune only what the exact walk
+        // prunes. Bounds sit at the exact score and one ulp either side
+        // of it, where a lower bound that overshot the exact term by a
+        // rounding error would surface as a spurious `None`.
+        #[test]
+        fn two_pass_kernel_is_bit_identical_at_the_score(
+            cells in collection::vec((0u32..40, 1u32..200), 1..30),
+            shape in 0u8..4,
+            nudges in collection::vec(0u32..3, 30..31),
+        ) {
+            let p: BTreeMap<u32, f64> =
+                cells.iter().map(|&(k, c)| (k, f64::from(c))).collect();
+            let q: BTreeMap<u32, f64> = match shape {
+                // shared support, unrelated counts
+                0 => p.keys().map(|&k| (k, f64::from(k * 7 % 199 + 1))).collect(),
+                // identical maps
+                1 => p.clone(),
+                // near-equal masses: large counts a few units apart
+                2 => p
+                    .iter()
+                    .zip(&nudges)
+                    .map(|((&k, &c), &n)| (k, c * 1000.0 + f64::from(n)))
+                    .collect(),
+                // one-sided keys only
+                _ => p.iter().map(|(&k, &c)| (k + 40, c)).collect(),
+            };
+            let p: BTreeMap<u32, f64> = if shape == 2 {
+                p.into_iter().map(|(k, c)| (k, c * 1000.0)).collect()
+            } else {
+                p
+            };
+            let (p, q) = (pairs(p), pairs(q));
+            let (tp, tq) = (pair_total(&p), pair_total(&q));
+            let score = topsoe_pairs_reference(&p, tp, &q, tq, f64::INFINITY).unwrap();
+            for bound in [f64::INFINITY, score, score.next_down(), score.next_up()] {
+                let reference = topsoe_pairs_reference(&p, tp, &q, tq, bound);
+                let got = kernel_over_pairs(&p, tp, &q, tq, bound);
+                prop_assert_eq!(
+                    got.map(f64::to_bits),
+                    reference.map(f64::to_bits),
+                    "two-pass kernel diverged at bound {:e} (score {:e})", bound, score
+                );
+            }
         }
 
         // Disjoint supports are the all-one-sided extreme: every key
@@ -593,10 +720,9 @@ mod proptests {
         fn soa_kernel_disjoint_supports(p in arb_dist(), q in arb_dist()) {
             let p: Vec<(u32, f64)> = p.into_iter().map(|(k, v)| (2 * k, v)).collect();
             let q: Vec<(u32, f64)> = q.into_iter().map(|(k, v)| (2 * k + 1, v)).collect();
-            let tp: f64 = p.iter().map(|e| e.1).sum();
-            let tq: f64 = q.iter().map(|e| e.1).sum();
+            let (tp, tq) = (pair_total(&p), pair_total(&q));
             let reference = topsoe_pairs_reference(&p, tp, &q, tq, f64::INFINITY);
-            let soa = topsoe_sorted_bounded_with_totals(&p, tp, &q, tq, f64::INFINITY);
+            let soa = kernel_over_pairs(&p, tp, &q, tq, f64::INFINITY);
             prop_assert_eq!(soa.map(f64::to_bits), reference.map(f64::to_bits));
             let d = soa.unwrap();
             prop_assert!((d - 2.0 * LN_2).abs() < 1e-9, "disjoint should be max: {d}");
@@ -612,17 +738,14 @@ mod proptests {
             anon in arb_dist(),
             profiles in proptest::collection::vec(arb_dist(), 1..12),
         ) {
-            let anon: Vec<(u32, f64)> = anon.into_iter().collect();
-            let profiles: Vec<Vec<(u32, f64)>> = profiles
-                .into_iter()
-                .map(|d| d.into_iter().collect())
-                .collect();
+            let anon = pairs(anon);
+            let profiles: Vec<Vec<(u32, f64)>> = profiles.into_iter().map(pairs).collect();
 
             // Unpruned reference: full score per profile, first strict
             // minimum wins.
             let mut ref_best: Option<(usize, f64)> = None;
             for (i, profile) in profiles.iter().enumerate() {
-                let d = topsoe_sorted(&anon, profile).unwrap();
+                let d = soa(&anon, profile, f64::INFINITY).unwrap();
                 if ref_best.is_none_or(|(_, b)| d < b) {
                     ref_best = Some((i, d));
                 }
@@ -631,11 +754,8 @@ mod proptests {
             // Pruned scan: later profiles are bounded by the running best.
             let mut pruned_best: Option<(usize, f64)> = None;
             for (i, profile) in profiles.iter().enumerate() {
-                let score = match pruned_best {
-                    None => topsoe_sorted(&anon, profile),
-                    Some((_, b)) => topsoe_sorted_bounded(&anon, profile, b),
-                };
-                if let Some(d) = score {
+                let bound = pruned_best.map_or(f64::INFINITY, |(_, b)| b);
+                if let Some(d) = soa(&anon, profile, bound) {
                     if pruned_best.is_none_or(|(_, b)| d < b) {
                         pruned_best = Some((i, d));
                     }

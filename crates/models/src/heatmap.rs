@@ -8,8 +8,9 @@ use crate::divergence;
 /// A heatmap mobility profile: per-cell record counts over a
 /// [`Grid`] (paper Fig. 1, right; the model behind AP-Attack and HMC).
 ///
-/// Counts are kept raw; all comparisons normalize internally, so heatmaps
-/// built from traces of different lengths compare correctly.
+/// Counts are kept raw, and every comparison reads them normalized by the
+/// total, so heatmaps built from traces of different lengths compare
+/// correctly.
 ///
 /// Internally the counts live in **structure-of-arrays** form — a
 /// sorted slice of cells and a parallel slice of `f64` counts — rather
@@ -18,8 +19,10 @@ use crate::divergence;
 /// refilled without a single node allocation
 /// ([`Heatmap::rebuild_from_cells`]), lookups stay `O(log n)` by binary
 /// search on the key slice alone, and the Topsoe comparison streams the
-/// weight slices straight through the branch-light SoA kernel
-/// ([`divergence::topsoe_soa_bounded`]).
+/// normalized masses straight through the branch-light SoA kernel
+/// ([`divergence::topsoe_soa_bounded`]). Those masses are kept beside
+/// the counts, refreshed by every constructor and mutator, so a
+/// profile normalizes once when built rather than once per comparison.
 ///
 /// # Examples
 ///
@@ -47,6 +50,10 @@ pub struct Heatmap {
     /// Count of `keys[i]` at index `i`.
     weights: Vec<f64>,
     total: f64,
+    /// Normalized mass `(weights[i] / total).max(0.0)` at index `i`, the
+    /// Topsoe kernel's input. Derived from `weights` and `total`, so
+    /// equality and serialization ignore it.
+    norm: Vec<f64>,
     /// Reusable buffers for [`Heatmap::accumulate`]; never part of the
     /// observable state (equality and serialization go through
     /// [`HeatmapRepr`], which ignores it).
@@ -91,8 +98,9 @@ impl From<HeatmapRepr> for Heatmap {
         let mut hm = Heatmap::new();
         for (c, w) in r.cells {
             let w = if w.is_finite() { w.max(0.0) } else { 0.0 };
-            hm.add(c, w);
+            hm.insert(c, w);
         }
+        hm.refresh_norm();
         hm
     }
 }
@@ -117,6 +125,7 @@ impl Heatmap {
     {
         let mut hm = Self::new();
         hm.accumulate(points.into_iter().map(|p| grid.cell_of(&p)));
+        hm.refresh_norm();
         hm
     }
 
@@ -134,6 +143,7 @@ impl Heatmap {
         self.weights.clear();
         self.total = 0.0;
         self.accumulate(cells.iter().copied());
+        self.refresh_norm();
     }
 
     /// Largest dense count table [`Heatmap::accumulate`] will allocate
@@ -228,6 +238,13 @@ impl Heatmap {
             weight.is_finite() && weight >= 0.0,
             "weight must be non-negative"
         );
+        self.insert(cell, weight);
+        self.refresh_norm();
+    }
+
+    /// [`Heatmap::add`] without refreshing the normalized masses, for
+    /// callers that insert many cells and refresh once.
+    fn insert(&mut self, cell: CellId, weight: f64) {
         match self.keys.binary_search(&cell) {
             Ok(i) => self.weights[i] += weight,
             Err(i) => {
@@ -236,6 +253,17 @@ impl Heatmap {
             }
         }
         self.total += weight;
+    }
+
+    /// Recomputes every normalized mass from the counts and the total:
+    /// exactly the `(w / total).max(0.0)` a comparison would otherwise
+    /// compute per cell, so stored and on-the-fly values agree bit for
+    /// bit.
+    fn refresh_norm(&mut self) {
+        let total = self.total;
+        self.norm.clear();
+        self.norm
+            .extend(self.weights.iter().map(|&w| (w / total).max(0.0)));
     }
 
     /// The distinct cells, sorted ascending (row-major).
@@ -311,26 +339,27 @@ impl Heatmap {
         v.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
     }
 
-    /// Topsoe divergence to `other` (see [`divergence::topsoe_sorted`]);
-    /// `None` when either heatmap is empty. This is AP-Attack's profile
-    /// distance. Uses the maintained totals — no re-summation; every
-    /// `Heatmap` comparison sources totals the same way, so the
-    /// pruned/unpruned paths stay bit-consistent.
+    /// Topsoe divergence to `other` (see [`divergence::topsoe`]); `None`
+    /// when either heatmap is empty. This is AP-Attack's profile
+    /// distance. Uses the maintained normalized masses — no
+    /// re-summation or re-normalization; every `Heatmap` comparison
+    /// sources them the same way, so the pruned/unpruned paths stay
+    /// bit-consistent.
     pub fn topsoe(&self, other: &Heatmap) -> Option<f64> {
         self.topsoe_bounded(other, f64::INFINITY)
     }
 
     /// [`Heatmap::topsoe`] with best-bound pruning: returns `None` as
-    /// soon as the partial sum provably exceeds `bound` (see
-    /// [`divergence::topsoe_sorted_bounded`]). A returned score is
+    /// soon as the score provably exceeds `bound` (see
+    /// [`divergence::topsoe_soa_bounded`]). A returned score is
     /// bit-identical to the unpruned [`Heatmap::topsoe`].
     pub fn topsoe_bounded(&self, other: &Heatmap, bound: f64) -> Option<f64> {
         divergence::topsoe_soa_bounded(
             &self.keys,
-            &self.weights,
+            &self.norm,
             self.total,
             &other.keys,
-            &other.weights,
+            &other.norm,
             other.total,
             bound,
         )
@@ -367,12 +396,15 @@ impl Heatmap {
         weights.extend_from_slice(&self.weights[i..]);
         keys.extend_from_slice(&other.keys[j..]);
         weights.extend_from_slice(&other.weights[j..]);
-        Heatmap {
+        let mut hm = Heatmap {
             keys,
             weights,
             total: self.total + other.total,
+            norm: Vec::new(),
             scratch: RebuildScratch::default(),
-        }
+        };
+        hm.refresh_norm();
+        hm
     }
 }
 
@@ -604,6 +636,49 @@ mod tests {
         let m = a.merged(&b);
         assert_eq!(m.total(), 3.0);
         assert_eq!(m.cell_count(), 2);
+    }
+
+    /// The normalized masses the Topsoe kernel reads, recomputed from
+    /// scratch: every constructor and mutator must leave them equal to
+    /// this, to the bit.
+    fn assert_norm_fresh(hm: &Heatmap) {
+        let want: Vec<u64> = hm
+            .weights
+            .iter()
+            .map(|&w| (w / hm.total).max(0.0).to_bits())
+            .collect();
+        let got: Vec<u64> = hm.norm.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn normalized_masses_track_every_mutation() {
+        let g = grid();
+        let t = trace_at(&[(46.15, 6.05), (46.15, 6.05), (46.25, 6.25)]);
+        let mut hm = Heatmap::from_trace(&g, &t);
+        assert_norm_fresh(&hm);
+        hm.add(CellId { row: 0, col: 0 }, 2.5);
+        assert_norm_fresh(&hm);
+        hm.add(CellId { row: 0, col: 0 }, 1.0);
+        assert_norm_fresh(&hm);
+        let merged = hm.merged(&Heatmap::from_trace(&g, &trace_at(&[(46.22, 6.12)])));
+        assert_norm_fresh(&merged);
+        let back: Heatmap = serde_json::from_str(&serde_json::to_string(&merged).unwrap()).unwrap();
+        assert_norm_fresh(&back);
+        let mut reused = merged.clone();
+        reused.rebuild_from_cells(&[CellId { row: 3, col: 1 }, CellId { row: 0, col: 2 }]);
+        assert_norm_fresh(&reused);
+        reused.rebuild_from_cells(&[]);
+        assert_norm_fresh(&reused);
+        assert!(reused.norm.is_empty());
+        // the stored masses give the score the BTreeMap entry point
+        // computes from raw counts
+        let as_map =
+            |h: &Heatmap| -> std::collections::BTreeMap<CellId, f64> { h.cell_entries().collect() };
+        assert_eq!(
+            back.topsoe(&hm).map(f64::to_bits),
+            divergence::topsoe(&as_map(&back), &as_map(&hm)).map(f64::to_bits)
+        );
     }
 
     #[test]

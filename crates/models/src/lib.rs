@@ -15,7 +15,8 @@
 //!
 //! The [`divergence`] module provides the underlying f64 distribution
 //! distances (KL, Jensen–Shannon, Topsoe), including the sorted-slice
-//! merge walk with **best-bound pruning** the candidate hot path uses.
+//! merge walk with **best-bound pruning** (and its logarithm-free
+//! lower-bound pass) the candidate hot path uses.
 //!
 //! Every model supports a scratch-reuse path for allocation-free hot
 //! loops: [`Heatmap::rebuild_from_cells`],

@@ -17,8 +17,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod perf;
-
 use std::collections::BTreeMap;
 use std::sync::Arc;
 

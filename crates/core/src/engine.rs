@@ -2,7 +2,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use mood_obs::StageAgg;
+use mood_obs::{mix64, StageAgg};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -894,14 +894,6 @@ impl MoodEngine {
             degraded: budget.exhausted,
         }
     }
-}
-
-/// SplitMix64 finalizer for deterministic RNG stream derivation.
-fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

@@ -41,9 +41,9 @@ pub use recorder::{
 };
 pub use span::{SpanGuard, SpanToken, TraceSpans};
 
-/// SplitMix64 finalizer — the same constants the engine uses for
-/// per-variant RNG streams, so every deterministic id in the workspace
-/// speaks one derivation dialect.
+/// SplitMix64 finalizer — the one mixer behind the engine's per-variant
+/// RNG streams, the serve layer's request seeds, chaos rolls and retry
+/// jitter, and every span id.
 pub fn mix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);

@@ -36,6 +36,7 @@ use mood_core::{
     EngineBuilder, Executor, MoodConfig, MoodEngine, ProtectionReport, UserClass, UserProtection,
 };
 use mood_lppm::Lppm;
+use mood_obs::mix64;
 use mood_trace::{Dataset, Trace, UserId};
 
 /// Body of `POST /v1/protect`: one user's trace plus the replay id.
@@ -305,14 +306,10 @@ impl EngineTemplate {
     }
 
     /// Builds the engine for one request: same suite, LPPMs and
-    /// configuration, the derived `seed`, candidates on `executor`.
-    pub fn engine_for_on(&self, seed: u64, executor: Arc<dyn Executor>) -> MoodEngine {
-        self.engine_for_request(seed, executor, None)
-    }
-
-    /// [`EngineTemplate::engine_for_on`] with an optional candidate
-    /// budget ([`EngineBuilder::candidate_budget`]): the request-path
-    /// factory behind deadline-aware graceful degradation.
+    /// configuration, the derived `seed`, candidates on `executor`, and
+    /// an optional candidate budget ([`EngineBuilder::candidate_budget`]):
+    /// the request-path factory behind deadline-aware graceful
+    /// degradation.
     pub fn engine_for_request(
         &self,
         seed: u64,
@@ -354,10 +351,11 @@ impl EngineTemplate {
             .expect("template carries a validated configuration")
     }
 
-    /// [`EngineTemplate::engine_for_on`] with the sequential candidate
-    /// executor — the offline-comparison shape used by tests.
+    /// [`EngineTemplate::engine_for_request`] with the sequential
+    /// candidate executor and no budget — the offline-comparison shape
+    /// used by tests.
     pub fn engine_for(&self, seed: u64) -> MoodEngine {
-        self.engine_for_on(seed, Arc::new(mood_core::SequentialExecutor))
+        self.engine_for_request(seed, Arc::new(mood_core::SequentialExecutor), None)
     }
 
     /// Names of the base LPPM set.
@@ -388,14 +386,6 @@ pub fn request_seed(server_seed: u64, request_id: u64) -> u64 {
     let mut h = server_seed;
     h ^= mix64(request_id);
     mix64(h)
-}
-
-/// SplitMix64 finalizer.
-fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

@@ -33,6 +33,8 @@
 
 use std::time::Duration;
 
+use mood_obs::mix64;
+
 /// The kinds of fault the chaos layer can inject, in metric-label order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
@@ -256,15 +258,6 @@ impl FaultPlan {
         let roll = (mix64(h) >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
         roll < p
     }
-}
-
-/// SplitMix64 finalizer (same constants as the engine's stream
-/// derivation).
-fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

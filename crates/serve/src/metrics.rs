@@ -296,11 +296,6 @@ impl ServerMetrics {
         self.users_protected.load(Ordering::Relaxed)
     }
 
-    /// Scratch-arena reuses accumulated from request engines so far.
-    pub fn scratch_reuses_total(&self) -> u64 {
-        self.scratch_reuses.load(Ordering::Relaxed)
-    }
-
     /// Attack-scratch reuses accumulated from request engines so far.
     pub fn attack_scratch_reuses_total(&self) -> u64 {
         self.attack_scratch_reuses.load(Ordering::Relaxed)

@@ -23,7 +23,7 @@ use std::net::ToSocketAddrs;
 use std::sync::Arc;
 use std::time::Duration;
 
-use mood_obs::{Recorder, SpanToken, TraceSpans};
+use mood_obs::{mix64, Recorder, SpanToken, TraceSpans};
 use serde::Serialize;
 
 use crate::client::{Client, ClientConfig, ClientResponse};
@@ -394,14 +394,6 @@ pub fn fetch_with_retries<A: ToSocketAddrs + std::fmt::Display>(
     policy: RetryPolicy,
 ) -> io::Result<ClientResponse> {
     RetryClient::new(addr.to_string(), policy).request(method, path, body)
-}
-
-/// SplitMix64 finalizer (jitter stream derivation).
-fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

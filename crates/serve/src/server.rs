@@ -5,7 +5,7 @@
 //! ```text
 //!  clients ──► acceptor ──try_submit──► ServicePool (connection workers)
 //!                 │ full?                     │ per request
-//!                 └──► 503, close             ├─ engine_for_on(seed)  one sibling engine
+//!                 └──► 503, close             ├─ engine_for_request(seed)  one sibling engine
 //!                                             └─ protect_user / protect_stream
 //!                                                    └─ shared executor (persistent pool)
 //! ```
@@ -242,11 +242,6 @@ impl MoodServer {
     /// The server's metrics (live counters).
     pub fn metrics(&self) -> &ServerMetrics {
         &self.shared.metrics
-    }
-
-    /// The flight recorder, when tracing is enabled.
-    pub fn recorder(&self) -> Option<&Recorder> {
-        self.shared.recorder.as_deref()
     }
 
     /// Attaches the compressed trace store backing this deployment so

@@ -11,7 +11,7 @@ use mood_lppm::{GeoI, Hmc, Lppm, Trl};
 use mood_metrics::spatio_temporal_distortion;
 use mood_models::{Heatmap, MarkovChain, PoiExtractor};
 use mood_synth::presets;
-use mood_trace::{Dataset, TimeDelta};
+use mood_trace::{io as trace_io, Dataset, Record, StoreConfig, TimeDelta};
 
 fn world() -> (Dataset, Dataset) {
     let ds = presets::privamov_like().scaled(0.2).generate();
@@ -126,4 +126,19 @@ fn trl_distortion_reflects_dummy_radius() {
     let std = spatio_temporal_distortion(trace, &protected);
     // uniform disk of radius 1 km -> mean displacement ~667 m
     assert!((std - 667.0).abs() < 60.0, "TRL STD = {std}");
+}
+
+#[test]
+fn streamed_store_holds_at_most_half_the_in_memory_records() {
+    // The compressed store earns its keep only if it at least halves the
+    // `Vec<Record>` footprint, on every preset's trace shape.
+    for spec in presets::all() {
+        let dataset = spec.scaled(0.1).generate();
+        let mut csv = Vec::new();
+        trace_io::write_csv(&dataset, &mut csv).expect("serialize corpus");
+        let store = trace_io::stream_csv(&csv[..], StoreConfig::default()).expect("stream");
+        let in_memory = dataset.record_count() * std::mem::size_of::<Record>();
+        let ratio = store.stats().encoded_bytes as f64 / in_memory as f64;
+        assert!(ratio <= 0.5, "{}: compression ratio {ratio:.3}", spec.name);
+    }
 }

@@ -242,32 +242,6 @@ fn persistent_pool_is_reusable_after_an_empty_call_and_joins_on_drop() {
     drop(pool);
 }
 
-#[cfg(target_os = "linux")]
-#[test]
-fn persistent_pool_does_not_leak_threads() {
-    use mood_core::PersistentPoolExecutor;
-
-    fn thread_count() -> usize {
-        std::fs::read_dir("/proc/self/task")
-            .map(|dir| dir.count())
-            .unwrap_or(0)
-    }
-
-    // Let unrelated test threads settle, then cycle pools: the thread
-    // count after N create/use/drop cycles must not trend upward.
-    let before = thread_count();
-    for _ in 0..16 {
-        let pool = PersistentPoolExecutor::new(4);
-        pool.for_each_index(64, &|_| {});
-        drop(pool);
-    }
-    let after = thread_count();
-    assert!(
-        after <= before + 2,
-        "thread count grew from {before} to {after} across pool cycles"
-    );
-}
-
 #[test]
 fn store_backed_protection_and_evaluation_are_byte_identical() {
     // The trace-store tentpole's determinism contract: protecting and

@@ -17,10 +17,50 @@ use crate::{GeoError, Result, EARTH_RADIUS_M};
 /// assert!(geneva.lat() > 46.0);
 /// # Ok::<(), mood_geo::GeoError>(())
 /// ```
+///
+/// Deserialization goes through [`GeoPoint::new`] too, so a point read
+/// from JSON is as valid as one built in code.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(try_from = "GeoPointRepr")]
 pub struct GeoPoint {
     lat: f64,
     lng: f64,
+}
+
+/// Serialized form of [`GeoPoint`]; construction re-validates the range.
+#[derive(Deserialize)]
+struct GeoPointRepr {
+    lat: f64,
+    lng: f64,
+}
+
+impl TryFrom<GeoPointRepr> for GeoPoint {
+    type Error = GeoError;
+    fn try_from(r: GeoPointRepr) -> Result<Self> {
+        GeoPoint::new(r.lat, r.lng)
+    }
+}
+
+/// Wraps a longitude in degrees into `[-180, 180]`.
+///
+/// A longitude within one turn of the range wraps by a single ±360°
+/// subtraction, so its bits are exactly `lng ∓ 360`. Anything further
+/// out — offsets near the poles, where a degree of longitude is almost
+/// no distance — is reduced in closed form, in constant time however
+/// large. A NaN or infinite input yields NaN.
+pub(crate) fn wrap_longitude(lng: f64) -> f64 {
+    let stepped = if lng > 180.0 {
+        lng - 360.0
+    } else if lng < -180.0 {
+        lng + 360.0
+    } else {
+        return lng;
+    };
+    if (-180.0..=180.0).contains(&stepped) {
+        stepped
+    } else {
+        (stepped + 180.0).rem_euclid(360.0) - 180.0
+    }
 }
 
 impl GeoPoint {
@@ -113,15 +153,7 @@ impl GeoPoint {
         let lng2 = lng1
             + (theta.sin() * delta.sin() * lat1.cos()).atan2(delta.cos() - lat1.sin() * lat2.sin());
         let lat_deg = lat2.to_degrees().clamp(-90.0, 90.0);
-        let mut lng_deg = lng2.to_degrees();
-        // normalize longitude into [-180, 180]
-        while lng_deg > 180.0 {
-            lng_deg -= 360.0;
-        }
-        while lng_deg < -180.0 {
-            lng_deg += 360.0;
-        }
-        GeoPoint::new(lat_deg, lng_deg)
+        GeoPoint::new(lat_deg, wrap_longitude(lng2.to_degrees()))
     }
 
     /// Midpoint between `self` and `other` along the great circle.
@@ -134,17 +166,13 @@ impl GeoPoint {
         let by = lat2.cos() * dlng.sin();
         let lat3 = (lat1.sin() + lat2.sin()).atan2(((lat1.cos() + bx).powi(2) + by * by).sqrt());
         let lng3 = lng1 + by.atan2(lat1.cos() + bx);
-        let mut lng_deg = lng3.to_degrees();
-        while lng_deg > 180.0 {
-            lng_deg -= 360.0;
-        }
-        while lng_deg < -180.0 {
-            lng_deg += 360.0;
-        }
         // The midpoint of two valid points is always valid after
         // normalization, so this cannot fail.
-        GeoPoint::new(lat3.to_degrees().clamp(-90.0, 90.0), lng_deg)
-            .expect("midpoint of valid points is valid")
+        GeoPoint::new(
+            lat3.to_degrees().clamp(-90.0, 90.0),
+            wrap_longitude(lng3.to_degrees()),
+        )
+        .expect("midpoint of valid points is valid")
     }
 
     /// Linear interpolation between `self` (at `f = 0`) and `other`
@@ -368,6 +396,72 @@ mod tests {
         let back: GeoPoint = serde_json::from_str(&json).unwrap();
         assert_eq!(a, back);
     }
+
+    #[test]
+    fn deserialization_validates_the_range() {
+        for (json, coordinate) in [
+            (r#"{"lat":95,"lng":0}"#, "latitude 95"),
+            (r#"{"lat":0,"lng":181}"#, "longitude 181"),
+            (r#"{"lat":0,"lng":1e300}"#, "longitude 1"),
+            (r#"{"lat":-90.5,"lng":0}"#, "latitude -90.5"),
+        ] {
+            let err = serde_json::from_str::<GeoPoint>(json).unwrap_err();
+            assert!(err.to_string().contains(coordinate), "{json}: {err}");
+        }
+        let edge: GeoPoint = serde_json::from_str(r#"{"lat":-90,"lng":180}"#).unwrap();
+        assert_eq!(edge, p(-90.0, 180.0));
+    }
+
+    /// Reference: wrapping by repeated ±360° steps.
+    pub(super) fn wrap_by_loop(mut lng: f64) -> f64 {
+        while lng > 180.0 {
+            lng -= 360.0;
+        }
+        while lng < -180.0 {
+            lng += 360.0;
+        }
+        lng
+    }
+
+    #[test]
+    fn wrap_longitude_is_bounded_and_in_range() {
+        assert_eq!(wrap_longitude(180.0), 180.0);
+        assert_eq!(wrap_longitude(-180.0), -180.0);
+        assert_eq!(wrap_longitude(540.5), -179.5);
+        assert_eq!(wrap_longitude(-540.5), 179.5);
+        for lng in [1e300, -1e300, 1e17, 9.5e9, -3.3e12, f64::MAX, f64::MIN] {
+            let w = wrap_longitude(lng);
+            assert!((-180.0..=180.0).contains(&w), "{lng} -> {w}");
+        }
+        assert!(wrap_longitude(f64::NAN).is_nan());
+        assert!(wrap_longitude(f64::INFINITY).is_nan());
+    }
+
+    #[test]
+    fn wrap_longitude_matches_a_single_loop_step_to_the_bit() {
+        let cases = [
+            0.0,
+            -0.0,
+            179.999_999_999,
+            180.000_000_001,
+            -180.000_000_001,
+            359.9,
+            -359.9,
+            539.999_999,
+            -539.999_999,
+            540.0,
+            -540.0,
+            f64::from_bits(180f64.to_bits() + 1),
+            f64::from_bits(540f64.to_bits() - 1),
+        ];
+        for lng in cases {
+            assert_eq!(
+                wrap_longitude(lng).to_bits(),
+                wrap_by_loop(lng).to_bits(),
+                "{lng}"
+            );
+        }
+    }
 }
 
 #[cfg(test)]
@@ -411,6 +505,11 @@ mod proptests {
             let measured = start.haversine_distance(&end);
             prop_assert!((measured - dist).abs() < 1.0 + dist * 1e-6,
                 "asked {dist} got {measured}");
+        }
+
+        #[test]
+        fn wrap_longitude_agrees_with_the_loop_within_one_step(lng in -540.0f64..540.0) {
+            prop_assert_eq!(wrap_longitude(lng).to_bits(), tests::wrap_by_loop(lng).to_bits());
         }
 
         #[test]

@@ -1,5 +1,6 @@
 use serde::{Deserialize, Serialize};
 
+use crate::point::wrap_longitude;
 use crate::{GeoPoint, Result, EARTH_RADIUS_M};
 
 /// A local tangent-plane (east-north) projection around a reference point.
@@ -55,20 +56,15 @@ impl LocalProjection {
 
     /// Inverse projection: local `(x_east_m, y_north_m)` back to WGS-84.
     ///
-    /// The result is clamped to valid coordinates; for city-scale offsets
-    /// clamping never triggers.
+    /// The result is made valid by clamping the latitude and wrapping the
+    /// longitude; for city-scale offsets away from the poles neither
+    /// triggers.
     pub fn to_geo(&self, x_east_m: f64, y_north_m: f64) -> GeoPoint {
         let lat = self.origin.lat() + (y_north_m / EARTH_RADIUS_M).to_degrees();
         let lng = self.origin.lng()
             + (x_east_m / (EARTH_RADIUS_M * self.cos_lat.max(1e-12))).to_degrees();
-        let mut lng = lng;
-        while lng > 180.0 {
-            lng -= 360.0;
-        }
-        while lng < -180.0 {
-            lng += 360.0;
-        }
-        GeoPoint::new(lat.clamp(-90.0, 90.0), lng).expect("clamped projected point is valid")
+        GeoPoint::new(lat.clamp(-90.0, 90.0), wrap_longitude(lng))
+            .expect("clamped projected point is valid")
     }
 
     /// Displaces `p` by `distance_m` meters in direction `bearing_deg`

@@ -188,6 +188,26 @@ mod tests {
     }
 
     #[test]
+    fn trl_at_the_poles_returns_valid_points_promptly() {
+        // At ±90° a metre east is ~1.4e5 degrees of longitude, which
+        // must wrap in constant time, not in ±360° steps.
+        for lat in [90.0, -90.0] {
+            let records = (0..512)
+                .map(|i| Record::new(GeoPoint::new(lat, 6.1).unwrap(), Timestamp::from_unix(i)))
+                .collect();
+            let trace = Trace::new(UserId::new(1), records).unwrap();
+            let mut rng = StdRng::seed_from_u64(5);
+            let started = std::time::Instant::now();
+            let p = Trl::paper_default().protect(&trace, &mut rng);
+            assert!(started.elapsed() < std::time::Duration::from_secs(1));
+            assert_eq!(p.len(), 3 * trace.len());
+            for q in p.points() {
+                assert!((-180.0..=180.0).contains(&q.lng()), "{q}");
+            }
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "radius must be positive")]
     fn rejects_bad_radius() {
         Trl::new(-1.0);

@@ -16,6 +16,11 @@ use mood_trace::Trace;
 ///
 /// Lower is better; `STD(T, T) = 0`.
 ///
+/// `T'` is time-sorted, so the projections walk `T` forward through a
+/// [`Trace::projection_cursor`] instead of binary-searching it per
+/// record; each projection, and the sum in `T'` order, is bit-identical
+/// to folding [`Trace::interpolate_at`].
+///
 /// # Examples
 ///
 /// ```
@@ -31,9 +36,10 @@ use mood_trace::Trace;
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn spatio_temporal_distortion(original: &Trace, obfuscated: &Trace) -> f64 {
+    let mut projection = original.projection_cursor();
     let mut sum = 0.0;
     for r in obfuscated.records() {
-        let projected = original.interpolate_at(r.time());
+        let projected = projection.interpolate_at(r.time());
         sum += projected.haversine_distance(&r.point());
     }
     sum / obfuscated.len() as f64
@@ -113,6 +119,16 @@ mod tests {
         Record::new(GeoPoint::new(lat, lng).unwrap(), Timestamp::from_unix(t))
     }
 
+    /// Reference: the per-record `interpolate_at` fold.
+    pub(super) fn distortion_reference(original: &Trace, obfuscated: &Trace) -> f64 {
+        let mut sum = 0.0;
+        for r in obfuscated.records() {
+            let projected = original.interpolate_at(r.time());
+            sum += projected.haversine_distance(&r.point());
+        }
+        sum / obfuscated.len() as f64
+    }
+
     fn line_trace() -> Trace {
         let records: Vec<Record> = (0..11)
             .map(|i| rec(46.0 + i as f64 * 0.001, 6.0, i * 100))
@@ -170,6 +186,55 @@ mod tests {
         let tripled: Vec<Record> = t.records().iter().flat_map(|r| [*r, *r, *r]).collect();
         let t3 = Trace::new(UserId::new(1), tripled).unwrap();
         assert!(spatio_temporal_distortion(&t, &t3) < 1e-9);
+    }
+
+    #[test]
+    fn cursor_fold_is_bit_identical_to_the_per_record_fold() {
+        let trace = |records: Vec<Record>| Trace::new(UserId::new(1), records).unwrap();
+        let orig = trace(vec![
+            rec(46.0, 6.0, 100),
+            rec(46.1, 6.2, 200),
+            rec(46.2, 6.1, 200),
+            rec(46.3, 6.3, 200),
+            rec(46.0, 6.4, 350),
+            rec(45.9, 6.0, 1_000),
+        ]);
+        let trl_style = trace(
+            orig.records()
+                .iter()
+                .flat_map(|r| {
+                    let p = LocalProjection::new(r.point());
+                    [
+                        p.to_geo(300.0, 0.0),
+                        p.to_geo(0.0, -200.0),
+                        p.to_geo(-50.0, 80.0),
+                    ]
+                    .map(|q| Record::new(q, r.time()))
+                })
+                .collect(),
+        );
+        // Before the start, on record times, inside spans, past the end.
+        let straddling = trace(
+            [0, 99, 100, 150, 200, 201, 349, 350, 700, 999, 1_000, 4_000]
+                .into_iter()
+                .enumerate()
+                .map(|(i, t)| rec(46.05 + i as f64 * 1e-3, 6.1, t))
+                .collect(),
+        );
+        let single = trace(vec![rec(46.1, 6.1, 500)]);
+        for (o, b) in [
+            (&orig, &trl_style),
+            (&orig, &straddling),
+            (&straddling, &orig),
+            (&single, &straddling),
+            (&straddling, &single),
+            (&single, &single),
+        ] {
+            assert_eq!(
+                spatio_temporal_distortion(o, b).to_bits(),
+                distortion_reference(o, b).to_bits()
+            );
+        }
     }
 
     #[test]
@@ -236,7 +301,41 @@ mod proptests {
         )
     }
 
+    /// Traces with duplicate-timestamp runs, starting anywhere in
+    /// `[0, 3000)` so pairs overlap, nest or miss each other in time.
+    fn arb_trace_with_runs() -> impl Strategy<Value = Trace> {
+        (
+            0i64..3_000,
+            proptest::collection::vec((0i64..3, -0.2f64..0.2, -0.2f64..0.2), 1..60),
+        )
+            .prop_map(|(start, tuples)| {
+                let mut at = start;
+                let records: Vec<Record> = tuples
+                    .into_iter()
+                    .map(|(step, dlat, dlng)| {
+                        at += step * 40;
+                        Record::new(
+                            GeoPoint::new(46.0 + dlat, 6.0 + dlng).unwrap(),
+                            Timestamp::from_unix(at),
+                        )
+                    })
+                    .collect();
+                Trace::new(UserId::new(1), records).unwrap()
+            })
+    }
+
     proptest! {
+        #[test]
+        fn std_is_bit_identical_to_the_per_record_fold(
+            a in arb_trace_with_runs(),
+            b in arb_trace_with_runs(),
+        ) {
+            prop_assert_eq!(
+                spatio_temporal_distortion(&a, &b).to_bits(),
+                tests::distortion_reference(&a, &b).to_bits()
+            );
+        }
+
         #[test]
         fn std_nonnegative(a in arb_trace(), b in arb_trace()) {
             prop_assert!(spatio_temporal_distortion(&a, &b) >= 0.0);

@@ -7,7 +7,9 @@
 //!
 //! * [`Record`] — one GPS fix: a [`mood_geo::GeoPoint`] plus a [`Timestamp`];
 //! * [`Trace`] — a user's time-sorted sequence of records, with splitting
-//!   (in half, by fixed windows), interpolation and bounding boxes;
+//!   (in half, by fixed windows), interpolation (one instant at a time,
+//!   or a forward-walking [`ProjectionCursor`] over many) and bounding
+//!   boxes;
 //! * [`Dataset`] — a collection of traces keyed by unique [`UserId`]s, with
 //!   the chronological train/test split used by every re-identification
 //!   attack (15-day background knowledge / 15-day attack data);
@@ -49,7 +51,7 @@ pub use dataset::Dataset;
 pub use error::TraceError;
 pub use record::{Record, TimeDelta, Timestamp};
 pub use store::{StoreConfig, StoreStats, TraceStore};
-pub use trace::Trace;
+pub use trace::{ProjectionCursor, Trace};
 pub use user::{PseudonymFactory, UserId};
 
 /// Convenient result alias for fallible trace operations.

@@ -230,22 +230,18 @@ impl Trace {
     /// Instants before the first or after the last record clamp to the
     /// nearest record's position.
     pub fn interpolate_at(&self, t: Timestamp) -> GeoPoint {
-        if t <= self.start_time() {
-            return self.records[0].point();
+        point_at(&self.records, t, |records| {
+            records.partition_point(|r| r.time() < t)
+        })
+    }
+
+    /// A cursor answering [`Trace::interpolate_at`] for a stream of
+    /// instants, such as another trace's record times.
+    pub fn projection_cursor(&self) -> ProjectionCursor<'_> {
+        ProjectionCursor {
+            records: &self.records,
+            next: 0,
         }
-        if t >= self.end_time() {
-            return self.records[self.records.len() - 1].point();
-        }
-        // First record with time >= t; i >= 1 because t > start_time.
-        let i = self.records.partition_point(|r| r.time() < t);
-        let before = &self.records[i - 1];
-        let after = &self.records[i];
-        let span = after.time().since(before.time()).as_secs();
-        if span == 0 {
-            return before.point();
-        }
-        let f = t.since(before.time()).as_secs() as f64 / span as f64;
-        before.point().lerp(&after.point(), f)
     }
 
     /// A new trace keeping every `step`-th record (≥ 1), always retaining
@@ -281,6 +277,88 @@ impl Trace {
         }
         Trace::new(user, records)
     }
+}
+
+/// [`Trace::interpolate_at`] over a stream of instants, walking forward.
+///
+/// Every answer is bit-identical to `interpolate_at`'s. The cursor keeps
+/// the bracket of its last answer, so an instant at or after that bracket
+/// walks forward from it instead of binary-searching the whole trace: a
+/// time-sorted stream of `m` instants over `n` records costs `O(n + m)`
+/// steps rather than `O(m log n)`. An instant before the bracket falls
+/// back to the binary search.
+///
+/// ```
+/// use mood_geo::GeoPoint;
+/// use mood_trace::{Record, Timestamp, Trace, UserId};
+///
+/// let trace = Trace::new(UserId::new(1), vec![
+///     Record::new(GeoPoint::new(46.0, 6.0)?, Timestamp::from_unix(0)),
+///     Record::new(GeoPoint::new(46.2, 6.0)?, Timestamp::from_unix(100)),
+///     Record::new(GeoPoint::new(46.2, 6.4)?, Timestamp::from_unix(300)),
+/// ])?;
+/// let mut cursor = trace.projection_cursor();
+/// for t in [-5, 50, 100, 200, 250, 20, 900] {
+///     let t = Timestamp::from_unix(t);
+///     assert_eq!(cursor.interpolate_at(t), trace.interpolate_at(t));
+/// }
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
+#[derive(Debug, Clone)]
+pub struct ProjectionCursor<'a> {
+    records: &'a [Record],
+    /// The bracket of the last in-span answer: the index of the first
+    /// record at or after that instant (0 before any).
+    next: usize,
+}
+
+impl ProjectionCursor<'_> {
+    /// The trace's position at `t`, exactly as [`Trace::interpolate_at`].
+    pub fn interpolate_at(&mut self, t: Timestamp) -> GeoPoint {
+        point_at(self.records, t, |records| {
+            let mut i = self.next;
+            if i > 0 && records[i - 1].time() >= t {
+                // Backwards: the bracket lies at or before the last one.
+                i = records[..i].partition_point(|r| r.time() < t);
+            } else {
+                // Every record before `i` is earlier than `t`, and the
+                // last record is later, so the walk stops inside.
+                while records[i].time() < t {
+                    i += 1;
+                }
+            }
+            self.next = i;
+            i
+        })
+    }
+}
+
+/// The position at `t` on non-empty, time-sorted `records`: the first or
+/// last record's point outside their span, otherwise the interpolation
+/// between the records bracketing `t`. `first_at_or_after` locates the
+/// bracket — the index of the first record at or after `t` — and is only
+/// called for `t` strictly inside the span, where that index is ≥ 1.
+fn point_at(
+    records: &[Record],
+    t: Timestamp,
+    first_at_or_after: impl FnOnce(&[Record]) -> usize,
+) -> GeoPoint {
+    let (first, last) = (&records[0], &records[records.len() - 1]);
+    if t <= first.time() {
+        return first.point();
+    }
+    if t >= last.time() {
+        return last.point();
+    }
+    let i = first_at_or_after(records);
+    let before = &records[i - 1];
+    let after = &records[i];
+    let span = after.time().since(before.time()).as_secs();
+    if span == 0 {
+        return before.point();
+    }
+    let f = t.since(before.time()).as_secs() as f64 / span as f64;
+    before.point().lerp(&after.point(), f)
 }
 
 /// Serialized form of [`Trace`]; construction re-validates the invariant.
@@ -506,6 +584,48 @@ mod tests {
         assert_eq!(p, t.records()[2].point());
     }
 
+    /// Asserts the cursor answers each instant, in the order given, with
+    /// exactly the bits of `interpolate_at`.
+    pub(super) fn assert_cursor_matches(trace: &Trace, instants: &[i64]) {
+        let mut cursor = trace.projection_cursor();
+        for &t in instants {
+            let t = Timestamp::from_unix(t);
+            let (a, b) = (cursor.interpolate_at(t), trace.interpolate_at(t));
+            assert_eq!(a.lat().to_bits(), b.lat().to_bits(), "t = {t}");
+            assert_eq!(a.lng().to_bits(), b.lng().to_bits(), "t = {t}");
+        }
+    }
+
+    #[test]
+    fn projection_cursor_matches_interpolate_at_to_the_bit() {
+        // A duplicate-timestamp run at 200 and a gap before 900.
+        let t = Trace::new(
+            UserId::new(1),
+            vec![
+                rec(46.0, 6.0, 100),
+                rec(46.1, 6.3, 200),
+                rec(46.2, 6.1, 200),
+                rec(46.3, 6.2, 200),
+                rec(46.05, 6.15, 260),
+                rec(45.9, 5.9, 900),
+            ],
+        )
+        .unwrap();
+        // Before the start, on every record time (thrice, like TRL's
+        // triples), between records, after the end.
+        let mut sorted = vec![-50, 0, 99];
+        for r in t.records() {
+            sorted.extend([r.time().as_unix(); 3]);
+        }
+        sorted.extend([150, 199, 201, 259, 261, 600, 899, 901, 5_000]);
+        sorted.sort_unstable();
+        assert_cursor_matches(&t, &sorted);
+        // Backward queries fall back to the binary search.
+        assert_cursor_matches(&t, &[600, 150, 150, 899, 201, 100, 5_000, 250, -1]);
+        // A one-record trace answers its only point everywhere.
+        assert_cursor_matches(&walk(1, 60), &[-10, 0, 10, 5, -3]);
+    }
+
     #[test]
     fn subsample_keeps_first() {
         let t = walk(10, 60);
@@ -569,7 +689,38 @@ mod proptests {
         )
     }
 
+    /// Traces with many duplicate-timestamp runs (steps of 0–3 × 50 s).
+    fn arb_trace_with_runs() -> impl Strategy<Value = Trace> {
+        proptest::collection::vec((0i64..4, -0.4f64..0.4, -0.4f64..0.4), 1..60).prop_map(|tuples| {
+            let mut at = 0;
+            let records: Vec<Record> = tuples
+                .into_iter()
+                .map(|(step, dlat, dlng)| {
+                    at += step * 50;
+                    Record::new(
+                        GeoPoint::new(46.0 + dlat, 6.0 + dlng).unwrap(),
+                        Timestamp::from_unix(at),
+                    )
+                })
+                .collect();
+            Trace::new(UserId::new(1), records).unwrap()
+        })
+    }
+
     proptest! {
+        #[test]
+        fn projection_cursor_matches_interpolate_at(
+            t in arb_trace_with_runs(),
+            mut instants in proptest::collection::vec(-200i64..9_500, 0..120),
+        ) {
+            // In the given order, which goes back and forth ...
+            tests::assert_cursor_matches(&t, &instants);
+            // ... and time-sorted, with every record time in the stream.
+            instants.extend(t.records().iter().map(|r| r.time().as_unix()));
+            instants.sort_unstable();
+            tests::assert_cursor_matches(&t, &instants);
+        }
+
         #[test]
         fn construction_sorts(t in arb_trace()) {
             for pair in t.records().windows(2) {

@@ -38,31 +38,29 @@ USAGE:
                [--train-days <n=15>]
   mood protect --input <test.csv> --background <train.csv> --out <file.csv>
                [--report <file.json>] [--threads <n>]
-               [--executor <sequential|pool|steal|persistent>]
                [--delta-hours <n=4>] [--window-hours <n=24>] [--seed <n>] [--quiet <0|1>]
   mood ingest  --input <file.csv> [--store-budget <bytes=67108864>]
                [--chunk-records <n=4096>] [--seal-records <n=512>]
                [--background <train.csv>] [--out <file.csv>] [--report <file.json>]
-               [--threads <n>] [--executor <sequential|pool|steal|persistent>]
+               [--threads <n>]
                [--delta-hours <n=4>] [--window-hours <n=24>] [--seed <n>] [--quiet <0|1>]
-  mood attack  --input <file.csv> --background <train.csv>
-               [--threads <n>] [--executor <sequential|pool|steal|persistent>]
+  mood attack  --input <file.csv> --background <train.csv> [--threads <n>]
   mood eval    --original <file.csv> --protected <file.csv> [--cell-m <n=800>]
   mood serve   --background <train.csv> [--addr <host:port=127.0.0.1:7079>]
-               [--threads <n>] [--executor <sequential|pool|steal|persistent>]
-               [--workers <n>] [--seed <n>] [--max-requests <n=0 (forever)>]
+               [--threads <n>] [--workers <n>] [--seed <n>] [--max-requests <n=0 (forever)>]
                [--budget <n>] [--chaos-profile <drop|shed|delay|panic|truncate|all|a+b>]
-               [--chaos-seed <n>] [--tracing <0|1=1>] [--legacy-metric-names <0|1=0>]
+               [--chaos-seed <n>] [--tracing <0|1=1>]
   mood trace   --input <test.csv> --background <train.csv> --trace-out <file.json>
                [--seed <n>] [--delta-hours <n=4>] [--window-hours <n=24>]
                [--limit-users <n=0 (all)>]
   mood help
 
-`mood protect` streams per-user progress to stderr as results complete;
---executor selects the execution backend for the user-level fan-out and
-`mood attack`'s per-trace fan-out (default: persistent, a long-lived
-pool of parked workers — threads are spawned once per run, not once per
-batch).
+`mood protect` streams per-user progress to stderr as results complete.
+--threads (default: available parallelism) sizes the user-level fan-out
+and `mood attack`'s per-trace fan-out: 1 runs everything inline on the
+sequential backend, more run a persistent pool of parked workers —
+threads are spawned once per run, not once per batch. The output is
+byte-identical for every thread count.
 
 `mood ingest` streams a CSV into the compressed, chunked trace store
 without ever materializing the file: rows are parsed line by line,
@@ -84,9 +82,6 @@ injection (drop/shed/delay/panic/truncate, `+`-combinable; counted in
 /metrics) with --chaos-seed picking the fault stream. Tracing (the
 flight recorder behind GET /v1/debug/trace plus per-stage histograms
 in /metrics) is on by default; --tracing 0 serves untraced.
---legacy-metric-names 1 additionally emits the old unprefixed
-attack_scratch_reuses_total / heatmap_cache_total series during a
-dashboard migration (the primary names are now mood_serve_-prefixed).
 
 `mood trace` protects a dataset sequentially with per-stage tracing on
 and writes --trace-out as Chrome-trace-viewer JSON (load it in
@@ -163,22 +158,18 @@ fn parse_or<T: std::str::FromStr>(
     }
 }
 
-/// Parses the shared `--threads` (default: available parallelism) and
-/// `--executor` (default: persistent) flags used by `protect` and
-/// `attack`.
+/// Parses the shared `--threads` flag (default: available parallelism)
+/// and picks the backend from it: one thread runs inline on the
+/// sequential backend, more run the persistent pool.
 fn executor_opts(opts: &HashMap<String, String>) -> Result<(usize, ExecutorKind), String> {
-    let threads: usize = parse_or(
-        opts,
-        "threads",
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4),
-    )?;
-    let kind: ExecutorKind = match opts.get("executor") {
-        None => ExecutorKind::Persistent,
-        Some(name) => name.parse()?,
+    let available = std::thread::available_parallelism().map_or(4, |n| n.get());
+    let threads = parse_or(opts, "threads", available)?.max(1);
+    let kind = if threads == 1 {
+        ExecutorKind::Sequential
+    } else {
+        ExecutorKind::Persistent
     };
-    Ok((threads.max(1), kind))
+    Ok((threads, kind))
 }
 
 fn cmd_synth(opts: &HashMap<String, String>) -> Result<(), String> {
@@ -264,10 +255,9 @@ fn cmd_protect(opts: &HashMap<String, String>) -> Result<(), String> {
     // The thread budget goes to the user-level fan-out; the engine
     // keeps its sequential candidate executor. Parallelizing both
     // levels with the full budget would oversubscribe (threads ×
-    // candidate batches of scoped threads per recursive split) and is
-    // only worth it when users ≪ cores — batch protection is the
-    // opposite regime.
-    let executor = executor_kind.build(threads.max(1));
+    // candidate batches per recursive split) and is only worth it when
+    // users ≪ cores — batch protection is the opposite regime.
+    let executor = executor_kind.build(threads);
     let engine = EngineBuilder::paper_default(&background)
         .config(config)
         .build()
@@ -376,7 +366,7 @@ fn cmd_ingest(opts: &HashMap<String, String>) -> Result<(), String> {
     config.delta = TimeDelta::from_hours(delta_hours);
     config.initial_window = Some(TimeDelta::from_hours(window_hours));
     config.seed = seed;
-    let executor = executor_kind.build(threads.max(1));
+    let executor = executor_kind.build(threads);
     let engine = EngineBuilder::paper_default(&background)
         .config(config)
         .build()
@@ -450,7 +440,7 @@ fn cmd_attack(opts: &HashMap<String, String>) -> Result<(), String> {
         ],
         &background,
     );
-    let executor = executor_kind.build(threads.max(1));
+    let executor = executor_kind.build(threads);
     let eval = suite.evaluate_with(&target, executor.as_ref());
     println!(
         "re-identified {} of {} users ({:.1}%)",
@@ -534,16 +524,14 @@ fn cmd_serve(opts: &HashMap<String, String>) -> Result<(), String> {
         background.record_count()
     );
     let tracing_on = parse_or(opts, "tracing", 1u8)? != 0;
-    let legacy_metric_names = parse_or(opts, "legacy-metric-names", 0u8)? != 0;
     let mut config = ServeConfig {
         addr,
         connection_workers: workers.max(1),
         executor: executor_kind,
-        executor_threads: threads.max(1),
+        executor_threads: threads,
         server_seed: seed,
         chaos,
         candidate_budget,
-        legacy_metric_names,
         ..ServeConfig::default()
     };
     if !tracing_on {
@@ -690,16 +678,19 @@ mod tests {
     }
 
     #[test]
-    fn executor_flag_values_parse() {
-        for (name, expected) in [
-            ("sequential", ExecutorKind::Sequential),
-            ("pool", ExecutorKind::ScopedPool),
-            ("steal", ExecutorKind::WorkStealing),
-            ("persistent", ExecutorKind::Persistent),
+    fn thread_count_picks_the_backend() {
+        for (flag, threads, kind) in [
+            ("0", 1, ExecutorKind::Sequential),
+            ("1", 1, ExecutorKind::Sequential),
+            ("2", 2, ExecutorKind::Persistent),
         ] {
-            assert_eq!(name.parse::<ExecutorKind>().unwrap(), expected);
+            let opts = HashMap::from([("threads".to_string(), flag.to_string())]);
+            assert_eq!(
+                executor_opts(&opts).unwrap(),
+                (threads, kind),
+                "--threads {flag}"
+            );
         }
-        assert!("gpu".parse::<ExecutorKind>().is_err());
     }
 
     #[test]

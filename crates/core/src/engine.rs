@@ -150,7 +150,7 @@ impl std::error::Error for EngineError {}
 /// let ds = presets::privamov_like().scaled(0.15).generate();
 /// let (background, test) = ds.split_chronological(TimeDelta::from_days(15));
 /// let engine = EngineBuilder::paper_default(&background)
-///     .executor(ExecutorKind::WorkStealing.build(4))
+///     .executor(ExecutorKind::Persistent.build(4))
 ///     .seed(7)
 ///     .build()
 ///     .expect("paper defaults are valid");
@@ -1153,12 +1153,12 @@ mod tests {
         let engine = EngineBuilder::paper_default(&bg)
             .seed(99)
             .max_composition_len(1)
-            .executor(crate::ExecutorKind::WorkStealing.build(4))
+            .executor(crate::ExecutorKind::Persistent.build(4))
             .build()
             .unwrap();
         assert_eq!(engine.config().seed, 99);
         assert!(engine.compositions().is_empty());
-        assert_eq!(engine.executor().name(), "steal");
+        assert_eq!(engine.executor().name(), "persistent");
         assert_eq!(engine.executor().max_threads(), 4);
     }
 

@@ -1,8 +1,8 @@
 //! The execution layer, re-exported from the standalone [`mood_exec`]
 //! crate — *what* the engine evaluates, decoupled from *how* it runs.
 //!
-//! The trait, backends (`sequential`, `pool`, `steal`, `persistent`),
-//! the per-worker scratch-slot helpers and [`ExecutorKind`] live in
+//! The trait, both backends (`sequential` and `persistent`), the
+//! per-worker scratch-slot helpers and [`ExecutorKind`] live in
 //! `mood-exec`, so layers below the engine (notably
 //! `mood_attacks::AttackSuite::evaluate_with`) can run on the same
 //! backends without depending on `mood-core`. This module adds the one
@@ -15,7 +15,7 @@
 
 pub use mood_exec::{
     for_each_index_with, map_indexed, map_indexed_with, Executor, ExecutorKind,
-    PersistentPoolExecutor, ScopedPoolExecutor, SequentialExecutor, WorkStealingExecutor,
+    PersistentPoolExecutor, SequentialExecutor,
 };
 
 use mood_lppm::Lppm;

@@ -18,10 +18,10 @@
 //! * [`HybridLppm`] — the strongest prior baseline (Maouche et al. 2017):
 //!   per-user selection of a single LPPM in a fixed distortion order;
 //! * [`exec`] — the execution layer (the `mood-exec` crate re-exported):
-//!   pluggable backends (sequential, scoped pool, work-stealing, and a
-//!   persistent parked-worker pool) running candidate evaluations and
-//!   per-user protection with bit-for-bit identical results, plus
-//!   per-worker scratch arenas for allocation-free hot loops;
+//!   two backends (sequential, and a persistent parked-worker pool)
+//!   running candidate evaluations and per-user protection with
+//!   bit-for-bit identical results, plus per-worker scratch arenas for
+//!   allocation-free hot loops;
 //! * [`protect_dataset`] — the parallel dataset pipeline, producing a
 //!   [`ProtectionReport`] and a publishable pseudonymized dataset
 //!   ([`protect_stream`] yields per-user results as they complete);
@@ -58,10 +58,7 @@ mod split;
 
 pub use config::MoodConfig;
 pub use engine::{EngineBuilder, EngineError, MoodEngine, ENGINE_STAGES};
-pub use exec::{
-    CandidateJob, Executor, ExecutorKind, PersistentPoolExecutor, ScopedPoolExecutor,
-    SequentialExecutor, WorkStealingExecutor,
-};
+pub use exec::{CandidateJob, Executor, ExecutorKind, PersistentPoolExecutor, SequentialExecutor};
 pub use hybrid::HybridLppm;
 pub use mood_obs as obs;
 pub use outcome::{FineGrainedStats, ProtectedTrace, ProtectionOutcome, UserClass, UserProtection};

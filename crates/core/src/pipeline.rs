@@ -348,7 +348,7 @@ mod tests {
         let engine = MoodEngine::paper_default(&bg);
         let batch = protect_dataset(&engine, &test, 2);
 
-        let executor = ExecutorKind::WorkStealing.build(4);
+        let executor = ExecutorKind::Persistent.build(4);
         let mut seen: Vec<UserId> = Vec::new();
         let streamed = crate::protect_stream(&engine, &test, executor.as_ref(), |outcome| {
             seen.push(outcome.user);

@@ -7,19 +7,18 @@
 //! independent, and the per-variant RNG derivation upstream makes the
 //! work order-free: any scheduler produces bit-for-bit the same result
 //! as long as outputs are keyed by their submission index. The
-//! [`Executor`] trait captures exactly that contract:
+//! [`Executor`] trait captures exactly that contract, and two backends
+//! implement it:
 //!
 //! * [`SequentialExecutor`] — runs tasks inline; zero overhead, the
 //!   reference backend;
-//! * [`ScopedPoolExecutor`] — static chunking over scoped threads; best
-//!   when tasks are uniform;
-//! * [`WorkStealingExecutor`] — per-worker deques with steal-half
-//!   balancing; best for skewed workloads, where one orphan user can
-//!   cost orders of magnitude more than a naturally protected one;
 //! * [`PersistentPoolExecutor`] — a long-lived pool of parked workers
 //!   fed through a shared injector, created once and reused by every
-//!   subsequent call; amortizes thread spawn across a whole run, which
-//!   is what online, many-small-requests deployments need.
+//!   subsequent call. It amortizes thread spawn across a whole run,
+//!   which is what online, many-small-requests deployments need, and
+//!   idle workers claim the next chunk of indices, which balances
+//!   skewed workloads, where one orphan user can cost orders of
+//!   magnitude more than a naturally protected one.
 //!
 //! # Worker slots and scratch reuse
 //!
@@ -45,18 +44,13 @@
 #![warn(missing_docs)]
 
 mod persistent;
-mod pool;
 mod sequential;
 pub mod service;
-mod stealing;
 
 pub use persistent::PersistentPoolExecutor;
-pub use pool::ScopedPoolExecutor;
 pub use sequential::SequentialExecutor;
 pub use service::{QueueStats, ServicePool, SubmitError, SubmitGate};
-pub use stealing::WorkStealingExecutor;
 
-use std::str::FromStr;
 use std::sync::{Arc, Mutex};
 
 /// An index-parallel execution backend.
@@ -160,31 +154,22 @@ where
         .collect()
 }
 
-/// Which execution backend to build — the CLI- and config-facing name
-/// of the execution layer.
+/// Which execution backend to build — the config-facing name of the
+/// execution layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecutorKind {
     /// Run everything inline on the calling thread.
     Sequential,
-    /// Scoped threads with static index chunking, spawned per call.
-    ScopedPool,
-    /// Scoped threads with work-stealing deques, spawned per call.
-    WorkStealing,
     /// A long-lived pool of parked workers fed through a shared
     /// injector; threads are spawned once and reused by every call
-    /// (the default for batch protection and the CLI).
+    /// (the default for batch protection and the service).
     Persistent,
 }
 
 impl ExecutorKind {
     /// Every kind, in presentation order.
-    pub fn all() -> [ExecutorKind; 4] {
-        [
-            ExecutorKind::Sequential,
-            ExecutorKind::ScopedPool,
-            ExecutorKind::WorkStealing,
-            ExecutorKind::Persistent,
-        ]
+    pub fn all() -> [ExecutorKind; 2] {
+        [ExecutorKind::Sequential, ExecutorKind::Persistent]
     }
 
     /// Builds the backend with the given thread budget (clamped to at
@@ -195,8 +180,6 @@ impl ExecutorKind {
         let threads = threads.max(1);
         match self {
             ExecutorKind::Sequential => Arc::new(SequentialExecutor),
-            ExecutorKind::ScopedPool => Arc::new(ScopedPoolExecutor::new(threads)),
-            ExecutorKind::WorkStealing => Arc::new(WorkStealingExecutor::new(threads)),
             ExecutorKind::Persistent => Arc::new(PersistentPoolExecutor::new(threads)),
         }
     }
@@ -206,27 +189,9 @@ impl std::fmt::Display for ExecutorKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let s = match self {
             ExecutorKind::Sequential => "sequential",
-            ExecutorKind::ScopedPool => "pool",
-            ExecutorKind::WorkStealing => "steal",
             ExecutorKind::Persistent => "persistent",
         };
         f.write_str(s)
-    }
-}
-
-impl FromStr for ExecutorKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "sequential" | "seq" => Ok(ExecutorKind::Sequential),
-            "pool" | "scoped" | "scoped-pool" => Ok(ExecutorKind::ScopedPool),
-            "steal" | "ws" | "work-stealing" => Ok(ExecutorKind::WorkStealing),
-            "persistent" | "pers" | "persistent-pool" => Ok(ExecutorKind::Persistent),
-            other => Err(format!(
-                "unknown executor '{other}' (expected sequential|pool|steal|persistent)"
-            )),
-        }
     }
 }
 
@@ -238,12 +203,9 @@ mod tests {
     fn backends() -> Vec<Arc<dyn Executor>> {
         vec![
             ExecutorKind::Sequential.build(1),
-            ExecutorKind::ScopedPool.build(4),
-            ExecutorKind::WorkStealing.build(4),
-            ExecutorKind::WorkStealing.build(1),
-            ExecutorKind::ScopedPool.build(16),
             ExecutorKind::Persistent.build(4),
             ExecutorKind::Persistent.build(1),
+            ExecutorKind::Persistent.build(16),
         ]
     }
 
@@ -328,48 +290,29 @@ mod tests {
 
     #[test]
     fn skewed_workloads_complete() {
-        // One task much slower than the rest: dynamic backends must
-        // still cover every index exactly once.
-        for exec in [
-            ExecutorKind::WorkStealing.build(4),
-            ExecutorKind::Persistent.build(4),
-        ] {
-            let got = map_indexed(exec.as_ref(), 64, |i| {
-                if i == 0 {
-                    std::thread::sleep(std::time::Duration::from_millis(20));
-                }
-                i
-            });
-            assert_eq!(got, (0..64).collect::<Vec<_>>(), "{}", exec.name());
-        }
+        // One task much slower than the rest: the pool's dynamic
+        // claiming must still cover every index exactly once.
+        let exec = ExecutorKind::Persistent.build(4);
+        let got = map_indexed(exec.as_ref(), 64, |i| {
+            if i == 0 {
+                std::thread::sleep(std::time::Duration::from_millis(20));
+            }
+            i
+        });
+        assert_eq!(got, (0..64).collect::<Vec<_>>());
     }
 
     #[test]
-    fn kind_parses_and_displays() {
+    fn kind_displays_as_its_backend_name() {
         for kind in ExecutorKind::all() {
-            let parsed: ExecutorKind = kind.to_string().parse().unwrap();
-            assert_eq!(parsed, kind);
+            assert_eq!(kind.to_string(), kind.build(2).name());
         }
-        assert_eq!(
-            "seq".parse::<ExecutorKind>().unwrap(),
-            ExecutorKind::Sequential
-        );
-        assert_eq!(
-            "work-stealing".parse::<ExecutorKind>().unwrap(),
-            ExecutorKind::WorkStealing
-        );
-        assert_eq!(
-            "persistent".parse::<ExecutorKind>().unwrap(),
-            ExecutorKind::Persistent
-        );
-        assert!("quantum".parse::<ExecutorKind>().is_err());
     }
 
     #[test]
     fn builders_report_threads() {
         assert_eq!(ExecutorKind::Sequential.build(8).max_threads(), 1);
-        assert_eq!(ExecutorKind::ScopedPool.build(3).max_threads(), 3);
-        assert_eq!(ExecutorKind::WorkStealing.build(0).max_threads(), 1);
+        assert_eq!(ExecutorKind::Persistent.build(0).max_threads(), 1);
         assert_eq!(ExecutorKind::Persistent.build(3).max_threads(), 3);
     }
 }

@@ -1,15 +1,13 @@
 //! A long-lived pool of parked worker threads fed through a shared
 //! injector.
 //!
-//! The scoped backends spawn and join OS threads inside **every**
-//! `for_each_index` call. That is fine for one big batch, but MooD's
-//! deployment regime is the opposite: many small requests (one user,
-//! one sub-trace, a handful of candidates each), where per-call thread
-//! spawn dominates the work itself. This backend creates its workers
-//! once, parks them on a condvar, and feeds every subsequent call
-//! through a shared chunked injector — idle workers pull (steal) the
-//! next chunk of indices as they run dry, so skewed workloads balance
-//! like the work-stealing backend without per-call setup.
+//! MooD's deployment regime is many small requests (one user, one
+//! sub-trace, a handful of candidates each), where spawning threads
+//! inside every `for_each_index` call would dominate the work itself.
+//! This backend creates its workers once, parks them on a condvar, and
+//! feeds every subsequent call through a shared chunked injector — idle
+//! workers pull the next chunk of indices as they run dry, so skewed
+//! workloads balance without per-call setup.
 
 #[allow(unsafe_code)]
 mod task_ref {
@@ -95,8 +93,8 @@ struct Batch {
     /// Invocations that have returned; the batch is complete at `n`.
     finished: AtomicUsize,
     /// The first panic payload raised by an invocation; the submitter
-    /// resumes unwinding with it, matching the scoped backends (where
-    /// `std::thread::scope` propagates the task's actual panic).
+    /// resumes unwinding with it, so the caller sees the task's own
+    /// panic, as it would on the sequential backend.
     panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
 }
 
@@ -134,10 +132,10 @@ struct Shared {
 ///
 /// Work distribution is a shared injector with chunked claiming: every
 /// call becomes a batch with an atomic cursor, and workers grab the
-/// next chunk whenever they run dry — the same dynamic balancing that
-/// makes [`super::WorkStealingExecutor`] fit skewed workloads, minus
-/// the per-call thread spawn. Multiple threads may submit batches
-/// concurrently; batches queue and workers drain them oldest-first.
+/// next chunk whenever they run dry, which balances skewed workloads
+/// without spawning a thread per call. Multiple threads may submit
+/// batches concurrently; batches queue and workers drain them
+/// oldest-first.
 ///
 /// A task that (transitively) calls back into **its own** pool runs the
 /// nested batch inline on the same worker — no deadlock, and the nested
@@ -145,9 +143,8 @@ struct Shared {
 ///
 /// Dropping the pool wakes and joins every worker: no leaked threads.
 /// A task panic is caught and its payload re-raised on the submitting
-/// thread once the batch completes (first panic wins, matching the
-/// scoped backends' propagation); the pool itself survives and stays
-/// usable.
+/// thread once the batch completes (first panic wins); the pool itself
+/// survives and stays usable.
 pub struct PersistentPoolExecutor {
     shared: Arc<Shared>,
     threads: usize,

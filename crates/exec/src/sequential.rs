@@ -4,8 +4,8 @@ use super::Executor;
 /// in index order, always on worker slot 0.
 ///
 /// This is the executor of record for determinism checks — the parallel
-/// backends are correct exactly when they reproduce its output — and
-/// the right choice for small inputs, where thread setup would dominate.
+/// backend is correct exactly when it reproduces its output — and the
+/// right choice for small inputs or a one-thread budget.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SequentialExecutor;
 

@@ -92,9 +92,8 @@ pub fn escape_label_value(value: &str) -> String {
 }
 
 /// Everything the `/metrics` renderer needs beyond the counters
-/// themselves: the server's static shape, live queue gauges, the flight
-/// recorder's histograms/counters, and the metric-naming compatibility
-/// switch.
+/// themselves: the server's static shape, live queue gauges and the
+/// flight recorder's histograms/counters.
 pub struct RenderScope<'a> {
     /// Executor backend name (`backend` label).
     pub backend: &'a str,
@@ -104,10 +103,6 @@ pub struct RenderScope<'a> {
     pub connection_workers: usize,
     /// The engine template's live training-reuse snapshot.
     pub profile_store: StoreCounters,
-    /// Additionally emit the PR-4-era unprefixed alias names
-    /// (`attack_scratch_reuses_total`, `heatmap_cache_total{...}`) —
-    /// kept for one release for dashboards that still scrape them.
-    pub legacy_metric_names: bool,
     /// Connection-pool queue snapshot (`None` when the pool is gone,
     /// e.g. during shutdown).
     pub queue: Option<QueueStats>,
@@ -323,8 +318,7 @@ impl ServerMetrics {
 
     /// Renders the Prometheus text exposition for `GET /metrics` with
     /// only the static server shape — no queue gauges, no flight
-    /// recorder, current metric names only. Convenience wrapper over
-    /// [`ServerMetrics::render_with`].
+    /// recorder. Convenience wrapper over [`ServerMetrics::render_with`].
     pub fn render(
         &self,
         backend: &str,
@@ -337,7 +331,6 @@ impl ServerMetrics {
             executor_threads,
             connection_workers,
             profile_store,
-            legacy_metric_names: false,
             queue: None,
             store: None,
             recorder: None,
@@ -574,25 +567,6 @@ impl ServerMetrics {
                 ));
             }
         }
-        if scope.legacy_metric_names {
-            // Pre-rename aliases (see README "Observability"): same
-            // values as the `mood_serve_`-prefixed series above, kept
-            // one release for dashboards that still scrape them.
-            out.push_str("# TYPE attack_scratch_reuses_total counter\n");
-            out.push_str(&format!(
-                "attack_scratch_reuses_total {}\n",
-                self.attack_scratch_reuses.load(Ordering::Relaxed)
-            ));
-            out.push_str("# TYPE heatmap_cache_total counter\n");
-            out.push_str(&format!(
-                "heatmap_cache_total{{result=\"hit\"}} {}\n",
-                self.heatmap_cache_hits.load(Ordering::Relaxed)
-            ));
-            out.push_str(&format!(
-                "heatmap_cache_total{{result=\"miss\"}} {}\n",
-                self.heatmap_cache_misses.load(Ordering::Relaxed)
-            ));
-        }
         out
     }
 }
@@ -765,7 +739,7 @@ mod tests {
     }
 
     #[test]
-    fn render_with_emits_queue_recorder_and_legacy_sections() {
+    fn render_with_emits_queue_and_recorder_sections() {
         let m = ServerMetrics::new();
         m.add_attack_scratch_reuses(11);
         m.add_heatmap_cache(3, 4);
@@ -777,7 +751,6 @@ mod tests {
             executor_threads: 4,
             connection_workers: 2,
             profile_store: StoreCounters::default(),
-            legacy_metric_names: true,
             queue: Some(QueueStats {
                 pending: 3,
                 in_flight: 2,
@@ -851,23 +824,9 @@ mod tests {
             text.contains("mood_serve_traces_recorded_total 0"),
             "{text}"
         );
-        // Legacy aliases ride along with the prefixed series.
-        assert!(text.contains("\nattack_scratch_reuses_total 11"), "{text}");
-        assert!(
-            text.contains("\nheatmap_cache_total{result=\"hit\"} 3"),
-            "{text}"
-        );
-        assert!(
-            text.contains("\nheatmap_cache_total{result=\"miss\"} 4"),
-            "{text}"
-        );
         assert!(
             text.contains("mood_serve_attack_scratch_reuses_total 11"),
             "{text}"
         );
-        // Without the flag the unprefixed aliases disappear.
-        let text = m.render("persistent", 4, 2, StoreCounters::default());
-        assert!(!text.contains("\nattack_scratch_reuses_total"), "{text}");
-        assert!(!text.contains("\nheatmap_cache_total{"), "{text}");
     }
 }

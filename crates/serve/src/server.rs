@@ -79,10 +79,6 @@ pub struct ServeConfig {
     /// span clocks are read. Served bytes are bit-identical either way;
     /// only the `*_us` observability fields carry wall-clock.
     pub tracing: Option<RecorderConfig>,
-    /// Additionally emit the pre-rename unprefixed metric aliases
-    /// (`attack_scratch_reuses_total`, `heatmap_cache_total{...}`) on
-    /// `/metrics` for scrapers that predate the `mood_serve_` prefix.
-    pub legacy_metric_names: bool,
 }
 
 impl Default for ServeConfig {
@@ -100,7 +96,6 @@ impl Default for ServeConfig {
             chaos: None,
             candidate_budget: None,
             tracing: Some(RecorderConfig::default()),
-            legacy_metric_names: false,
         }
     }
 }
@@ -531,7 +526,6 @@ fn route(shared: &ServerShared, request: &Request, spans: &TraceSpans) -> Respon
                     executor_threads: shared.executor.max_threads(),
                     connection_workers: shared.config.connection_workers,
                     profile_store: shared.template.profile_store_counters(),
-                    legacy_metric_names: shared.config.legacy_metric_names,
                     queue,
                     store: shared.store.get().map(|store| store.stats()),
                     recorder: shared.recorder.as_deref(),

@@ -1,9 +1,9 @@
 //! Prometheus text-exposition conformance for `/metrics`: every sample
 //! belongs to a family declared with `# TYPE`, no series (name +
 //! label set) appears twice, label values use only valid escapes, and
-//! every value parses. Run against a live server with tracing AND the
-//! legacy-name aliases enabled, after traffic on several endpoints, so
-//! the scrape covers every section the renderer can emit.
+//! every value parses. Run against a live server with tracing enabled,
+//! after traffic on several endpoints, so the scrape covers every
+//! section the renderer can emit.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::OnceLock;
@@ -139,7 +139,6 @@ fn metrics_exposition_is_well_formed() {
         server_seed: 0x005C_249E,
         keep_alive: Duration::from_secs(30),
         request_timeout: Duration::from_millis(600),
-        legacy_metric_names: true,
         ..ServeConfig::default()
     };
     let server = MoodServer::start(config, template.clone()).expect("bind loopback server");
@@ -218,8 +217,8 @@ fn metrics_exposition_is_well_formed() {
         "mood_serve_queue_wait_seconds",
         "mood_serve_stage_seconds",
         "mood_serve_traces_recorded_total",
-        "attack_scratch_reuses_total",
-        "heatmap_cache_total",
+        "mood_serve_attack_scratch_reuses_total",
+        "mood_serve_heatmap_cache_total",
     ] {
         assert!(types.contains_key(family), "family {family} not rendered");
     }

@@ -3,7 +3,7 @@
 //! deterministic (wall-clock only in the observability `*_us` fields),
 //! the flight recorder must export over `GET /v1/debug/trace`, and the
 //! new `/metrics` series (queue gauges, per-stage histograms, trace
-//! counters, legacy aliases) must render.
+//! counters) must render.
 
 use std::sync::OnceLock;
 use std::time::Duration;
@@ -203,34 +203,4 @@ fn metrics_expose_queue_gauges_stage_histograms_and_trace_counters() {
         .expect("in-flight gauge");
     assert!(in_flight.trim().parse::<u64>().expect("gauge value") >= 1);
     server.shutdown();
-}
-
-#[test]
-fn legacy_metric_names_flag_restores_unprefixed_aliases() {
-    let server = start(ServeConfig {
-        legacy_metric_names: true,
-        ..config()
-    });
-    let mut client = Client::connect(server.local_addr()).expect("connect");
-    protect(&mut client, 4);
-    let resp = client.get("/metrics").expect("metrics");
-    let text = resp.text().expect("utf8 metrics");
-    assert!(text.contains("\nattack_scratch_reuses_total "), "{text}");
-    assert!(
-        text.contains("\nheatmap_cache_total{result=\"hit\"}"),
-        "{text}"
-    );
-    // Prefixed names stay the primary series either way.
-    assert!(text.contains("mood_serve_attack_scratch_reuses_total"));
-    server.shutdown();
-
-    let modern = start(config());
-    let mut client = Client::connect(modern.local_addr()).expect("connect");
-    let resp = client.get("/metrics").expect("metrics");
-    let text = resp.text().expect("utf8 metrics");
-    assert!(
-        !text.contains("\nattack_scratch_reuses_total "),
-        "legacy aliases must be opt-in: {text}"
-    );
-    modern.shutdown();
 }

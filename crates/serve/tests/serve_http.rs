@@ -65,7 +65,7 @@ fn offline_protect_bytes(
     let seed = request_seed(server_seed, request_id);
     let engine = template.engine_for(seed);
     let dataset = Dataset::from_traces(traces.to_vec()).expect("distinct users");
-    let executor = ExecutorKind::WorkStealing.build(4);
+    let executor = ExecutorKind::Persistent.build(4);
     let report =
         protect_stream(&engine, &dataset, executor.as_ref(), |_| {}).expect("sink does not panic");
     traces

@@ -173,32 +173,6 @@ fn stage_observed_engines_are_byte_identical_for_every_backend_and_thread_count(
 }
 
 #[test]
-fn two_level_parallelism_matches_the_sequential_reference() {
-    // Candidate-level executor inside the engine AND user-level
-    // executor in the pipeline, both parallel at once.
-    let (bg, test) = mini_world();
-    let reference = protect_dataset(&MoodEngine::paper_default(&bg), &test, 1);
-    for kind in [
-        ExecutorKind::ScopedPool,
-        ExecutorKind::WorkStealing,
-        ExecutorKind::Persistent,
-    ] {
-        for threads in THREAD_COUNTS {
-            let engine = EngineBuilder::paper_default(&bg)
-                .executor(kind.build(threads))
-                .build()
-                .expect("paper defaults are valid");
-            let outer = ExecutorKind::WorkStealing.build(threads);
-            let report = protect_dataset_with(&engine, &test, outer.as_ref());
-            assert_eq!(
-                report, reference,
-                "two-level {kind} x{threads} diverged from sequential reference"
-            );
-        }
-    }
-}
-
-#[test]
 fn persistent_candidate_executor_shared_across_user_workers() {
     // The deployment-shaped regime: ONE persistent pool serving the
     // engine's candidate batches while a parallel user-level executor

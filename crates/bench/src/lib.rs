@@ -1,15 +1,17 @@
 //! Experiment harness reproducing every table and figure of the MooD
 //! paper's evaluation (§4).
 //!
-//! Each `exp_*` binary regenerates one table or figure; this library
-//! holds the shared machinery:
+//! The `exp_all` binary regenerates every table and figure and
+//! `exp_ablation` runs the design-choice sweeps; this library holds the
+//! shared machinery:
 //!
 //! * [`ExperimentContext`] — dataset generation, the 15/15-day
 //!   chronological split, trained attack suites and the MooD engine;
 //! * [`run_figures`] — the full per-dataset evaluation: every mechanism
 //!   bar (no-LPPM, Geo-I, TRL, HMC, HybridLPPM, MooD) with non-protected
-//!   user counts, data loss, and distortion bands;
-//! * serializable result rows for EXPERIMENTS.md.
+//!   user counts, data loss, and distortion bands, all read from one
+//!   MooD run;
+//! * [`parse_options`] — the binaries' command line.
 //!
 //! Experiments accept a `scale` factor (1.0 = paper-scale synthetic
 //! datasets; smaller for quick runs and CI).
@@ -20,16 +22,16 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 use mood_attacks::{ApAttack, Attack, AttackSuite, PitAttack, PoiAttack, ProfileStore};
+use mood_core::exec::map_indexed;
 use mood_core::{
-    protect_dataset, EngineBuilder, HybridLppm, MoodConfig, MoodEngine, ProtectionReport,
+    protect_dataset_with, EngineBuilder, ExecutorKind, HybridLppm, MoodConfig, MoodEngine,
+    UserClass,
 };
 use mood_lppm::{GeoI, Hmc, Lppm, Trl};
-use mood_metrics::{spatio_temporal_distortion, DistortionBand};
+use mood_metrics::{DataLoss, DistortionBand};
 use mood_synth::DatasetSpec;
 use mood_trace::{Dataset, TimeDelta, Trace, UserId};
 
@@ -126,31 +128,6 @@ impl ExperimentContext {
             .build()
             .expect("paper defaults are valid")
     }
-
-    /// The suite for the chosen adversary.
-    pub fn suite(&self, adversary: Adversary) -> &AttackSuite {
-        match adversary {
-            Adversary::ApOnly => &self.suite_ap,
-            Adversary::All => &self.suite_all,
-        }
-    }
-
-    /// Applies `lppm` to every test trace with a deterministic per-user
-    /// RNG and returns the protected dataset (original user IDs kept as
-    /// ground truth).
-    pub fn protect_all(&self, lppm: &dyn Lppm) -> Dataset {
-        let traces: Vec<Trace> = self
-            .test
-            .iter()
-            .map(|t| {
-                let mut rng = StdRng::seed_from_u64(
-                    0xBE11 ^ t.user().as_u64().wrapping_mul(0x9e37_79b9_7f4a_7c15),
-                );
-                lppm.protect(t, &mut rng)
-            })
-            .collect();
-        Dataset::from_traces(traces).expect("user ids preserved")
-    }
 }
 
 /// Result of evaluating one mechanism bar on one dataset.
@@ -221,85 +198,78 @@ fn band_counts(distortions: &[f64]) -> BTreeMap<String, usize> {
     out
 }
 
+/// A bar from each user's `(records, distortion when protected)`;
+/// re-identified users lose their records (Eq. 7).
+fn bar(mechanism: &str, users: impl Iterator<Item = (usize, Option<f64>)>) -> MechanismOutcome {
+    let (mut unprotected, mut loss, mut distortions) = (0, DataLoss::new(), Vec::new());
+    for (records, protected) in users {
+        match protected {
+            Some(d) => {
+                loss.add_kept(records);
+                distortions.push(d);
+            }
+            None => {
+                unprotected += 1;
+                loss.add_lost(records);
+            }
+        }
+    }
+    MechanismOutcome {
+        mechanism: mechanism.to_string(),
+        non_protected_users: unprotected,
+        data_loss_percent: loss.percent(),
+        protected_users: distortions.len(),
+        bands: band_counts(&distortions),
+    }
+}
+
 /// Runs the complete per-dataset evaluation: every mechanism bar of
 /// Figs. 2/3/6/7/9/10 plus the Fig. 8 fine-grained rows, under the given
 /// adversary.
 ///
-/// `threads` parallelizes MooD's per-user protection.
+/// Every bar reads one unbudgeted MooD run, so all bars of a user see
+/// the same noise draw: no-LPPM is the raw check, Geo-I/TRL/HMC are
+/// [`MoodEngine::single_candidates`], HybridLPPM picks among those
+/// ([`HybridLppm`]), and MooD is the run's report. The paper's orderings
+/// (MooD ≤ HybridLPPM ≤ each single LPPM in users and data loss; MooD
+/// keeping the most users under each band edge) then hold by
+/// construction.
+///
+/// `threads` parallelizes the per-user work.
 pub fn run_figures(
     ctx: &ExperimentContext,
     adversary: Adversary,
     threads: usize,
 ) -> DatasetFigures {
-    let suite = ctx.suite(adversary);
-    let mut mechanisms = Vec::new();
+    let engine = ctx.engine(adversary);
+    let executor = ExecutorKind::Persistent.build(threads);
+    let report = protect_dataset_with(&engine, &ctx.test, executor.as_ref());
+    let traces: Vec<&Trace> = ctx.test.iter().collect();
+    let singles = map_indexed(executor.as_ref(), traces.len(), |i| {
+        engine.single_candidates(traces[i])
+    });
+    let hybrid = HybridLppm::paper_default(&engine);
 
-    // --- no-LPPM bar ---
-    let eval = suite.evaluate(&ctx.test);
-    mechanisms.push(MechanismOutcome {
-        mechanism: "no-LPPM".into(),
-        non_protected_users: eval.non_protected_count(),
-        data_loss_percent: eval.data_loss_ratio() * 100.0,
+    // Report outcomes and `singles` are both in user order.
+    let users = || report.outcomes().iter().zip(&singles);
+    // The no-LPPM bar publishes raw traces, undistorted: no bands.
+    let raw = users().map(|(o, _)| {
+        let natural = o.class == UserClass::NaturallyProtected;
+        (o.original_records, natural.then_some(0.0))
+    });
+    let mut mechanisms = vec![MechanismOutcome {
         bands: BTreeMap::new(),
         protected_users: 0,
-    });
-
-    // --- single LPPM bars ---
-    for lppm in ctx.lppms() {
-        let protected = ctx.protect_all(lppm.as_ref());
-        let eval = suite.evaluate(&protected);
-        let non_protected: std::collections::BTreeSet<UserId> =
-            eval.non_protected_users.iter().copied().collect();
-        // data loss counts ORIGINAL records of non-protected users
-        let lost: usize = ctx
-            .test
-            .iter()
-            .filter(|t| non_protected.contains(&t.user()))
-            .map(Trace::len)
-            .sum();
-        let distortions: Vec<f64> = ctx
-            .test
-            .iter()
-            .filter(|t| !non_protected.contains(&t.user()))
-            .map(|t| {
-                let p = protected.get(t.user()).expect("same users");
-                spatio_temporal_distortion(t, p)
-            })
-            .collect();
-        mechanisms.push(MechanismOutcome {
-            mechanism: lppm.name().to_string(),
-            non_protected_users: eval.non_protected_count(),
-            data_loss_percent: lost as f64 / ctx.test.record_count() as f64 * 100.0,
-            protected_users: distortions.len(),
-            bands: band_counts(&distortions),
-        });
+        ..bar("no-LPPM", raw)
+    }];
+    for (i, lppm) in engine.lppms().iter().enumerate() {
+        let picks =
+            users().map(|(o, s)| (o.original_records, s[i].as_ref().map(|p| p.distortion_m)));
+        mechanisms.push(bar(lppm.name(), picks));
     }
-
-    // --- HybridLPPM bar ---
-    let engine = ctx.engine(adversary);
-    let hybrid = HybridLppm::paper_default(&engine);
-    let mut hybrid_lost = 0usize;
-    let mut hybrid_unprotected = 0usize;
-    let mut hybrid_distortions = Vec::new();
-    for trace in ctx.test.iter() {
-        match hybrid.protect_user(trace, suite) {
-            Some(p) => hybrid_distortions.push(p.distortion_m),
-            None => {
-                hybrid_unprotected += 1;
-                hybrid_lost += trace.len();
-            }
-        }
-    }
-    mechanisms.push(MechanismOutcome {
-        mechanism: "HybridLPPM".into(),
-        non_protected_users: hybrid_unprotected,
-        data_loss_percent: hybrid_lost as f64 / ctx.test.record_count() as f64 * 100.0,
-        protected_users: hybrid_distortions.len(),
-        bands: band_counts(&hybrid_distortions),
-    });
-
-    // --- MooD bar ---
-    let report = protect_dataset(&engine, &ctx.test, threads);
+    let picks =
+        users().map(|(o, s)| (o.original_records, hybrid.select(s).map(|p| p.distortion_m)));
+    mechanisms.push(bar("HybridLPPM", picks));
     let distortions: Vec<f64> = report.distortions.iter().map(|d| d.distortion_m).collect();
     mechanisms.push(MechanismOutcome {
         mechanism: "MooD".into(),
@@ -330,37 +300,52 @@ pub fn run_figures(
     }
 }
 
-/// Runs MooD alone and returns the full protection report (used by the
-/// Fig. 8/10 binaries and the examples).
-pub fn run_mood(ctx: &ExperimentContext, adversary: Adversary, threads: usize) -> ProtectionReport {
-    let engine = ctx.engine(adversary);
-    protect_dataset(&engine, &ctx.test, threads)
-}
+const USAGE: &str =
+    "[--scale X] [--threads N]  (0 < X <= 1, default 1; N >= 1, default: available parallelism)";
 
-/// Parses `--scale X` and `--threads N` style CLI arguments for the
-/// experiment binaries (defaults: scale 1.0, threads = available
-/// parallelism).
-pub fn cli_options() -> (f64, usize) {
-    let args: Vec<String> = std::env::args().collect();
+/// Parses the experiment binaries' arguments (without the program
+/// name): `--scale X` and `--threads N`, returned as `(scale, threads)`.
+/// Defaults: scale 1.0 (paper size), threads = available parallelism.
+///
+/// # Errors
+///
+/// An unknown flag, a flag without a value, an unparsable value, a
+/// scale outside (0, 1] or zero threads — a mistyped flag must never
+/// start a paper-scale run.
+pub fn parse_options(args: &[String]) -> Result<(f64, usize), String> {
     let mut scale = 1.0f64;
-    let mut threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4);
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--scale" if i + 1 < args.len() => {
-                scale = args[i + 1].parse().unwrap_or(1.0);
-                i += 2;
-            }
-            "--threads" if i + 1 < args.len() => {
-                threads = args[i + 1].parse().unwrap_or(threads);
-                i += 2;
-            }
-            _ => i += 1,
+    let mut threads = std::thread::available_parallelism().map_or(4, |n| n.get());
+    let mut args = args.iter();
+    while let Some(flag) = args.next() {
+        if flag != "--scale" && flag != "--threads" {
+            return Err(format!("unknown option {flag:?}"));
+        }
+        let value = args.next().ok_or_else(|| format!("{flag} needs a value"))?;
+        let bad = || format!("{flag}: cannot parse {value:?}");
+        if flag == "--scale" {
+            scale = value.parse().map_err(|_| bad())?;
+        } else {
+            threads = value.parse().map_err(|_| bad())?;
         }
     }
-    (scale.clamp(0.001, 1.0), threads.max(1))
+    if !(scale > 0.0 && scale <= 1.0) {
+        return Err(format!("--scale must be in (0, 1], got {scale}"));
+    }
+    if threads == 0 {
+        return Err("--threads must be at least 1".into());
+    }
+    Ok((scale, threads))
+}
+
+/// [`parse_options`] over the process's arguments. On an error it prints
+/// the error and a usage line to stderr and exits with code 2.
+pub fn cli_options() -> (f64, usize) {
+    let mut args = std::env::args();
+    let program = args.next().unwrap_or_default();
+    parse_options(&args.collect::<Vec<_>>()).unwrap_or_else(|e| {
+        eprintln!("error: {e}\nusage: {program} {USAGE}");
+        std::process::exit(2)
+    })
 }
 
 /// Formats a figure bar table like the paper's per-dataset panels.
@@ -463,6 +448,56 @@ mod tests {
             ap.mechanism("no-LPPM").unwrap().non_protected_users
                 <= all.mechanism("no-LPPM").unwrap().non_protected_users
         );
+    }
+
+    #[test]
+    fn no_lppm_bar_matches_dataset_evaluation() {
+        let ctx = tiny_ctx();
+        for (adversary, suite) in [
+            (Adversary::ApOnly, &ctx.suite_ap),
+            (Adversary::All, &ctx.suite_all),
+        ] {
+            let figures = run_figures(&ctx, adversary, 2);
+            let bar = figures.mechanism("no-LPPM").unwrap();
+            let eval = suite.evaluate(&ctx.test);
+            assert_eq!(bar.non_protected_users, eval.non_protected_count());
+            assert_eq!(
+                bar.data_loss_percent.to_bits(),
+                (eval.data_loss_ratio() * 100.0).to_bits(),
+                "{adversary:?}"
+            );
+        }
+    }
+
+    fn parse(args: &[&str]) -> Result<(f64, usize), String> {
+        parse_options(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn options_default_to_paper_scale_on_every_core() {
+        let cores = std::thread::available_parallelism().unwrap().get();
+        assert_eq!(parse(&[]), Ok((1.0, cores)));
+        assert_eq!(parse(&["--scale", "0.2"]), Ok((0.2, cores)));
+        assert_eq!(parse(&["--threads", "3", "--scale", "1"]), Ok((1.0, 3)));
+    }
+
+    #[test]
+    fn options_reject_what_they_cannot_honour() {
+        for (args, error) in [
+            (&["--scal", "0.2"][..], "unknown option \"--scal\""),
+            (&["0.2"], "unknown option \"0.2\""),
+            (&["--scale"], "--scale needs a value"),
+            (&["--threads"], "--threads needs a value"),
+            (&["--scale", "0,2"], "--scale: cannot parse \"0,2\""),
+            (&["--threads", "two"], "--threads: cannot parse \"two\""),
+            (&["--threads", "-1"], "--threads: cannot parse \"-1\""),
+            (&["--scale", "0"], "--scale must be in (0, 1], got 0"),
+            (&["--scale", "1.5"], "--scale must be in (0, 1], got 1.5"),
+            (&["--scale", "NaN"], "--scale must be in (0, 1], got NaN"),
+            (&["--threads", "0"], "--threads must be at least 1"),
+        ] {
+            assert_eq!(parse(args), Err(error.to_string()), "{args:?}");
+        }
     }
 
     #[test]

@@ -695,30 +695,50 @@ impl MoodEngine {
         }
     }
 
-    /// Tries every variant in `variants`, keeping the resilient one
-    /// ranked first by `(distortion, variant_idx)` (Best LPPM Selection,
-    /// §3.5; the index tiebreak pins ties to the earliest variant, which
-    /// is what the sequential reference scan selected). Variant indices
-    /// offset by `idx_base` keep single and composition RNG streams
-    /// disjoint.
-    fn best_resilient<'a, I>(
-        &self,
-        trace: &Trace,
-        variants: I,
-        idx_base: usize,
-        budget: &mut BudgetState,
-    ) -> Option<ProtectedTrace>
+    /// One job per variant of `variants`, numbered from `idx_base`.
+    /// Variant indices offset by the base-set size keep single and
+    /// composition RNG streams disjoint.
+    fn jobs<'a, I>(variants: I, idx_base: usize) -> Vec<CandidateJob<'a>>
     where
         I: IntoIterator<Item = &'a dyn Lppm>,
     {
-        let jobs: Vec<CandidateJob<'_>> = variants
+        variants
             .into_iter()
             .enumerate()
             .map(|(i, lppm)| CandidateJob {
                 variant_idx: idx_base + i,
                 lppm,
             })
-            .collect();
+            .collect()
+    }
+
+    /// The single stage's jobs: variant index = base index.
+    fn single_jobs(&self) -> Vec<CandidateJob<'_>> {
+        Self::jobs(self.base.iter().map(|l| l as &dyn Lppm), 0)
+    }
+
+    /// Scores the single stage's candidates for `trace`, one per base
+    /// LPPM in base order, without a budget: `Some` for a variant that
+    /// resists the suite, `None` for one an attack re-identifies.
+    ///
+    /// These are the very draws [`MoodEngine::search_single`] ranks, so
+    /// a per-LPPM baseline read from here shares MooD's noise: without a
+    /// candidate budget, a user any single LPPM protects is protected by
+    /// MooD's single stage, at no more distortion.
+    pub fn single_candidates(&self, trace: &Trace) -> Vec<Option<ProtectedTrace>> {
+        self.evaluate_candidates(trace, &self.single_jobs())
+    }
+
+    /// Scores `jobs`, keeping the resilient one ranked first by
+    /// `(distortion, variant_idx)` (Best LPPM Selection, §3.5; the index
+    /// tiebreak pins ties to the earliest variant, which is what the
+    /// sequential reference scan selected).
+    fn best_resilient(
+        &self,
+        trace: &Trace,
+        jobs: Vec<CandidateJob<'_>>,
+        budget: &mut BudgetState,
+    ) -> Option<ProtectedTrace> {
         // Deadline-aware cut: only the first `remaining` jobs (in job
         // order) are submitted, so the set of candidates ever scored is
         // a pure function of the budget — identical across executor
@@ -749,7 +769,7 @@ impl MoodEngine {
 
     fn search_single_in(&self, trace: &Trace, budget: &mut BudgetState) -> Option<ProtectedTrace> {
         self.observe(STAGE_SEARCH_SINGLE, 1, || {
-            self.best_resilient(trace, self.base.iter().map(|l| l as &dyn Lppm), 0, budget)
+            self.best_resilient(trace, self.single_jobs(), budget)
         })
     }
 
@@ -769,12 +789,11 @@ impl MoodEngine {
         budget: &mut BudgetState,
     ) -> Option<ProtectedTrace> {
         self.observe(STAGE_SEARCH_COMPOSITION, 1, || {
-            self.best_resilient(
-                trace,
+            let jobs = Self::jobs(
                 self.compositions.iter().map(|c| c as &dyn Lppm),
                 self.base.len(),
-                budget,
-            )
+            );
+            self.best_resilient(trace, jobs, budget)
         })
     }
 
@@ -1298,24 +1317,30 @@ mod tests {
     fn evaluate_candidates_reports_in_job_order() {
         let (bg, test) = mini_world();
         let engine = MoodEngine::paper_default(&bg);
-        let trace = test.iter().next().unwrap();
-        let jobs: Vec<crate::CandidateJob<'_>> = engine
-            .lppms()
-            .iter()
-            .enumerate()
-            .map(|(i, l)| crate::CandidateJob {
-                variant_idx: i,
-                lppm: l as &dyn Lppm,
-            })
-            .collect();
-        let verdicts = engine.evaluate_candidates(trace, &jobs);
-        assert_eq!(verdicts.len(), jobs.len());
-        // Resilient verdicts must agree with a direct re-derivation.
-        for (i, v) in verdicts.iter().enumerate() {
-            let mut rng = engine.variant_rng(trace, i);
-            let cand = engine.lppms()[i].protect(trace, &mut rng);
-            let resilient = engine.suite().protects(&cand, trace.user());
-            assert_eq!(v.is_some(), resilient, "variant {i}");
+        for trace in test.iter() {
+            let verdicts = engine.single_candidates(trace);
+            assert_eq!(verdicts.len(), engine.lppms().len());
+            // Every verdict must agree with the allocating oracle: the
+            // base LPPM's `protect` under the variant's own stream.
+            for (i, v) in verdicts.iter().enumerate() {
+                let lppm = &engine.lppms()[i];
+                let mut rng = engine.variant_rng(trace, i);
+                let cand = lppm.protect(trace, &mut rng);
+                let who = format!("variant {i} of {}", trace.user());
+                match v {
+                    Some(p) => {
+                        assert!(engine.suite().protects(&cand, trace.user()), "{who}");
+                        assert_eq!(p.trace, cand, "{who}");
+                        assert_eq!(p.lppm, lppm.name(), "{who}");
+                        assert_eq!(
+                            p.distortion_m.to_bits(),
+                            spatio_temporal_distortion(trace, &cand).to_bits(),
+                            "{who}"
+                        );
+                    }
+                    None => assert!(!engine.suite().protects(&cand, trace.user()), "{who}"),
+                }
+            }
         }
     }
 

@@ -1,14 +1,6 @@
-use std::sync::Arc;
-
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-use mood_attacks::{AttackScratch, AttackSuite};
-use mood_lppm::Lppm;
-use mood_metrics::spatio_temporal_distortion;
 use mood_trace::Trace;
 
-use crate::ProtectedTrace;
+use crate::{MoodEngine, ProtectedTrace};
 
 /// The HybridLPPM baseline (Maouche et al. 2017, the paper's \[22\], with
 /// the paper's §4.1.2 variation): a *user-centric single-LPPM* selector.
@@ -17,6 +9,11 @@ use crate::ProtectedTrace;
 /// user the first mechanism in the order that defeats **all** attacks is
 /// selected. Users no single mechanism protects stay unprotected — those
 /// are exactly the orphan users MooD is built for.
+///
+/// The order ranks an engine's base LPPM set, and the candidates are the
+/// engine's own single-stage draws ([`MoodEngine::single_candidates`]).
+/// HybridLPPM therefore protects exactly the union of the users each
+/// single LPPM protects, on the same noise MooD's single stage scores.
 ///
 /// The paper's order is `HMC → Geo-I → TRL` (least to most degrading in
 /// their measurements).
@@ -33,67 +30,59 @@ use crate::ProtectedTrace;
 /// let engine = MoodEngine::paper_default(&background);
 /// let hybrid = HybridLppm::paper_default(&engine);
 /// let trace = test.iter().next().unwrap();
-/// let _maybe_protected = hybrid.protect_user(trace, engine.suite());
+/// let _maybe_protected = hybrid.protect_user(&engine, trace);
 /// ```
 pub struct HybridLppm {
-    ordered: Vec<Arc<dyn Lppm>>,
-    seed: u64,
+    order: Vec<usize>,
 }
 
 impl HybridLppm {
-    /// Creates a HybridLPPM trying `ordered` mechanisms first to last.
+    /// Creates a HybridLPPM trying the base LPPMs at indices `order`
+    /// first to last.
     ///
     /// # Panics
     ///
-    /// Panics when `ordered` is empty.
-    pub fn new(ordered: Vec<Arc<dyn Lppm>>, seed: u64) -> Self {
-        assert!(!ordered.is_empty(), "hybrid needs at least one LPPM");
-        Self { ordered, seed }
+    /// Panics when `order` is empty.
+    pub fn new(order: Vec<usize>) -> Self {
+        assert!(!order.is_empty(), "hybrid needs at least one LPPM");
+        Self { order }
     }
 
-    /// The paper's configuration, reusing the engine's LPPM instances in
-    /// the order HMC → Geo-I → TRL. The engine's base set must be the
-    /// paper's `[Geo-I, TRL, HMC]` (as built by
-    /// [`crate::MoodEngine::paper_default`]).
-    pub fn paper_default(engine: &crate::MoodEngine) -> Self {
-        let base = engine.lppms();
-        assert_eq!(base.len(), 3, "paper hybrid expects the 3-LPPM base set");
-        let ordered = vec![base[2].clone(), base[0].clone(), base[1].clone()];
-        Self::new(ordered, engine.config().seed)
+    /// The paper's order HMC → Geo-I → TRL over `engine`'s base set,
+    /// which must be the paper's `[Geo-I, TRL, HMC]` (as built by
+    /// [`MoodEngine::paper_default`]).
+    pub fn paper_default(engine: &MoodEngine) -> Self {
+        assert_eq!(
+            engine.lppms().len(),
+            3,
+            "paper hybrid expects the 3-LPPM base set"
+        );
+        Self::new(vec![2, 0, 1])
     }
 
-    /// The mechanisms in preference order.
-    pub fn order(&self) -> &[Arc<dyn Lppm>] {
-        &self.ordered
+    /// Base-set indices in preference order.
+    pub fn order(&self) -> &[usize] {
+        &self.order
     }
 
-    /// Protects one user: the first mechanism in the order whose output
-    /// defeats every attack in `suite` wins. Returns `None` for orphan
+    /// The first resilient entry, in preference order, of `singles` —
+    /// a user's [`MoodEngine::single_candidates`]. `None` for orphan
     /// users (no single mechanism works).
-    pub fn protect_user(&self, trace: &Trace, suite: &AttackSuite) -> Option<ProtectedTrace> {
-        let mut scratch = AttackScratch::new();
-        for (i, lppm) in self.ordered.iter().enumerate() {
-            let mut h = self.seed ^ trace.user().as_u64().wrapping_mul(0x9e37_79b9_7f4a_7c15);
-            h = h.wrapping_add(i as u64);
-            let mut rng = StdRng::seed_from_u64(h);
-            let candidate = lppm.protect(trace, &mut rng);
-            if suite.protects_with(&candidate, trace.user(), &mut scratch) {
-                let distortion = spatio_temporal_distortion(trace, &candidate);
-                return Some(ProtectedTrace {
-                    trace: candidate,
-                    lppm: lppm.name().to_string(),
-                    distortion_m: distortion,
-                });
-            }
-        }
-        None
+    pub fn select<'a>(&self, singles: &'a [Option<ProtectedTrace>]) -> Option<&'a ProtectedTrace> {
+        self.order.iter().find_map(|&i| singles[i].as_ref())
+    }
+
+    /// Protects one user with `engine`'s single-stage draws: the first
+    /// mechanism in the order whose output defeats every attack of the
+    /// engine's suite wins. Returns `None` for orphan users.
+    pub fn protect_user(&self, engine: &MoodEngine, trace: &Trace) -> Option<ProtectedTrace> {
+        self.select(&engine.single_candidates(trace)).cloned()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::MoodEngine;
     use mood_trace::TimeDelta;
 
     fn mini_world() -> (mood_trace::Dataset, mood_trace::Dataset) {
@@ -106,7 +95,11 @@ mod tests {
         let (bg, _) = mini_world();
         let engine = MoodEngine::paper_default(&bg);
         let hybrid = HybridLppm::paper_default(&engine);
-        let names: Vec<&str> = hybrid.order().iter().map(|l| l.name()).collect();
+        let names: Vec<&str> = hybrid
+            .order()
+            .iter()
+            .map(|&i| engine.lppms()[i].name())
+            .collect();
         assert_eq!(names, vec!["HMC", "Geo-I", "TRL"]);
     }
 
@@ -116,7 +109,7 @@ mod tests {
         let engine = MoodEngine::paper_default(&bg);
         let hybrid = HybridLppm::paper_default(&engine);
         for trace in test.iter().take(6) {
-            if let Some(p) = hybrid.protect_user(trace, engine.suite()) {
+            if let Some(p) = hybrid.protect_user(&engine, trace) {
                 assert!(engine.suite().protects(&p.trace, trace.user()));
                 assert!(["HMC", "Geo-I", "TRL"].contains(&p.lppm.as_str()));
             }
@@ -125,27 +118,26 @@ mod tests {
 
     #[test]
     fn hybrid_never_beats_mood_at_dataset_level() {
-        // Per-user the claim can flip on individual noise draws (the two
-        // systems derive different RNG streams), but over a dataset
-        // MooD's superset search must leave at most as many users
-        // unprotected as the single-LPPM hybrid.
+        // Both read the engine's single-stage draws, so the claim holds
+        // user by user: MooD's single stage keeps the least distortion
+        // among the very candidates HybridLPPM picks from.
         let (bg, test) = mini_world();
         let engine = MoodEngine::paper_default(&bg);
         let hybrid = HybridLppm::paper_default(&engine);
-        let mut hybrid_unprotected = 0;
-        let mut mood_unprotected = 0;
         for trace in test.iter() {
-            if hybrid.protect_user(trace, engine.suite()).is_none() {
-                hybrid_unprotected += 1;
-            }
-            if engine.search_whole(trace).is_none() {
-                mood_unprotected += 1;
+            if let Some(h) = hybrid.protect_user(&engine, trace) {
+                let mood = engine
+                    .search_single(trace)
+                    .unwrap_or_else(|| panic!("hybrid protects {}, MooD does not", trace.user()));
+                assert!(
+                    mood.distortion_m <= h.distortion_m,
+                    "{}: MooD {} m, hybrid {} m",
+                    trace.user(),
+                    mood.distortion_m,
+                    h.distortion_m
+                );
             }
         }
-        assert!(
-            mood_unprotected <= hybrid_unprotected,
-            "MooD left {mood_unprotected} users, hybrid {hybrid_unprotected}"
-        );
     }
 
     #[test]
@@ -155,14 +147,14 @@ mod tests {
         let hybrid = HybridLppm::paper_default(&engine);
         let trace = test.iter().next().unwrap();
         assert_eq!(
-            hybrid.protect_user(trace, engine.suite()),
-            hybrid.protect_user(trace, engine.suite())
+            hybrid.protect_user(&engine, trace),
+            hybrid.protect_user(&engine, trace)
         );
     }
 
     #[test]
     #[should_panic(expected = "at least one LPPM")]
     fn rejects_empty_order() {
-        HybridLppm::new(vec![], 0);
+        HybridLppm::new(vec![]);
     }
 }

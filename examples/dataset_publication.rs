@@ -4,16 +4,14 @@
 //!
 //! The example measures the data each strategy would lose — single
 //! LPPMs, the HybridLPPM baseline, and MooD — then writes MooD's
-//! publishable dataset to CSV.
+//! publishable dataset to CSV. Every strategy reads the engine's own
+//! single-LPPM draws, so they differ only in how they choose.
 //!
 //! Run with: `cargo run --release -p mood-core --example dataset_publication`
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-use mood_core::{protect_dataset, publish, HybridLppm, MoodEngine};
+use mood_core::{protect_dataset, publish, HybridLppm, MoodEngine, ProtectedTrace};
 use mood_synth::presets;
-use mood_trace::{Dataset, TimeDelta, Trace};
+use mood_trace::TimeDelta;
 
 fn main() {
     let dataset = presets::privamov_like().scaled(0.5).generate();
@@ -26,44 +24,40 @@ fn main() {
     );
     let engine = MoodEngine::paper_default(&background);
 
-    // --- strategy 1: one LPPM for everyone, delete what stays exposed ---
-    println!("{:<24} {:>12} {:>12}", "strategy", "kept", "data loss");
-    for lppm in engine.lppms() {
-        let protected: Dataset = to_publish
+    let singles: Vec<Vec<Option<ProtectedTrace>>> = to_publish
+        .iter()
+        .map(|t| engine.single_candidates(t))
+        .collect();
+    // Records of the users whose single-LPPM draws leave them `exposed`.
+    let lost = |exposed: &dyn Fn(&[Option<ProtectedTrace>]) -> bool| -> usize {
+        to_publish
             .iter()
-            .map(|t| {
-                let mut rng = StdRng::seed_from_u64(0xD0C ^ t.user().as_u64());
-                lppm.protect(t, &mut rng)
-            })
-            .collect();
-        let eval = engine.suite().evaluate(&protected);
-        let lost: usize = to_publish
-            .iter()
-            .filter(|t| eval.non_protected_users.contains(&t.user()))
-            .map(Trace::len)
-            .sum();
+            .zip(&singles)
+            .filter(|(_, s)| exposed(s))
+            .map(|(t, _)| t.len())
+            .sum()
+    };
+    let row = |strategy: &str, lost: usize| {
         println!(
             "{:<24} {:>12} {:>11.1}%",
-            format!("single {}", lppm.name()),
+            strategy,
             total - lost,
             lost as f64 / total as f64 * 100.0
+        )
+    };
+
+    // --- strategy 1: one LPPM for everyone, delete what stays exposed ---
+    println!("{:<24} {:>12} {:>12}", "strategy", "kept", "data loss");
+    for (i, lppm) in engine.lppms().iter().enumerate() {
+        row(
+            &format!("single {}", lppm.name()),
+            lost(&|s| s[i].is_none()),
         );
     }
 
     // --- strategy 2: HybridLPPM (best single LPPM per user) ---
     let hybrid = HybridLppm::paper_default(&engine);
-    let mut lost = 0usize;
-    for trace in to_publish.iter() {
-        if hybrid.protect_user(trace, engine.suite()).is_none() {
-            lost += trace.len();
-        }
-    }
-    println!(
-        "{:<24} {:>12} {:>11.1}%",
-        "HybridLPPM",
-        total - lost,
-        lost as f64 / total as f64 * 100.0
-    );
+    row("HybridLPPM", lost(&|s| hybrid.select(s).is_none()));
 
     // --- strategy 3: MooD ---
     let report = protect_dataset(&engine, &to_publish, 4);

@@ -463,7 +463,6 @@ mod tests {
             .unwrap();
         let config = StoreConfig::default()
             .with_seal_records(64)
-            .with_chunk_records(256)
             .with_cache_budget(2 * max_trace_bytes);
         let store = mood_trace::TraceStore::from_dataset(&test, config);
         for kind in ExecutorKind::all() {

@@ -39,11 +39,10 @@ USAGE:
   mood protect --input <test.csv> --background <train.csv> --out <file.csv>
                [--report <file.json>] [--threads <n>]
                [--delta-hours <n=4>] [--window-hours <n=24>] [--seed <n>] [--quiet <0|1>]
-  mood ingest  --input <file.csv> [--store-budget <bytes=67108864>]
-               [--chunk-records <n=4096>] [--seal-records <n=512>]
-               [--background <train.csv>] [--out <file.csv>] [--report <file.json>]
-               [--threads <n>]
-               [--delta-hours <n=4>] [--window-hours <n=24>] [--seed <n>] [--quiet <0|1>]
+  mood ingest  --input <file.csv> [--store-budget <bytes=67108864>] [--seal-records <n=512>]
+               [--background <train.csv> [--out <file.csv>] [--report <file.json>]
+               [--threads <n>] [--delta-hours <n=4>] [--window-hours <n=24>]
+               [--seed <n>] [--quiet <0|1>]]
   mood attack  --input <file.csv> --background <train.csv> [--threads <n>]
   mood eval    --original <file.csv> --protected <file.csv> [--cell-m <n=800>]
   mood serve   --background <train.csv> [--addr <host:port=127.0.0.1:7079>]
@@ -63,13 +62,18 @@ threads are spawned once per run, not once per batch. The output is
 byte-identical for every thread count.
 
 `mood ingest` streams a CSV into the compressed, chunked trace store
-without ever materializing the file: rows are parsed line by line,
-buffered per user and sealed into delta-encoded chunks, so peak memory
-is bounded by --store-budget (the decoded-trace cache) plus small
-per-user ingest buffers — not by corpus size. With --background it then
-protects the corpus straight from the store (chunk-at-a-time decode),
-producing a report and published CSV byte-identical to `mood protect`
-on the same inputs.
+without ever materializing the file: rows are parsed line by line and
+buffered per user, every --seal-records rows of a user seal into one
+delta-encoded chunk, and users that go quiet are sealed early. Peak
+memory is bounded by --store-budget (the decoded-trace cache) plus
+small per-user ingest buffers — not by corpus size. With --background
+it then protects the corpus straight from the store (one decode per
+user, through the cache), producing a report and published CSV
+byte-identical to `mood protect` on the same inputs; the flags after
+--background apply only with it.
+
+Every command rejects a flag it does not list above, and a flag
+without a value.
 
 `mood serve` runs the online middleware: POST /v1/protect (one trace),
 POST /v1/protect/batch (many, via protect_stream), GET /healthz,
@@ -91,27 +95,54 @@ span per engine stage. Span ids are deterministic — derived from
 trace structure; only the measured durations differ.
 ";
 
+type Command = fn(&HashMap<String, String>) -> Result<(), String>;
+
+/// Every command with the flags it accepts (those `USAGE` lists for it,
+/// space-separated) and its entry point.
+const COMMANDS: [(&str, &str, Command); 8] = [
+    ("synth", "preset out scale seed", cmd_synth),
+    ("split", "input train test train-days", cmd_split),
+    (
+        "protect",
+        "input background out report threads delta-hours window-hours seed quiet",
+        cmd_protect,
+    ),
+    (
+        "ingest",
+        "input store-budget seal-records background \
+         out report threads delta-hours window-hours seed quiet",
+        cmd_ingest,
+    ),
+    ("attack", "input background threads", cmd_attack),
+    ("eval", "original protected cell-m", cmd_eval),
+    (
+        "serve",
+        "background addr threads workers seed max-requests budget \
+         chaos-profile chaos-seed tracing",
+        cmd_serve,
+    ),
+    (
+        "trace",
+        "input background trace-out seed delta-hours window-hours limit-users",
+        cmd_trace,
+    ),
+];
+
+/// `mood ingest` flags that only apply with `--background`.
+const INGEST_PROTECT_FLAGS: &str = "out report threads delta-hours window-hours seed quiet";
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(command) = args.first() else {
         eprint!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    let opts = parse_flags(&args[1..]);
     let result = match command.as_str() {
-        "synth" => cmd_synth(&opts),
-        "split" => cmd_split(&opts),
-        "protect" => cmd_protect(&opts),
-        "ingest" => cmd_ingest(&opts),
-        "attack" => cmd_attack(&opts),
-        "eval" => cmd_eval(&opts),
-        "serve" => cmd_serve(&opts),
-        "trace" => cmd_trace(&opts),
         "help" | "--help" | "-h" => {
             print!("{USAGE}");
             Ok(())
         }
-        other => Err(format!("unknown command '{other}'\n\n{USAGE}")),
+        other => run(other, &args[1..]),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -122,21 +153,33 @@ fn main() -> ExitCode {
     }
 }
 
-/// Parses `--key value` pairs; repeated keys keep the last value.
-fn parse_flags(args: &[String]) -> HashMap<String, String> {
+/// Runs `command` on its flags.
+fn run(command: &str, args: &[String]) -> Result<(), String> {
+    let Some((_, accepted, entry)) = COMMANDS.iter().find(|(name, ..)| *name == command) else {
+        return Err(format!("unknown command '{command}'\n\n{USAGE}"));
+    };
+    entry(&parse_flags(args, accepted)?)
+}
+
+/// Parses `--key value` pairs, each key one of the space-separated
+/// `accepted`; repeated keys keep the last value. An unknown flag, a
+/// flag without a value and a stray argument are errors naming it.
+fn parse_flags(args: &[String], accepted: &str) -> Result<HashMap<String, String>, String> {
     let mut out = HashMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        if let Some(key) = args[i].strip_prefix("--") {
-            if i + 1 < args.len() {
-                out.insert(key.to_string(), args[i + 1].clone());
-                i += 2;
-                continue;
-            }
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        let Some(key) = arg.strip_prefix("--") else {
+            return Err(format!("unexpected argument '{arg}' (see `mood help`)"));
+        };
+        if !accepted.split_whitespace().any(|flag| flag == key) {
+            return Err(format!("unknown flag --{key} (see `mood help`)"));
         }
-        i += 1;
+        let Some(value) = args.next() else {
+            return Err(format!("flag --{key} needs a value"));
+        };
+        out.insert(key.to_string(), value.clone());
     }
-    out
+    Ok(out)
 }
 
 fn required<'a>(opts: &'a HashMap<String, String>, key: &str) -> Result<&'a str, String> {
@@ -308,17 +351,20 @@ fn cmd_protect(opts: &HashMap<String, String>) -> Result<(), String> {
 
 fn cmd_ingest(opts: &HashMap<String, String>) -> Result<(), String> {
     let input = required(opts, "input")?;
-    let budget: usize = parse_or(opts, "store-budget", 64 << 20)?;
-    let chunk_records: usize = parse_or(opts, "chunk-records", 4096)?;
-    let seal_records: usize = parse_or(opts, "seal-records", 512)?;
-    if budget == 0 || chunk_records == 0 || seal_records == 0 {
-        return Err("--store-budget, --chunk-records and --seal-records must be positive".into());
+    if !opts.contains_key("background") {
+        let mut protect_flags = INGEST_PROTECT_FLAGS.split_whitespace();
+        if let Some(flag) = protect_flags.find(|flag| opts.contains_key(*flag)) {
+            return Err(format!("--{flag} needs --background"));
+        }
     }
-    let quiet: u8 = parse_or(opts, "quiet", 0)?;
+    let budget: usize = parse_or(opts, "store-budget", 64 << 20)?;
+    let seal_records: usize = parse_or(opts, "seal-records", 512)?;
+    if budget == 0 || seal_records == 0 {
+        return Err("--store-budget and --seal-records must be positive".into());
+    }
 
     let config = StoreConfig::default()
         .with_cache_budget(budget)
-        .with_chunk_records(chunk_records)
         .with_seal_records(seal_records);
     let store = trace_io::stream_csv_file(input, config).map_err(|e| e.to_string())?;
     if store.is_empty() {
@@ -338,8 +384,8 @@ fn cmd_ingest(opts: &HashMap<String, String>) -> Result<(), String> {
         stats.encoded_bytes as f64 / raw_bytes as f64 * 100.0
     );
     println!(
-        "  peak ingest buffer: {} bytes, compactions: {}, resorts: {}",
-        stats.peak_buffer_bytes, stats.compactions, stats.resorts
+        "  peak ingest buffer: {} bytes, resorts: {}",
+        stats.peak_buffer_bytes, stats.resorts
     );
 
     let Some(background_path) = opts.get("background") else {
@@ -347,6 +393,7 @@ fn cmd_ingest(opts: &HashMap<String, String>) -> Result<(), String> {
         return Ok(());
     };
     let (threads, executor_kind) = executor_opts(opts)?;
+    let quiet: u8 = parse_or(opts, "quiet", 0)?;
     let delta_hours: i64 = parse_or(opts, "delta-hours", 4)?;
     let window_hours: i64 = parse_or(opts, "window-hours", 24)?;
     let seed: u64 = parse_or(opts, "seed", MoodConfig::paper_default().seed)?;
@@ -649,15 +696,100 @@ fn cmd_trace(opts: &HashMap<String, String>) -> Result<(), String> {
 mod tests {
     use super::*;
 
+    fn strings(args: &str) -> Vec<String> {
+        args.split_whitespace().map(String::from).collect()
+    }
+
+    fn accepted(command: &str) -> &'static str {
+        COMMANDS
+            .iter()
+            .find(|(name, ..)| *name == command)
+            .map(|(_, flags, _)| *flags)
+            .expect("known command")
+    }
+
+    /// The flags `USAGE` lists for `command`, sorted.
+    fn documented_flags(command: &str) -> Vec<String> {
+        let head = format!("  mood {command} ");
+        let block: String = USAGE
+            .lines()
+            .skip_while(|line| !line.starts_with(&head))
+            .enumerate()
+            .take_while(|(i, line)| *i == 0 || line.starts_with("     "))
+            .map(|(_, line)| format!("{line}\n"))
+            .collect();
+        let mut flags: Vec<String> = block
+            .split("--")
+            .skip(1)
+            .map(|rest| {
+                rest.chars()
+                    .take_while(|c| c.is_ascii_lowercase() || *c == '-')
+                    .collect()
+            })
+            .collect();
+        flags.sort();
+        flags
+    }
+
     #[test]
     fn parse_flags_pairs() {
-        let args: Vec<String> = ["--scale", "0.5", "--out", "x.csv"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let opts = parse_flags(&args);
-        assert_eq!(opts["scale"], "0.5");
+        let args = strings("--scale 0.5 --out x.csv --scale 0.2");
+        let opts = parse_flags(&args, accepted("synth")).unwrap();
+        assert_eq!(opts["scale"], "0.2");
         assert_eq!(opts["out"], "x.csv");
+    }
+
+    #[test]
+    fn every_documented_flag_parses() {
+        for (command, flags, _) in COMMANDS {
+            let documented = documented_flags(command);
+            let mut listed: Vec<&str> = flags.split_whitespace().collect();
+            listed.sort();
+            assert_eq!(listed, documented, "mood {command}");
+            let args: Vec<String> = listed
+                .iter()
+                .flat_map(|f| [format!("--{f}"), "1".to_string()])
+                .collect();
+            let opts = parse_flags(&args, flags).unwrap();
+            assert_eq!(opts.len(), listed.len(), "mood {command}");
+        }
+    }
+
+    #[test]
+    fn bad_flags_are_rejected() {
+        for (command, args, error) in [
+            ("protect", "--thread 1", "unknown flag --thread"),
+            ("ingest", "--sael-records 8", "unknown flag --sael-records"),
+            (
+                "ingest",
+                "--chunk-records 4096",
+                "unknown flag --chunk-records",
+            ),
+            ("serve", "--executor steal", "unknown flag --executor"),
+            (
+                "protect",
+                "--input t.csv --report",
+                "flag --report needs a value",
+            ),
+            (
+                "protect",
+                "--out --report r.json",
+                "unexpected argument 'r.json'",
+            ),
+        ] {
+            let err = run(command, &strings(args)).unwrap_err();
+            assert!(err.contains(error), "mood {command}: {err}");
+        }
+    }
+
+    #[test]
+    fn ingest_rejects_protect_flags_without_background() {
+        for flag in INGEST_PROTECT_FLAGS.split_whitespace() {
+            assert!(accepted("ingest").split_whitespace().any(|f| f == flag));
+            let args = strings(&format!("--input /nonexistent/in.csv --{flag} 1"));
+            let err = run("ingest", &args).unwrap_err();
+            assert_eq!(err, format!("--{flag} needs --background"));
+        }
     }
 
     #[test]

@@ -372,7 +372,6 @@ mod tests {
         // the report must stay byte-identical to the in-memory run.
         let config = StoreConfig::default()
             .with_seal_records(64)
-            .with_chunk_records(256)
             .with_cache_budget(16 << 10);
         let store = mood_trace::TraceStore::from_dataset(&test, config);
         for kind in ExecutorKind::all() {

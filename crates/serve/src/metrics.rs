@@ -14,7 +14,6 @@ use std::time::Duration;
 use mood_attacks::StoreCounters;
 use mood_exec::QueueStats;
 use mood_obs::{Recorder, STAGE_BUCKET_BOUNDS_US};
-use mood_trace::StoreStats;
 
 use crate::chaos::FaultKind;
 
@@ -106,9 +105,6 @@ pub struct RenderScope<'a> {
     /// Connection-pool queue snapshot (`None` when the pool is gone,
     /// e.g. during shutdown).
     pub queue: Option<QueueStats>,
-    /// Compressed trace-store snapshot (`None` when the server has no
-    /// attached [`mood_trace::TraceStore`]).
-    pub store: Option<StoreStats>,
     /// The flight recorder (`None` when tracing is disabled).
     pub recorder: Option<&'a Recorder>,
 }
@@ -332,7 +328,6 @@ impl ServerMetrics {
             connection_workers,
             profile_store,
             queue: None,
-            store: None,
             recorder: None,
         })
     }
@@ -470,45 +465,6 @@ impl ServerMetrics {
             out.push_str(&format!(
                 "mood_serve_queue_wait_seconds_count {}\n",
                 queue.dequeued
-            ));
-        }
-        if let Some(store) = &scope.store {
-            out.push_str("# TYPE mood_serve_store_resident_bytes gauge\n");
-            out.push_str(&format!(
-                "mood_serve_store_resident_bytes {}\n",
-                store.resident_bytes
-            ));
-            out.push_str("# TYPE mood_serve_store_budget_bytes gauge\n");
-            out.push_str(&format!(
-                "mood_serve_store_budget_bytes {}\n",
-                store.budget_bytes
-            ));
-            out.push_str("# TYPE mood_serve_store_chunks gauge\n");
-            out.push_str(&format!("mood_serve_store_chunks {}\n", store.chunks));
-            out.push_str("# TYPE mood_serve_store_encoded_bytes gauge\n");
-            out.push_str(&format!(
-                "mood_serve_store_encoded_bytes {}\n",
-                store.encoded_bytes
-            ));
-            out.push_str("# TYPE mood_serve_store_decodes_total counter\n");
-            out.push_str(&format!(
-                "mood_serve_store_decodes_total {}\n",
-                store.decodes
-            ));
-            out.push_str("# TYPE mood_serve_store_cache_hits_total counter\n");
-            out.push_str(&format!(
-                "mood_serve_store_cache_hits_total {}\n",
-                store.cache_hits
-            ));
-            out.push_str("# TYPE mood_serve_store_evictions_total counter\n");
-            out.push_str(&format!(
-                "mood_serve_store_evictions_total {}\n",
-                store.evictions
-            ));
-            out.push_str("# TYPE mood_serve_store_compactions_total counter\n");
-            out.push_str(&format!(
-                "mood_serve_store_compactions_total {}\n",
-                store.compactions
             ));
         }
         if let Some(recorder) = scope.recorder {
@@ -757,49 +713,10 @@ mod tests {
                 dequeued: 9,
                 waited: Duration::from_millis(1500),
             }),
-            store: Some(StoreStats {
-                users: 4,
-                records: 1_000,
-                chunks: 12,
-                encoded_bytes: 5_000,
-                resident_bytes: 2_048,
-                budget_bytes: 4_096,
-                cache_hits: 5,
-                decodes: 7,
-                evictions: 2,
-                compactions: 1,
-                ..StoreStats::default()
-            }),
             recorder: Some(&recorder),
         };
         let text = m.render_with(&scope);
         assert!(text.contains("mood_serve_queue_depth 3"), "{text}");
-        assert!(
-            text.contains("mood_serve_store_resident_bytes 2048"),
-            "{text}"
-        );
-        assert!(
-            text.contains("mood_serve_store_budget_bytes 4096"),
-            "{text}"
-        );
-        assert!(text.contains("mood_serve_store_chunks 12"), "{text}");
-        assert!(
-            text.contains("mood_serve_store_encoded_bytes 5000"),
-            "{text}"
-        );
-        assert!(text.contains("mood_serve_store_decodes_total 7"), "{text}");
-        assert!(
-            text.contains("mood_serve_store_cache_hits_total 5"),
-            "{text}"
-        );
-        assert!(
-            text.contains("mood_serve_store_evictions_total 2"),
-            "{text}"
-        );
-        assert!(
-            text.contains("mood_serve_store_compactions_total 1"),
-            "{text}"
-        );
         assert!(
             text.contains("mood_serve_in_flight_connections 2"),
             "{text}"

@@ -27,7 +27,7 @@ use std::time::{Duration, Instant};
 use mood_core::{protect_stream, Executor, ExecutorKind, MoodConfig, ENGINE_STAGES};
 use mood_exec::{ServicePool, SubmitError, SubmitGate};
 use mood_obs::{mix64, Recorder, RecorderConfig, SpanToken, StageAgg, TraceSpans};
-use mood_trace::{Dataset, TraceStore};
+use mood_trace::Dataset;
 
 use crate::api::{
     request_seed, BatchRequest, BatchResponse, ConfigResponse, EngineTemplate, ErrorBody,
@@ -129,9 +129,6 @@ struct ServerShared {
     /// gauges. `Weak` because the pool's worker closure owns the
     /// `Arc<ServerShared>`; set once right after the pool is built.
     pool: OnceLock<Weak<ServicePool<ConnJob>>>,
-    /// The compressed trace store backing this deployment, when one was
-    /// attached — surfaces cache/compaction gauges on `/metrics`.
-    store: OnceLock<Arc<TraceStore>>,
 }
 
 /// A running protection server. Shut it down explicitly with
@@ -175,7 +172,6 @@ impl MoodServer {
             connection_seq: AtomicU64::new(0),
             recorder,
             pool: OnceLock::new(),
-            store: OnceLock::new(),
         });
 
         let worker_shared = Arc::clone(&shared);
@@ -237,14 +233,6 @@ impl MoodServer {
     /// The server's metrics (live counters).
     pub fn metrics(&self) -> &ServerMetrics {
         &self.shared.metrics
-    }
-
-    /// Attaches the compressed trace store backing this deployment so
-    /// `/metrics` exposes its cache and compaction gauges
-    /// (`mood_serve_store_*`). At most one store can be attached; later
-    /// calls are ignored.
-    pub fn attach_store(&self, store: Arc<TraceStore>) {
-        let _ = self.shared.store.set(store);
     }
 
     /// Graceful shutdown: stop accepting, finish in-flight requests,
@@ -527,7 +515,6 @@ fn route(shared: &ServerShared, request: &Request, spans: &TraceSpans) -> Respon
                     connection_workers: shared.config.connection_workers,
                     profile_store: shared.template.profile_store_counters(),
                     queue,
-                    store: shared.store.get().map(|store| store.stats()),
                     recorder: shared.recorder.as_deref(),
                 }),
             )

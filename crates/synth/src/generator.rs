@@ -86,15 +86,9 @@ impl ResidentModel {
     }
 
     /// Simulates every user in id order, handing each non-empty record
-    /// vector (time-sorted) to `sink`. This is the streaming core behind
-    /// [`ResidentModel::generate`] and
-    /// [`DatasetSpec::generate_store`](crate::DatasetSpec::generate_store):
-    /// only one user's records are ever decoded at a time.
-    pub(crate) fn for_each_user(
-        &self,
-        spec: &DatasetSpec,
-        sink: &mut dyn FnMut(UserId, Vec<Record>),
-    ) {
+    /// vector (time-sorted) to `sink`. This is the core of
+    /// [`ResidentModel::generate`].
+    fn for_each_user(&self, spec: &DatasetSpec, sink: &mut dyn FnMut(UserId, Vec<Record>)) {
         let n = spec.users;
         let n_distinct = (n as f64 * self.distinct_fraction).round() as usize;
 
@@ -350,14 +344,9 @@ impl TaxiModel {
     }
 
     /// Simulates every driver in id order, handing each non-empty record
-    /// vector (time-sorted) to `sink`. Streaming core behind
-    /// [`TaxiModel::generate`] and
-    /// [`DatasetSpec::generate_store`](crate::DatasetSpec::generate_store).
-    pub(crate) fn for_each_user(
-        &self,
-        spec: &DatasetSpec,
-        sink: &mut dyn FnMut(UserId, Vec<Record>),
-    ) {
+    /// vector (time-sorted) to `sink`. This is the core of
+    /// [`TaxiModel::generate`].
+    fn for_each_user(&self, spec: &DatasetSpec, sink: &mut dyn FnMut(UserId, Vec<Record>)) {
         let bbox = spec.city.bbox();
         // Shared hotspot pool with zipf-ish weights.
         let mut pool_rng = derive(spec.seed, STREAM_HOTSPOTS, 0);

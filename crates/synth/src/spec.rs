@@ -1,6 +1,6 @@
 use serde::{Deserialize, Serialize};
 
-use mood_trace::{Dataset, StoreConfig, TraceStore};
+use mood_trace::Dataset;
 
 use crate::{CityModel, ResidentModel, TaxiModel};
 
@@ -95,34 +95,6 @@ impl DatasetSpec {
             } => TaxiModel::new(*biased_fraction, *hotspot_count).generate(self),
         }
     }
-
-    /// Generates the dataset straight into a compressed [`TraceStore`]
-    /// without ever materializing the full [`Dataset`]: each user's
-    /// records are simulated, appended, and sealed into chunks before
-    /// the next user is simulated. Bit-for-bit equivalent to
-    /// `TraceStore::from_dataset(&spec.generate(), config)` — the
-    /// simulation order and randomness are identical.
-    pub fn generate_store(&self, config: StoreConfig) -> TraceStore {
-        let mut store = TraceStore::new(config);
-        let mut sink = |user, records: Vec<mood_trace::Record>| {
-            for record in records {
-                store.append(user, record);
-            }
-        };
-        match &self.population {
-            PopulationModel::Residents {
-                distinct_fraction,
-                twin_group_size,
-            } => ResidentModel::new(*distinct_fraction, *twin_group_size)
-                .for_each_user(self, &mut sink),
-            PopulationModel::Taxis {
-                biased_fraction,
-                hotspot_count,
-            } => TaxiModel::new(*biased_fraction, *hotspot_count).for_each_user(self, &mut sink),
-        }
-        store.finish();
-        store
-    }
 }
 
 #[cfg(test)]
@@ -149,24 +121,6 @@ mod tests {
     #[should_panic(expected = "scale factor")]
     fn scaled_rejects_zero() {
         presets::mdc_like().scaled(0.0);
-    }
-
-    #[test]
-    fn generate_store_matches_generate() {
-        for spec in [
-            presets::privamov_like().scaled(0.05),
-            presets::cabspotting_like().scaled(0.05),
-        ] {
-            let dataset = spec.generate();
-            let store = spec.generate_store(StoreConfig::default().with_seal_records(16));
-            assert!(store.stats().chunks >= store.user_count());
-            assert_eq!(
-                store.to_dataset(),
-                dataset,
-                "{} store != dataset",
-                spec.name
-            );
-        }
     }
 
     #[test]

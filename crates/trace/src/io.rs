@@ -366,9 +366,7 @@ user_id,lat,lng,timestamp
 2,45.77,4.84,700
 ";
         let ds = read_csv(csv.as_bytes()).unwrap();
-        let config = StoreConfig::default()
-            .with_seal_records(2)
-            .with_chunk_records(4);
+        let config = StoreConfig::default().with_seal_records(2);
         let store = stream_csv(csv.as_bytes(), config).unwrap();
         assert_eq!(store.to_dataset(), ds);
     }

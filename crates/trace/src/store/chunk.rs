@@ -1,8 +1,6 @@
 //! The compressed columnar block of the trace store: a [`TraceChunk`]
-//! holds up to a few thousand records of **one** user in
-//! delta-compressed form, together with the per-chunk summaries
-//! (record count, min/max timestamp, bounding box) that let dataset
-//! operations route whole chunks without decoding them.
+//! holds up to `seal_records` records of **one** user in
+//! delta-compressed form, with its record count and latest timestamp.
 //!
 //! # Encoding
 //!
@@ -26,7 +24,7 @@
 //! under half of the 24-byte in-memory [`Record`] with room to spare,
 //! where byte-aligned varints would sit right at the boundary.
 
-use mood_geo::{BoundingBox, GeoPoint};
+use mood_geo::GeoPoint;
 
 use crate::{Record, Timestamp};
 
@@ -157,9 +155,9 @@ fn read_residual(input: &mut BitReader<'_>) -> i64 {
     unzigzag(z)
 }
 
-/// A compressed block of one user's records plus the metadata summaries
-/// (count, time range, bounding box) that dataset-level operations read
-/// instead of decoding.
+/// A compressed block of one user's records plus its record count and
+/// latest timestamp, which the store reads to detect out-of-order
+/// appends.
 ///
 /// Round-tripping is bit-exact: [`TraceChunk::decode_into`] reproduces
 /// every timestamp and every coordinate's `f64` bit pattern verbatim.
@@ -185,12 +183,7 @@ fn read_residual(input: &mut BitReader<'_>) -> i64 {
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceChunk {
     count: u32,
-    min_time: Timestamp,
     max_time: Timestamp,
-    min_lat: f64,
-    max_lat: f64,
-    min_lng: f64,
-    max_lng: f64,
     bytes: Vec<u8>,
 }
 
@@ -201,8 +194,8 @@ impl TraceChunk {
     ///
     /// # Panics
     ///
-    /// Panics when `records` is empty — empty chunks carry no summary
-    /// and are never stored.
+    /// Panics when `records` is empty — empty chunks have no latest
+    /// timestamp and are never stored.
     pub fn encode(records: &[Record]) -> TraceChunk {
         assert!(!records.is_empty(), "chunks hold at least one record");
         let first = &records[0];
@@ -211,10 +204,7 @@ impl TraceChunk {
         bits.push(first.point().lat().to_bits(), 64);
         bits.push(first.point().lng().to_bits(), 64);
 
-        let mut min_time = first.time();
         let mut max_time = first.time();
-        let (mut min_lat, mut max_lat) = (first.point().lat(), first.point().lat());
-        let (mut min_lng, mut max_lng) = (first.point().lng(), first.point().lng());
 
         let mut prev_ts = first.time().as_unix();
         let mut prev_ts_delta = 0i64;
@@ -241,22 +231,12 @@ impl TraceChunk {
             prev_lng = lng;
             prev_lng_delta = lng_delta;
 
-            min_time = min_time.min(r.time());
             max_time = max_time.max(r.time());
-            min_lat = min_lat.min(r.point().lat());
-            max_lat = max_lat.max(r.point().lat());
-            min_lng = min_lng.min(r.point().lng());
-            max_lng = max_lng.max(r.point().lng());
         }
         let bytes = bits.finish();
         TraceChunk {
             count: u32::try_from(records.len()).expect("chunk sizes fit u32"),
-            min_time,
             max_time,
-            min_lat,
-            max_lat,
-            min_lng,
-            max_lng,
             bytes,
         }
     }
@@ -299,24 +279,13 @@ impl TraceChunk {
         false
     }
 
-    /// Earliest record timestamp in the chunk.
-    pub fn min_time(&self) -> Timestamp {
-        self.min_time
-    }
-
     /// Latest record timestamp in the chunk.
     pub fn max_time(&self) -> Timestamp {
         self.max_time
     }
 
-    /// Smallest bounding box containing every record of the chunk.
-    pub fn bounding_box(&self) -> BoundingBox {
-        BoundingBox::new(self.min_lat, self.max_lat, self.min_lng, self.max_lng)
-            .expect("summaries of valid points form a valid box")
-    }
-
-    /// Size of the compressed payload in bytes (excluding the summary
-    /// fields of the chunk struct itself).
+    /// Size of the compressed payload in bytes (excluding the count and
+    /// timestamp fields of the chunk struct itself).
     pub fn encoded_bytes(&self) -> usize {
         self.bytes.len()
     }
@@ -383,14 +352,7 @@ mod tests {
         let records = vec![rec(46.3, 6.1, 50), rec(46.1, 6.4, 10), rec(46.2, 6.2, 90)];
         let chunk = TraceChunk::encode(&records);
         assert_eq!(chunk.len(), 3);
-        assert_eq!(chunk.min_time().as_unix(), 10);
         assert_eq!(chunk.max_time().as_unix(), 90);
-        let bb = chunk.bounding_box();
-        for r in &records {
-            assert!(bb.contains(&r.point()));
-        }
-        assert!((bb.min_lat() - 46.1).abs() < 1e-12);
-        assert!((bb.max_lng() - 6.4).abs() < 1e-12);
     }
 
     #[test]

@@ -3,13 +3,15 @@
 //! [`TraceStore`] keeps every user's records as a sequence of
 //! delta-compressed [`TraceChunk`]s instead of a decoded
 //! `Vec<Record>`. Records stream in one at a time ([`TraceStore::append`],
-//! typically fed by [`stream_csv`](crate::io::stream_csv)); per-user
-//! append buffers seal into chunks at a configurable size, cold users'
-//! buffers and small chunks are compacted periodically, and a byte-
-//! budgeted LRU [`DecodedCache`](cache::DecodedCache) keeps only the hot
-//! working set decoded. Dataset-level operations (`split_chronological`,
-//! `most_active_window`, `bounding_box`) run off per-chunk min/max-time
-//! and bounding-box summaries, decoding only chunks that straddle a cut.
+//! typically fed by [`stream_csv`](crate::io::stream_csv)); a user's
+//! append buffer seals into a chunk every `seal_records` records, and a
+//! periodic sweep seals the buffers of users gone cold. A chunk is
+//! written once, at one size, and never re-encoded — except for a user
+//! whose records arrived out of order, whom [`TraceStore::finish`]
+//! re-sorts and re-chunks at the same size. Every read decodes a user's
+//! whole trace through a byte-budgeted LRU
+//! [`DecodedCache`](cache::DecodedCache), which keeps only the hot
+//! working set decoded.
 //!
 //! The store is bit-exact: decoding any user reproduces exactly the
 //! trace the in-memory [`Dataset`] path would have built from the same
@@ -25,36 +27,32 @@ pub use chunk::TraceChunk;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
-use mood_geo::BoundingBox;
-
-use crate::{Dataset, Record, TimeDelta, Timestamp, Trace, UserId};
+use crate::{Dataset, Record, Timestamp, Trace, UserId};
 
 use cache::{DecodedCache, RECORD_BYTES};
 
+/// Appends between cold-user sweeps, in units of `seal_records`: 8,192
+/// appends at the default chunk size.
+const SWEEP_EVERY_SEALS: u64 = 16;
+
 /// Tuning knobs of a [`TraceStore`].
 ///
-/// The defaults target the paper's corpus scale: small write chunks so
-/// append buffers stay bounded, 4096-record read chunks after
-/// compaction, and a 64 MiB decoded-cache budget.
+/// The defaults target the paper's corpus scale: 512-record chunks, so
+/// append buffers stay bounded, and a 64 MiB decoded-cache budget.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StoreConfig {
-    /// Records a user's append buffer holds before sealing into a chunk.
+    /// Records per chunk: a user's append buffer seals into a chunk at
+    /// this size, and out-of-order users are re-chunked at it.
     pub seal_records: usize,
-    /// Target records per chunk after compaction (and for resorted users).
-    pub chunk_records: usize,
     /// Byte budget of the decoded-trace LRU cache.
     pub cache_budget_bytes: usize,
-    /// Appends between cold-user sweeps (seal + compact inactive users).
-    pub compact_after: u64,
 }
 
 impl Default for StoreConfig {
     fn default() -> Self {
         StoreConfig {
             seal_records: 512,
-            chunk_records: 4096,
             cache_budget_bytes: 64 << 20,
-            compact_after: 8192,
         }
     }
 }
@@ -66,24 +64,23 @@ impl StoreConfig {
         self
     }
 
-    /// Returns the config with the post-compaction chunk size set.
-    pub fn with_chunk_records(mut self, records: usize) -> Self {
-        assert!(records > 0, "chunk_records must be positive");
-        self.chunk_records = records;
-        self
-    }
-
-    /// Returns the config with the append-buffer seal size set.
+    /// Returns the config with the chunk size set.
     pub fn with_seal_records(mut self, records: usize) -> Self {
         assert!(records > 0, "seal_records must be positive");
         self.seal_records = records;
         self
     }
+
+    /// Appends between cold-user sweeps; 0 (no sweep) when
+    /// `seal_records` is 0.
+    fn sweep_interval(&self) -> u64 {
+        SWEEP_EVERY_SEALS * self.seal_records as u64
+    }
 }
 
 /// Counters and gauges of a [`TraceStore`], taken atomically under the
-/// cache lock. Exported on `/metrics` by `mood-serve` and printed by
-/// `mood ingest`.
+/// cache lock. Printed by `mood ingest` and read by `exp_ledger`'s
+/// `trace.decodes` and `trace.evictions` rows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StoreStats {
     /// Number of users in the store.
@@ -112,8 +109,6 @@ pub struct StoreStats {
     pub evictions: u64,
     /// Decodes of traces larger than the whole budget (served uncached).
     pub uncached_decodes: u64,
-    /// Chunk groups merged by compaction.
-    pub compactions: u64,
     /// Users whose chunks were globally re-sorted at finish (out-of-order
     /// input).
     pub resorts: u64,
@@ -163,66 +158,6 @@ fn seal_slot(slot: &mut UserSlot) -> usize {
     freed
 }
 
-/// Greedily merges runs of adjacent chunks whose combined size fits
-/// `chunk_records`, preserving record order exactly. Returns the number
-/// of merges performed.
-fn compact_slot(slot: &mut UserSlot, chunk_records: usize) -> u64 {
-    if slot.chunks.len() < 2 {
-        return 0;
-    }
-    let mut merges = 0u64;
-    let mut out: Vec<TraceChunk> = Vec::with_capacity(slot.chunks.len());
-    let mut group: Vec<TraceChunk> = Vec::new();
-    let mut group_len = 0usize;
-    let mut scratch: Vec<Record> = Vec::new();
-    let flush = |group: &mut Vec<TraceChunk>,
-                 group_len: &mut usize,
-                 out: &mut Vec<TraceChunk>,
-                 scratch: &mut Vec<Record>,
-                 merges: &mut u64| {
-        match group.len() {
-            0 => {}
-            1 => out.push(group.pop().expect("one chunk")),
-            _ => {
-                scratch.clear();
-                for c in group.iter() {
-                    c.decode_into(scratch);
-                }
-                out.push(TraceChunk::encode(scratch));
-                group.clear();
-                *merges += 1;
-            }
-        }
-        *group_len = 0;
-    };
-    for chunk in std::mem::take(&mut slot.chunks) {
-        if group_len + chunk.len() > chunk_records {
-            flush(
-                &mut group,
-                &mut group_len,
-                &mut out,
-                &mut scratch,
-                &mut merges,
-            );
-        }
-        if chunk.len() >= chunk_records {
-            out.push(chunk);
-        } else {
-            group_len += chunk.len();
-            group.push(chunk);
-        }
-    }
-    flush(
-        &mut group,
-        &mut group_len,
-        &mut out,
-        &mut scratch,
-        &mut merges,
-    );
-    slot.chunks = out;
-    merges
-}
-
 /// A compressed, chunked, per-user trace store.
 ///
 /// Build one either by streaming ([`TraceStore::append`] +
@@ -256,7 +191,6 @@ pub struct TraceStore {
     users: BTreeMap<UserId, UserSlot>,
     cache: Mutex<DecodedCache>,
     appends: u64,
-    compactions: u64,
     resorts: u64,
     buffer_bytes: usize,
     peak_buffer_bytes: usize,
@@ -281,20 +215,11 @@ impl TraceStore {
             users: BTreeMap::new(),
             cache: Mutex::new(DecodedCache::new(config.cache_budget_bytes)),
             appends: 0,
-            compactions: 0,
             resorts: 0,
             buffer_bytes: 0,
             peak_buffer_bytes: 0,
             finished: false,
         }
-    }
-
-    /// An already-finished empty store; used by the metadata operations
-    /// to assemble derived stores chunk-by-chunk.
-    fn new_finished(config: StoreConfig) -> TraceStore {
-        let mut s = TraceStore::new(config);
-        s.finished = true;
-        s
     }
 
     /// Compresses an in-memory dataset into a store.
@@ -337,44 +262,36 @@ impl TraceStore {
         if slot.buffer.len() >= self.config.seal_records {
             self.buffer_bytes -= seal_slot(slot);
         }
-        if self.config.compact_after > 0 && appends.is_multiple_of(self.config.compact_after) {
-            self.sweep_cold();
+        let interval = self.config.sweep_interval();
+        if interval > 0 && appends.is_multiple_of(interval) {
+            self.sweep_cold(interval);
         }
     }
 
-    /// Seals and compacts users that have not appended for a full
-    /// `compact_after` window, bounding decoded buffer memory for cold
-    /// users without touching hot ones.
-    fn sweep_cold(&mut self) {
-        let threshold = self.appends.saturating_sub(self.config.compact_after);
-        let chunk_records = self.config.chunk_records;
+    /// Seals the buffers of users that have not appended for a full
+    /// sweep `interval`, bounding decoded buffer memory for cold users
+    /// without touching hot ones.
+    fn sweep_cold(&mut self, interval: u64) {
+        let threshold = self.appends.saturating_sub(interval);
         let mut freed = 0usize;
-        let mut merges = 0u64;
         for slot in self.users.values_mut() {
-            if slot.last_append > threshold {
-                continue;
-            }
-            if !slot.buffer.is_empty() {
+            if slot.last_append <= threshold && !slot.buffer.is_empty() {
                 freed += seal_slot(slot);
                 slot.buffer.shrink_to_fit();
             }
-            merges += compact_slot(slot, chunk_records);
         }
         self.buffer_bytes -= freed;
-        self.compactions += merges;
     }
 
-    /// Seals every buffer, re-sorts users whose records arrived out of
-    /// order, compacts all chunks, and freezes the store for reading.
+    /// Seals every buffer, re-sorts and re-chunks users whose records
+    /// arrived out of order, and freezes the store for reading.
     /// Idempotent.
     pub fn finish(&mut self) {
         if self.finished {
             return;
         }
-        let chunk_records = self.config.chunk_records;
+        let seal_records = self.config.seal_records.max(1);
         let mut freed = 0usize;
-        let mut merges = 0u64;
-        let mut resorts = 0u64;
         for slot in self.users.values_mut() {
             if !slot.buffer.is_empty() {
                 freed += seal_slot(slot);
@@ -383,31 +300,22 @@ impl TraceStore {
             if slot.dirty {
                 // Out-of-order arrivals: decode everything, stable-sort
                 // globally (same tie order as Trace::new over the full
-                // arrival sequence), and re-chunk at the read size.
+                // arrival sequence), and re-chunk at the seal size.
                 let mut records = Vec::with_capacity(slot.record_count());
                 for c in &slot.chunks {
                     c.decode_into(&mut records);
                 }
                 records.sort_by_key(|r| r.time());
                 slot.chunks = records
-                    .chunks(chunk_records)
+                    .chunks(seal_records)
                     .map(TraceChunk::encode)
                     .collect();
                 slot.dirty = false;
-                resorts += 1;
-            } else {
-                merges += compact_slot(slot, chunk_records);
+                self.resorts += 1;
             }
         }
         self.buffer_bytes -= freed;
-        self.compactions += merges;
-        self.resorts += resorts;
         self.finished = true;
-    }
-
-    /// `true` once [`TraceStore::finish`] has run.
-    pub fn is_finished(&self) -> bool {
-        self.finished
     }
 
     /// Number of users in the store.
@@ -464,12 +372,6 @@ impl TraceStore {
         trace
     }
 
-    /// Like [`TraceStore::trace`] but returns `None` for unknown users.
-    pub fn get(&self, user: UserId) -> Option<Arc<Trace>> {
-        assert!(self.finished, "TraceStore reads require finish()");
-        self.users.contains_key(&user).then(|| self.trace(user))
-    }
-
     /// Decodes the whole store into an in-memory [`Dataset`],
     /// bypassing the cache. The result is bit-identical to building the
     /// dataset from the original record sequence.
@@ -481,187 +383,6 @@ impl TraceStore {
                 .map(|(user, slot)| self.decode_slot(*user, slot)),
         )
         .expect("store users are unique")
-    }
-
-    fn insert_user_chunks(&mut self, user: UserId, chunks: Vec<TraceChunk>) {
-        debug_assert!(!chunks.is_empty());
-        let mut slot = UserSlot::new();
-        slot.max_sealed_time = Some(
-            chunks
-                .iter()
-                .map(TraceChunk::max_time)
-                .max()
-                .expect("non-empty"),
-        );
-        slot.chunks = chunks;
-        self.users.insert(user, slot);
-    }
-
-    /// Chronological per-user split, chunk-routed: semantics identical
-    /// to [`Dataset::split_chronological`], but only chunks straddling
-    /// a user's cut instant are decoded — everything else moves as
-    /// compressed bytes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `train_span` is not strictly positive or the store is
-    /// unfinished.
-    pub fn split_chronological(&self, train_span: TimeDelta) -> (TraceStore, TraceStore) {
-        assert!(self.finished, "TraceStore reads require finish()");
-        assert!(train_span.as_secs() > 0, "train_span must be positive");
-        let mut train = TraceStore::new_finished(self.config);
-        let mut test = TraceStore::new_finished(self.config);
-        let mut scratch: Vec<Record> = Vec::new();
-        for (user, slot) in &self.users {
-            let start = slot.chunks[0].min_time();
-            let cut = start.offset(train_span);
-            let mut left: Vec<TraceChunk> = Vec::new();
-            let mut right: Vec<TraceChunk> = Vec::new();
-            for c in &slot.chunks {
-                if c.max_time() < cut {
-                    left.push(c.clone());
-                } else if c.min_time() >= cut {
-                    right.push(c.clone());
-                } else {
-                    scratch.clear();
-                    c.decode_into(&mut scratch);
-                    let split = scratch.partition_point(|r| r.time() < cut);
-                    // min_time < cut <= max_time, so both halves are
-                    // non-empty.
-                    left.push(TraceChunk::encode(&scratch[..split]));
-                    right.push(TraceChunk::encode(&scratch[split..]));
-                }
-            }
-            if !left.is_empty() && !right.is_empty() {
-                train.insert_user_chunks(*user, left);
-                test.insert_user_chunks(*user, right);
-            }
-        }
-        (train, test)
-    }
-
-    /// Restricts the store to its most active `days`-day window,
-    /// chunk-routed: semantics identical to
-    /// [`Dataset::most_active_window`]. Chunks whose records all fall in
-    /// one day contribute to the activity histogram without decoding;
-    /// chunks fully inside the chosen window move compressed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `days` is not strictly positive or the store is
-    /// unfinished.
-    pub fn most_active_window(&self, days: i64) -> Option<TraceStore> {
-        assert!(self.finished, "TraceStore reads require finish()");
-        assert!(days > 0, "days must be positive");
-        if self.users.is_empty() {
-            return None;
-        }
-        let start = self
-            .users
-            .values()
-            .map(|s| s.chunks[0].min_time())
-            .min()
-            .expect("non-empty");
-        let end = self
-            .users
-            .values()
-            .map(|s| s.chunks[s.chunks.len() - 1].max_time())
-            .max()
-            .expect("non-empty");
-        let total_days = (end.since(start).as_secs() / 86_400 + 1).max(1);
-        let day_of = |t: Timestamp| (t.since(start).as_secs() / 86_400) as usize;
-        let mut per_day = vec![0usize; total_days as usize];
-        let mut scratch: Vec<Record> = Vec::new();
-        for slot in self.users.values() {
-            for c in &slot.chunks {
-                let d0 = day_of(c.min_time());
-                let d1 = day_of(c.max_time());
-                if d0 == d1 {
-                    per_day[d0] += c.len();
-                } else {
-                    scratch.clear();
-                    c.decode_into(&mut scratch);
-                    for r in &scratch {
-                        per_day[day_of(r.time())] += 1;
-                    }
-                }
-            }
-        }
-        // Identical window selection to Dataset::most_active_window.
-        let w = (days as usize).min(per_day.len());
-        let mut best_start = 0usize;
-        let mut window_sum: usize = per_day[..w].iter().sum();
-        let mut best_sum = window_sum;
-        for s in 1..=(per_day.len() - w) {
-            window_sum = window_sum - per_day[s - 1] + per_day[s + w - 1];
-            if window_sum > best_sum {
-                best_sum = window_sum;
-                best_start = s;
-            }
-        }
-        let win_start = start.offset(TimeDelta::from_days(best_start as i64));
-        let win_end = win_start.offset(TimeDelta::from_days(days));
-        let mut out = TraceStore::new_finished(self.config);
-        for (user, slot) in &self.users {
-            let mut kept: Vec<TraceChunk> = Vec::new();
-            for c in &slot.chunks {
-                if c.min_time() >= win_start && c.max_time() < win_end {
-                    kept.push(c.clone());
-                } else if c.max_time() < win_start || c.min_time() >= win_end {
-                    continue;
-                } else {
-                    scratch.clear();
-                    c.decode_into(&mut scratch);
-                    let lo = scratch.partition_point(|r| r.time() < win_start);
-                    let hi = scratch.partition_point(|r| r.time() < win_end);
-                    if lo < hi {
-                        kept.push(TraceChunk::encode(&scratch[lo..hi]));
-                    }
-                }
-            }
-            if !kept.is_empty() {
-                out.insert_user_chunks(*user, kept);
-            }
-        }
-        Some(out)
-    }
-
-    /// Smallest bounding box containing every record, computed from the
-    /// per-chunk summaries without decoding; `None` when empty. Equal to
-    /// [`Dataset::bounding_box`] on the decoded form.
-    pub fn bounding_box(&self) -> Option<BoundingBox> {
-        assert!(self.finished, "TraceStore reads require finish()");
-        let mut boxes = self
-            .users
-            .values()
-            .flat_map(|s| s.chunks.iter())
-            .map(TraceChunk::bounding_box);
-        let first = boxes.next()?;
-        Some(boxes.fold(first, |acc, b| {
-            BoundingBox::new(
-                acc.min_lat().min(b.min_lat()),
-                acc.max_lat().max(b.max_lat()),
-                acc.min_lng().min(b.min_lng()),
-                acc.max_lng().max(b.max_lng()),
-            )
-            .expect("union of valid boxes is valid")
-        }))
-    }
-
-    /// Earliest record timestamp, from chunk summaries; `None` when
-    /// empty.
-    pub fn start_time(&self) -> Option<Timestamp> {
-        assert!(self.finished, "TraceStore reads require finish()");
-        self.users.values().map(|s| s.chunks[0].min_time()).min()
-    }
-
-    /// Latest record timestamp, from chunk summaries; `None` when empty.
-    pub fn end_time(&self) -> Option<Timestamp> {
-        assert!(self.finished, "TraceStore reads require finish()");
-        self.users
-            .values()
-            .map(|s| s.chunks[s.chunks.len() - 1].max_time())
-            .max()
     }
 
     /// Atomic snapshot of the store's counters and gauges.
@@ -691,7 +412,6 @@ impl TraceStore {
             decodes: cache.decodes(),
             evictions: cache.evictions(),
             uncached_decodes: cache.uncached_decodes(),
-            compactions: self.compactions,
             resorts: self.resorts,
         }
     }
@@ -709,9 +429,7 @@ mod tests {
     fn small_config() -> StoreConfig {
         StoreConfig {
             seal_records: 8,
-            chunk_records: 32,
             cache_budget_bytes: 1 << 20,
-            compact_after: 64,
         }
     }
 
@@ -726,6 +444,14 @@ mod tests {
                 );
             }
         }
+    }
+
+    fn chunk_lens(store: &TraceStore, user: u64) -> Vec<usize> {
+        store.users[&UserId::new(user)]
+            .chunks
+            .iter()
+            .map(TraceChunk::len)
+            .collect()
     }
 
     #[test]
@@ -764,6 +490,42 @@ mod tests {
     }
 
     #[test]
+    fn out_of_order_user_is_rechunked_at_seal_size() {
+        let mut store = TraceStore::new(small_config());
+        for i in 0..203i64 {
+            store.append(UserId::new(1), rec(46.0, 6.0, (i * 7919) % 1000));
+        }
+        store.finish();
+        assert_eq!(store.stats().resorts, 1);
+        let mut expected = vec![8; 25];
+        expected.push(3);
+        assert_eq!(chunk_lens(&store, 1), expected);
+    }
+
+    #[test]
+    fn contiguous_users_store_one_chunk_per_seal() {
+        let sizes = [1usize, 63, 64, 65, 512, 513, 1500, 5000];
+        let mut csv = String::from("user_id,lat,lng,timestamp\n");
+        for (u, &n) in sizes.iter().enumerate() {
+            for i in 0..n {
+                let lat = 46.0 + u as f64 * 0.01 + i as f64 * 1e-5;
+                csv.push_str(&format!("{u},{lat},6.1,{}\n", i * 30));
+            }
+        }
+        let ds = crate::io::read_csv(csv.as_bytes()).unwrap();
+        for seal in [64, 512] {
+            let config = StoreConfig::default().with_seal_records(seal);
+            let store = crate::io::stream_csv(csv.as_bytes(), config).unwrap();
+            for (u, &n) in sizes.iter().enumerate() {
+                let lens = chunk_lens(&store, u as u64);
+                assert_eq!(lens.len(), n.div_ceil(seal), "user {u} at seal {seal}");
+                assert!(lens.iter().all(|&len| len <= seal), "{lens:?}");
+            }
+            assert_eq!(store.to_dataset(), ds);
+        }
+    }
+
+    #[test]
     fn from_dataset_roundtrips_exactly() {
         let traces: Vec<Trace> = (0..5u64)
             .map(|u| {
@@ -779,44 +541,46 @@ mod tests {
     }
 
     #[test]
-    fn compaction_merges_seal_chunks() {
-        let mut store = TraceStore::new(small_config());
-        feed_interleaved(&mut store, 1, 100);
+    fn cold_sweep_seals_inactive_buffers() {
+        assert_eq!(StoreConfig::default().sweep_interval(), 8192);
+        // Seal size 4: a sweep every 64 appends.
+        let mut store = TraceStore::new(StoreConfig {
+            seal_records: 4,
+            cache_budget_bytes: 1 << 20,
+        });
+        // User 9 appends 3 records, then goes cold while user 1 streams.
+        for i in 0..3 {
+            store.append(UserId::new(9), rec(46.0, 6.0, i));
+        }
+        for i in 0..124 {
+            store.append(UserId::new(1), rec(46.1, 6.1, i));
+        }
+        // The sweep at append 64 found user 9 active within its window.
+        assert_eq!(store.users[&UserId::new(9)].buffer.len(), 3);
+        store.append(UserId::new(1), rec(46.1, 6.1, 124));
+        // The sweep at append 128 sealed user 9's buffer even though it
+        // is below seal_records.
+        assert!(store.users[&UserId::new(9)].buffer.is_empty());
+        assert_eq!(chunk_lens(&store, 9), vec![3]);
         store.finish();
-        let stats = store.stats();
-        // 100 records at seal size 8 produce 13 chunks; compaction at
-        // chunk size 32 merges them down.
-        assert!(stats.compactions > 0, "expected merges, got {stats:?}");
-        assert!(
-            stats.chunks <= 4,
-            "expected <= 4 chunks, got {}",
-            stats.chunks
-        );
-        assert_eq!(store.trace(UserId::new(0)).len(), 100);
+        assert_eq!(store.trace(UserId::new(9)).len(), 3);
+        assert_eq!(store.trace(UserId::new(1)).len(), 125);
     }
 
     #[test]
-    fn cold_sweep_seals_inactive_buffers() {
-        let mut store = TraceStore::new(StoreConfig {
-            seal_records: 1000, // never seal by size
-            chunk_records: 2000,
+    fn zero_seal_size_stores_one_record_chunks() {
+        let config = StoreConfig {
+            seal_records: 0,
             cache_budget_bytes: 1 << 20,
-            compact_after: 16,
-        });
-        // User 9 appends 5 records, then goes cold while user 1 streams.
-        for i in 0..5 {
-            store.append(UserId::new(9), rec(46.0, 6.0, i));
+        };
+        assert_eq!(config.sweep_interval(), 0);
+        let mut store = TraceStore::new(config);
+        for i in 0..40i64 {
+            store.append(UserId::new(1), rec(46.0, 6.0, 40 - i));
         }
-        for i in 0..64 {
-            store.append(UserId::new(1), rec(46.1, 6.1, i));
-        }
-        // The cold sweep sealed user 9's buffer even though it is far
-        // below seal_records.
-        assert!(store.users[&UserId::new(9)].buffer.is_empty());
-        assert_eq!(store.users[&UserId::new(9)].chunks.len(), 1);
         store.finish();
-        assert_eq!(store.trace(UserId::new(9)).len(), 5);
-        assert_eq!(store.trace(UserId::new(1)).len(), 64);
+        assert_eq!(store.trace(UserId::new(1)).len(), 40);
+        assert_eq!(store.stats().chunks, 40);
     }
 
     #[test]
@@ -829,78 +593,11 @@ mod tests {
     }
 
     #[test]
-    fn split_chronological_matches_dataset() {
-        let mut store = TraceStore::new(small_config());
-        feed_interleaved(&mut store, 4, 500); // ~3.5 days at 600 s cadence
-        store.finish();
-        let ds = store.to_dataset();
-        let span = TimeDelta::from_days(2);
-        let (st_train, st_test) = store.split_chronological(span);
-        let (ds_train, ds_test) = ds.split_chronological(span);
-        assert_eq!(st_train.to_dataset(), ds_train);
-        assert_eq!(st_test.to_dataset(), ds_test);
-    }
-
-    #[test]
-    fn split_chronological_drops_train_only_users() {
-        let mut store = TraceStore::new(small_config());
-        for i in 0..50 {
-            store.append(UserId::new(1), rec(46.0, 6.0, i * 3600));
-        }
-        // user 2 has records only inside the first day
-        for i in 0..5 {
-            store.append(UserId::new(2), rec(46.1, 6.1, i * 600));
-        }
-        store.finish();
-        let (train, test) = store.split_chronological(TimeDelta::from_days(1));
-        assert_eq!(train.user_ids(), vec![UserId::new(1)]);
-        assert_eq!(test.user_ids(), vec![UserId::new(1)]);
-        let ds = store.to_dataset();
-        let (dt, dv) = ds.split_chronological(TimeDelta::from_days(1));
-        assert_eq!(train.to_dataset(), dt);
-        assert_eq!(test.to_dataset(), dv);
-    }
-
-    #[test]
-    fn most_active_window_matches_dataset() {
-        let mut store = TraceStore::new(small_config());
-        // Sparse early days, dense later days, two users.
-        for u in 0..2u64 {
-            for d in 0..10i64 {
-                store.append(UserId::new(u), rec(46.0, 6.0, d * 86_400));
-            }
-            for d in 10..13i64 {
-                for h in 0..24i64 {
-                    store.append(UserId::new(u), rec(46.0, 6.0, d * 86_400 + h * 3600));
-                }
-            }
-        }
-        store.finish();
-        let ds = store.to_dataset();
-        let st_win = store.most_active_window(3).unwrap();
-        let ds_win = ds.most_active_window(3).unwrap();
-        assert_eq!(st_win.to_dataset(), ds_win);
-    }
-
-    #[test]
-    fn bounding_box_and_time_bounds_match_dataset() {
-        let mut store = TraceStore::new(small_config());
-        feed_interleaved(&mut store, 3, 200);
-        store.finish();
-        let ds = store.to_dataset();
-        assert_eq!(store.bounding_box(), ds.bounding_box());
-        assert_eq!(store.start_time(), ds.start_time());
-        assert_eq!(store.end_time(), ds.end_time());
-    }
-
-    #[test]
     fn cache_budget_bounds_resident_bytes() {
         let mut store = TraceStore::new(StoreConfig {
             seal_records: 64,
-            chunk_records: 256,
             // Budget fits ~2 of the 8 decoded traces.
             cache_budget_bytes: 250 * RECORD_BYTES,
-            compact_after: 1024,
         });
         feed_interleaved(&mut store, 8, 100);
         store.finish();
@@ -1008,9 +705,7 @@ mod proptests {
         fn store_matches_trace_new(records in arb_records()) {
             let mut store = TraceStore::new(StoreConfig {
                 seal_records: 7,
-                chunk_records: 19,
                 cache_budget_bytes: 1 << 16,
-                compact_after: 23,
             });
             for r in &records {
                 store.append(UserId::new(5), *r);

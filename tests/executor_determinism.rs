@@ -250,7 +250,6 @@ fn store_backed_protection_and_evaluation_are_byte_identical() {
         .expect("non-empty test split");
     let config = StoreConfig::default()
         .with_seal_records(64)
-        .with_chunk_records(256)
         .with_cache_budget(2 * max_trace_bytes);
     let store = TraceStore::from_dataset(&test, config);
 

@@ -1,13 +1,12 @@
 //! End-to-end contract of the compressed chunked trace store, through
 //! the public facade only: a corpus streamed from CSV into a
 //! budget-bounded `TraceStore` must behave exactly like the same corpus
-//! fully materialized — same datasets, same metadata operations, same
-//! protection report — while actually honouring its memory budget and
-//! actually compressing.
+//! fully materialized — same dataset, same protection report — while
+//! actually honouring its memory budget and actually compressing.
 
 use mood_core::{protect_dataset, protect_store_with, ExecutorKind, MoodEngine};
 use mood_synth::presets;
-use mood_trace::{io as trace_io, Record, StoreConfig, TimeDelta, TraceStore};
+use mood_trace::{io as trace_io, Record, StoreConfig, TimeDelta};
 
 fn corpus_csv() -> (mood_trace::Dataset, Vec<u8>) {
     let ds = presets::privamov_like().scaled(0.15).generate();
@@ -24,40 +23,6 @@ fn streamed_ingestion_equals_in_memory_parse() {
     assert_eq!(store.user_count(), ds.user_count());
     assert_eq!(store.record_count(), ds.record_count());
     assert_eq!(store.to_dataset(), ds, "streamed store != parsed dataset");
-}
-
-#[test]
-fn store_metadata_operations_match_dataset_operations() {
-    let (ds, csv) = corpus_csv();
-    let store = trace_io::stream_csv(&csv[..], StoreConfig::default().with_chunk_records(512))
-        .expect("well-formed CSV");
-
-    assert_eq!(store.bounding_box(), ds.bounding_box());
-    assert_eq!(store.start_time(), ds.start_time());
-    assert_eq!(store.end_time(), ds.end_time());
-
-    let cut = TimeDelta::from_days(15);
-    let (train, test) = ds.split_chronological(cut);
-    let (train_s, test_s) = store.split_chronological(cut);
-    assert_eq!(train_s.to_dataset(), train, "train split diverged");
-    assert_eq!(test_s.to_dataset(), test, "test split diverged");
-
-    let window = ds.most_active_window(7);
-    let window_s = store.most_active_window(7);
-    assert_eq!(
-        window_s.map(|s| s.to_dataset()),
-        window,
-        "most_active_window diverged"
-    );
-}
-
-#[test]
-fn synth_generate_store_equals_from_dataset() {
-    let spec = presets::cabspotting_like().scaled(0.05);
-    let config = StoreConfig::default().with_seal_records(32);
-    let streamed = spec.generate_store(config);
-    let materialized = TraceStore::from_dataset(&spec.generate(), config);
-    assert_eq!(streamed.to_dataset(), materialized.to_dataset());
 }
 
 #[test]

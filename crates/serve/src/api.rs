@@ -29,7 +29,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use serde::{Deserialize, Error as SerdeError, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 use mood_attacks::{AttackSuite, ProfileStore, StoreCounters};
 use mood_core::{
@@ -40,7 +40,7 @@ use mood_obs::mix64;
 use mood_trace::{Dataset, Trace, UserId};
 
 /// Body of `POST /v1/protect`: one user's trace plus the replay id.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ProtectRequest {
     /// Client-chosen replay id; the engine seed derives from it.
     pub request_id: u64,
@@ -54,21 +54,8 @@ pub struct ProtectRequest {
     pub budget: Option<u64>,
 }
 
-// Hand-written so the new optional `budget` key is genuinely optional
-// on the wire: the derive treats a missing key as an error, which would
-// reject every pre-budget client body.
-impl Deserialize for ProtectRequest {
-    fn from_value(value: &Value) -> Result<Self, SerdeError> {
-        Ok(Self {
-            request_id: Deserialize::from_value(required(value, "request_id")?)?,
-            trace: Deserialize::from_value(required(value, "trace")?)?,
-            budget: optional(value, "budget")?,
-        })
-    }
-}
-
 /// Body of `POST /v1/protect/batch`: many users, one replay id.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BatchRequest {
     /// Client-chosen replay id; the engine seed derives from it.
     pub request_id: u64,
@@ -77,31 +64,6 @@ pub struct BatchRequest {
     /// Optional per-request candidate budget; applied to each user's
     /// protection independently (see [`ProtectRequest::budget`]).
     pub budget: Option<u64>,
-}
-
-impl Deserialize for BatchRequest {
-    fn from_value(value: &Value) -> Result<Self, SerdeError> {
-        Ok(Self {
-            request_id: Deserialize::from_value(required(value, "request_id")?)?,
-            traces: Deserialize::from_value(required(value, "traces")?)?,
-            budget: optional(value, "budget")?,
-        })
-    }
-}
-
-/// A mandatory JSON key: absent is a `missing_field` error.
-fn required<'v>(value: &'v Value, field: &str) -> Result<&'v Value, SerdeError> {
-    value
-        .get(field)
-        .ok_or_else(|| SerdeError::missing_field(field))
-}
-
-/// An optional JSON key: absent and `null` both mean `None`.
-fn optional<T: Deserialize>(value: &Value, field: &str) -> Result<Option<T>, SerdeError> {
-    match value.get(field) {
-        Some(v) => Deserialize::from_value(v),
-        None => Ok(None),
-    }
 }
 
 /// One published protected (sub-)trace with its provenance.

@@ -10,6 +10,8 @@ use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
 
+use crate::http::MAX_HEAD_BYTES;
+
 /// A parsed HTTP response.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClientResponse {
@@ -46,7 +48,7 @@ impl ClientResponse {
     ///
     /// Returns an error when the body is not valid JSON of shape `T`.
     pub fn json<T: Deserialize>(&self) -> io::Result<T> {
-        serde_json::from_reader(self.body.as_slice())
+        serde_json::from_slice(&self.body)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
     }
 }
@@ -188,9 +190,18 @@ impl Client {
     }
 
     fn read_response(&mut self) -> io::Result<ClientResponse> {
+        let mut scanned = 0;
         let head_len = loop {
-            if let Some(pos) = crate::http::find_subsequence(&self.buf, b"\r\n\r\n") {
-                break pos + 4;
+            if let Some(end) = crate::http::head_end(&self.buf, &mut scanned) {
+                break end;
+            }
+            // The server's head cap holds here too: a peer that never
+            // ends its head must not grow this buffer without bound.
+            if self.buf.len() > MAX_HEAD_BYTES {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("response head exceeds {MAX_HEAD_BYTES} bytes"),
+                ));
             }
             if self.fill()? == 0 {
                 return Err(io::Error::new(
@@ -291,6 +302,77 @@ mod tests {
         );
         done_tx.send(()).unwrap();
         wedge.join().unwrap();
+    }
+
+    /// A one-connection server thread: accepts, reads the request head,
+    /// runs `respond` on the stream, then holds the connection open until
+    /// the test ends.
+    fn one_shot_server(
+        respond: impl FnOnce(&mut TcpStream) + Send + 'static,
+    ) -> (
+        std::net::SocketAddr,
+        std::sync::mpsc::Sender<()>,
+        std::thread::JoinHandle<()>,
+    ) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (done_tx, done_rx) = std::sync::mpsc::channel::<()>();
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut head = Vec::new();
+            let mut byte = [0u8; 1];
+            while !head.ends_with(b"\r\n\r\n") && stream.read(&mut byte).unwrap() == 1 {
+                head.push(byte[0]);
+            }
+            respond(&mut stream);
+            let _ = done_rx.recv_timeout(Duration::from_secs(5));
+        });
+        (addr, done_tx, server)
+    }
+
+    #[test]
+    fn a_response_written_a_byte_at_a_time_parses() {
+        let (addr, done, server) = one_shot_server(|stream| {
+            stream.set_nodelay(true).unwrap();
+            for byte in b"HTTP/1.1 200 OK\r\ncontent-length: 2\r\n\r\nok" {
+                stream.write_all(&[*byte]).unwrap();
+                stream.flush().unwrap();
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        });
+        let response = Client::connect(addr).unwrap().get("/").unwrap();
+        assert_eq!(response.status, 200);
+        assert_eq!(response.body, b"ok");
+        done.send(()).unwrap();
+        server.join().unwrap();
+    }
+
+    #[test]
+    fn an_endless_response_head_is_invalid_data_promptly() {
+        let (addr, done, server) = one_shot_server(|stream| {
+            let mut head = b"HTTP/1.1 200 OK\r\n".to_vec();
+            while head.len() < 32 * 1024 {
+                head.extend_from_slice(b"x-pad: aaaaaaaaaaaaaaaaaaaaaaaa\r\n");
+            }
+            stream.write_all(&head).unwrap();
+        });
+        let config = ClientConfig {
+            connect_timeout: Some(Duration::from_secs(5)),
+            read_timeout: Some(Duration::from_secs(10)),
+        };
+        let started = Instant::now();
+        let err = Client::connect_with(addr, config)
+            .unwrap()
+            .get("/")
+            .expect_err("a head past the cap must fail");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert!(
+            started.elapsed() < Duration::from_secs(2),
+            "the cap must fire on arrival, not at the read timeout: {:?}",
+            started.elapsed()
+        );
+        done.send(()).unwrap();
+        server.join().unwrap();
     }
 
     #[test]

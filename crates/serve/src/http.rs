@@ -240,9 +240,10 @@ impl Conn {
                 _ => None,
             }
         };
+        let mut scanned = 0;
         let head_len = loop {
-            if let Some(pos) = find_subsequence(&self.buf, b"\r\n\r\n") {
-                break pos + 4;
+            if let Some(end) = head_end(&self.buf, &mut scanned) {
+                break end;
             }
             if self.buf.len() > MAX_HEAD_BYTES {
                 return RequestOutcome::Bad {
@@ -341,6 +342,21 @@ pub(crate) fn find_subsequence(haystack: &[u8], needle: &[u8]) -> Option<usize> 
         .position(|window| window == needle)
 }
 
+/// The length of the head in `buf`, through its closing `\r\n\r\n`,
+/// once it has arrived. `scanned` carries where the search resumes: three
+/// bytes before the end of the last one, where a terminator split across
+/// reads can start. A head that trickles in is thus searched once
+/// overall, not once per read.
+pub(crate) fn head_end(buf: &[u8], scanned: &mut usize) -> Option<usize> {
+    match find_subsequence(&buf[*scanned..], b"\r\n\r\n") {
+        Some(pos) => Some(*scanned + pos + 4),
+        None => {
+            *scanned = buf.len().saturating_sub(3);
+            None
+        }
+    }
+}
+
 /// One HTTP response about to be written.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Response {
@@ -365,12 +381,12 @@ impl Response {
         }
     }
 
-    /// A JSON response, serialized straight into the body buffer (no
-    /// intermediate `String` — the shim's `to_writer` path).
+    /// A JSON response. The shim's streaming writer serializes `value`
+    /// into the buffer that becomes the body: no value tree, no
+    /// intermediate `String`, no second copy.
     pub fn json<T: Serialize>(status: u16, value: &T) -> Self {
-        let mut body = Vec::with_capacity(256);
-        match serde_json::to_writer(&mut body, value) {
-            Ok(()) => Self {
+        match serde_json::to_vec(value) {
+            Ok(body) => Self {
                 status,
                 content_type: "application/json",
                 body,
@@ -625,6 +641,50 @@ mod tests {
     fn find_subsequence_positions() {
         assert_eq!(find_subsequence(b"abc\r\n\r\nrest", b"\r\n\r\n"), Some(3));
         assert_eq!(find_subsequence(b"abc", b"\r\n\r\n"), None);
+    }
+
+    #[test]
+    fn head_end_resumes_across_reads_one_byte_at_a_time() {
+        let raw = b"GET / HTTP/1.1\r\nHost: x\r\n\r\nbody";
+        let head = raw.len() - 4;
+        let mut scanned = 0;
+        for len in 0..=raw.len() {
+            let found = head_end(&raw[..len], &mut scanned);
+            assert_eq!(found, (len >= head).then_some(head), "after {len} bytes");
+            assert!(scanned <= len, "the search never skips unread bytes");
+            if found.is_some() {
+                break;
+            }
+        }
+    }
+
+    #[test]
+    fn a_request_written_a_byte_at_a_time_parses() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        peer.set_nodelay(true).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        let mut conn = Conn::new(accepted, Duration::from_millis(10)).unwrap();
+        let raw = b"POST /v1/protect HTTP/1.1\r\ncontent-length: 2\r\n\r\n{}";
+        let dribble = std::thread::spawn(move || {
+            for byte in raw {
+                peer.write_all(&[*byte]).unwrap();
+                peer.flush().unwrap();
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            peer
+        });
+        let request = loop {
+            match conn.read_request(1024, Duration::from_secs(5)) {
+                RequestOutcome::Complete(request) => break request,
+                RequestOutcome::Idle => {}
+                other => panic!("unexpected outcome {other:?}"),
+            }
+        };
+        assert_eq!(request.method, "POST");
+        assert_eq!(request.target, "/v1/protect");
+        assert_eq!(request.body, b"{}");
+        drop(dribble.join().unwrap());
     }
 
     /// A `Write` that accepts at most `chunk` bytes per call and

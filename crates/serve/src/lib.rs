@@ -83,6 +83,8 @@ pub mod api;
 pub mod chaos;
 mod client;
 mod http;
+#[cfg(test)]
+mod json_props;
 mod metrics;
 pub mod retry;
 mod server;

@@ -607,10 +607,10 @@ fn handle_config(shared: &ServerShared) -> Response {
     )
 }
 
-/// Parses a JSON body (through the shim's `from_reader`), mapping
-/// failures to a 400.
-fn parse_body<T: serde::Deserialize>(body: &[u8]) -> Result<T, Response> {
-    serde_json::from_reader(body).map_err(|e| {
+/// Parses a JSON body straight from its bytes (the shim's typed
+/// reader, no value tree), mapping failures to a 400.
+pub(crate) fn parse_body<T: serde::Deserialize>(body: &[u8]) -> Result<T, Response> {
+    serde_json::from_slice(body).map_err(|e| {
         Response::json(
             400,
             &ErrorBody {

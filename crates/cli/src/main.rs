@@ -80,7 +80,7 @@ POST /v1/protect/batch (many, via protect_stream), GET /healthz,
 GET /v1/config, GET /metrics. --seed is the server seed of the
 per-request determinism contract; --max-requests N serves N responses
 then shuts down cleanly (for smoke tests), 0 means run until killed.
---budget caps candidates scored per request (over-budget responses are
+--budget caps candidates tried per request (over-budget responses are
 served degraded, deterministically); --chaos-profile arms seeded fault
 injection (drop/shed/delay/panic/truncate, `+`-combinable; counted in
 /metrics) with --chaos-seed picking the fault stream. Tracing (the

@@ -10,13 +10,27 @@ use mood_attacks::{
     ApAttack, Attack, AttackScratch, AttackSuite, PitAttack, PoiAttack, ProfileStore, StoreCounters,
 };
 use mood_lppm::{enumerate_compositions, Composition, GeoI, Hmc, Lppm, Trl};
-use mood_metrics::spatio_temporal_distortion;
+use mood_metrics::{spatio_temporal_distortion, spatio_temporal_distortion_within};
 use mood_trace::{Dataset, Record, Trace};
 
-use crate::exec::{self, CandidateJob, Executor, SequentialExecutor};
+use crate::exec::{self, Executor, SequentialExecutor};
 use crate::{
     FineGrainedStats, MoodConfig, ProtectedTrace, ProtectionOutcome, UserClass, UserProtection,
 };
+
+/// One unit of engine work: apply variant `variant_idx` (an LPPM or a
+/// composition chain) to a trace and judge the result.
+///
+/// The variant index doubles as the RNG-stream selector — see
+/// [`MoodEngine`]'s per-variant RNG derivation — which is what makes
+/// candidate evaluation schedulable in any order.
+#[derive(Clone, Copy)]
+struct CandidateJob<'a> {
+    /// Global variant index (singles first, then compositions).
+    variant_idx: usize,
+    /// The mechanism to apply.
+    lppm: &'a dyn Lppm,
+}
 
 /// Reusable per-worker state for one candidate evaluation: the derived
 /// RNG (stack-only, reassigned per candidate), the protected-records
@@ -333,16 +347,18 @@ impl EngineBuilder {
     }
 
     /// Caps the number of candidate variants a single
-    /// [`MoodEngine::protect_user`] call may fully score (deadline-aware
+    /// [`MoodEngine::protect_user`] call may try (deadline-aware
     /// graceful degradation; default: unlimited).
     ///
-    /// The budget is consumed in job order — the same order every
-    /// executor backend reports verdicts in — so the cut point is a pure
-    /// function of `(budget, candidates scored so far)` and a replayed
+    /// The budget is consumed in job order, so the cut point is a pure
+    /// function of `(budget, candidates tried so far)` and a replayed
     /// request degrades identically on any backend and thread count.
-    /// Candidates past the cut are skipped whole, never partially
-    /// scored: the scratch contract is untouched. A call that exhausts
-    /// its budget returns [`UserProtection::degraded`]` == true`.
+    /// Candidates past the cut are skipped whole. Within the budget, a
+    /// candidate may be dropped part-way once the bound-first search
+    /// shows it cannot beat the best resilient one; every published
+    /// candidate is fully scored, and the scratch contract is untouched.
+    /// A call that exhausts its budget returns
+    /// [`UserProtection::degraded`]` == true`.
     pub fn candidate_budget(mut self, budget: usize) -> Self {
         self.candidate_budget = budget;
         self
@@ -388,6 +404,8 @@ impl EngineBuilder {
             store: self.store,
             candidate_budget: self.candidate_budget,
             obs: self.obs,
+            #[cfg(test)]
+            exhaustive_selection: false,
         })
     }
 }
@@ -423,11 +441,16 @@ pub struct MoodEngine {
     store: Option<Arc<ProfileStore>>,
     candidate_budget: usize,
     obs: Option<Arc<StageAgg>>,
+    /// Test oracle switch: select by scoring every candidate in full.
+    #[cfg(test)]
+    exhaustive_selection: bool,
 }
 
 /// Per-`protect_user` candidate budget: how many variants may still be
-/// fully scored, and whether the cut has already fired. Consumed in job
-/// order, so the skipped set is identical on every backend.
+/// tried, and whether the cut has already fired. Consumed in job order,
+/// so the skipped set is identical on every backend. A tried variant
+/// may be dropped part-way once the search bound shows it cannot win;
+/// a published one is always fully scored.
 struct BudgetState {
     remaining: usize,
     exhausted: bool,
@@ -444,6 +467,27 @@ impl BudgetState {
     fn unlimited() -> Self {
         Self::new(usize::MAX)
     }
+}
+
+/// The resilient candidate a bound-first search holds so far, with its
+/// variant index: one lock shared by the candidate workers of one
+/// [`MoodEngine::best_resilient`] call. Its key only ever falls.
+type BestSoFar = Mutex<Option<(usize, ProtectedTrace)>>;
+
+fn lock(best: &BestSoFar) -> std::sync::MutexGuard<'_, Option<(usize, ProtectedTrace)>> {
+    best.lock().expect("best-candidate lock")
+}
+
+/// `true` when a candidate keyed `(distortion, idx)` ranks before `best`
+/// in Best LPPM Selection: `total_cmp` on distortion, then the variant
+/// index. Anything ranks before no candidate at all.
+fn ranks_before(distortion: f64, idx: usize, best: Option<&(usize, ProtectedTrace)>) -> bool {
+    best.is_none_or(|(best_idx, p)| {
+        distortion
+            .total_cmp(&p.distortion_m)
+            .then(idx.cmp(best_idx))
+            .is_lt()
+    })
 }
 
 impl std::fmt::Debug for MoodEngine {
@@ -604,22 +648,16 @@ impl MoodEngine {
         StdRng::seed_from_u64(h)
     }
 
-    /// Evaluates one candidate job on a scratch arena: applies the
-    /// variant under its derived RNG stream — writing the protected
-    /// records into the scratch buffer instead of a fresh allocation —
-    /// and judges it against the attack suite on the scratch's attack
-    /// arena (features rebuilt into per-worker buffers, profile matching
-    /// pruned under the true user's own score, rasterizations shared
-    /// between the LPPM fast paths and the attacks). Rejected candidates
-    /// hand their buffer back to the scratch for the next candidate;
-    /// only a resilient candidate (the rare case) keeps its buffer,
-    /// inside the returned [`ProtectedTrace`].
-    fn evaluate_candidate(
+    /// Applies one candidate job on a scratch arena, under the variant's
+    /// derived RNG stream, writing the protected records into the
+    /// scratch buffer instead of a fresh allocation. A candidate that is
+    /// not kept hands its buffer back to the scratch for the next one.
+    fn apply_candidate(
         &self,
         trace: &Trace,
         job: CandidateJob<'_>,
         scratch: &mut CandidateScratch,
-    ) -> Option<ProtectedTrace> {
+    ) -> Trace {
         scratch.rng = self.variant_rng(trace, job.variant_idx);
         let mut buf = std::mem::take(&mut scratch.records);
         if buf.capacity() > 0 {
@@ -638,7 +676,19 @@ impl MoodEngine {
         // invariant of `protect`'s output), so this re-sort is a
         // stable identity pass: the candidate is byte-identical to
         // what `protect` would have returned.
-        let candidate = Trace::new(trace.user(), buf).expect("LPPMs never produce an empty trace");
+        Trace::new(trace.user(), buf).expect("LPPMs never produce an empty trace")
+    }
+
+    /// Scores one candidate job in full: the verdict, then the
+    /// distortion of a resilient candidate, which keeps its buffer
+    /// inside the returned [`ProtectedTrace`].
+    fn score_candidate(
+        &self,
+        trace: &Trace,
+        job: CandidateJob<'_>,
+        scratch: &mut CandidateScratch,
+    ) -> Option<ProtectedTrace> {
+        let candidate = self.apply_candidate(trace, job, scratch);
         if !self
             .suite
             .protects_with(&candidate, trace.user(), &mut scratch.attack)
@@ -646,38 +696,10 @@ impl MoodEngine {
             scratch.records = candidate.into_records();
             return None;
         }
-        let distortion = spatio_temporal_distortion(trace, &candidate);
         Some(ProtectedTrace {
+            distortion_m: spatio_temporal_distortion(trace, &candidate),
             trace: candidate,
             lppm: job.lppm.name().to_string(),
-            distortion_m: distortion,
-        })
-    }
-
-    /// Submits every candidate job to the engine's executor and returns
-    /// the verdicts in job order — independent of backend and thread
-    /// count, since each job's randomness is a pure function of its
-    /// variant index.
-    ///
-    /// Each worker slot evaluates its candidates on a scratch arena
-    /// leased from the engine's recycling pool, so the hot path reuses
-    /// protected-trace buffers and RNG state across candidates, batches
-    /// and users instead of allocating per candidate.
-    pub fn evaluate_candidates(
-        &self,
-        trace: &Trace,
-        jobs: &[CandidateJob<'_>],
-    ) -> Vec<Option<ProtectedTrace>> {
-        // One aggregated observation for the whole batch (count =
-        // candidates), never a per-candidate span: overhead stays
-        // bounded by batch count, not candidate count.
-        self.observe(STAGE_CANDIDATE_EVAL, jobs.len() as u64, || {
-            exec::map_indexed_with(
-                self.executor.as_ref(),
-                jobs.len(),
-                || self.scratch.take(),
-                |lease, i| self.evaluate_candidate(trace, jobs[i], lease.scratch_mut()),
-            )
         })
     }
 
@@ -717,22 +739,94 @@ impl MoodEngine {
         Self::jobs(self.base.iter().map(|l| l as &dyn Lppm), 0)
     }
 
-    /// Scores the single stage's candidates for `trace`, one per base
-    /// LPPM in base order, without a budget: `Some` for a variant that
-    /// resists the suite, `None` for one an attack re-identifies.
+    /// Scores every single-stage candidate for `trace` in full, one per
+    /// base LPPM in base order, without a budget: `Some` for a variant
+    /// that resists the suite, `None` for one an attack re-identifies.
+    /// The verdicts come back in job order on every executor backend and
+    /// thread count, since each job's randomness is a pure function of
+    /// its variant index.
     ///
     /// These are the very draws [`MoodEngine::search_single`] ranks, so
     /// a per-LPPM baseline read from here shares MooD's noise: without a
     /// candidate budget, a user any single LPPM protects is protected by
     /// MooD's single stage, at no more distortion.
     pub fn single_candidates(&self, trace: &Trace) -> Vec<Option<ProtectedTrace>> {
-        self.evaluate_candidates(trace, &self.single_jobs())
+        let jobs = self.single_jobs();
+        // One aggregated observation for the whole batch (count =
+        // candidates), never a per-candidate span: overhead stays
+        // bounded by batch count, not candidate count.
+        self.observe(STAGE_CANDIDATE_EVAL, jobs.len() as u64, || {
+            exec::map_indexed_with(
+                self.executor.as_ref(),
+                jobs.len(),
+                || self.scratch.take(),
+                |lease, i| self.score_candidate(trace, jobs[i], lease.scratch_mut()),
+            )
+        })
     }
 
-    /// Scores `jobs`, keeping the resilient one ranked first by
+    /// Settles one candidate of a bound-first search against `best`: it
+    /// either becomes the new best, or is dropped and hands its buffer
+    /// back to the scratch.
+    ///
+    /// While nothing is resilient yet, the verdict runs first and the
+    /// full distortion follows for a resilient candidate. Once `best`
+    /// holds a resilient candidate, its distortion `d*` bounds this one:
+    /// the distortion runs first, stops as soon as it provably exceeds
+    /// `d*`, and only a candidate whose key still ranks before the best
+    /// one's reaches the attack suite.
+    fn settle_candidate(
+        &self,
+        trace: &Trace,
+        job: CandidateJob<'_>,
+        scratch: &mut CandidateScratch,
+        best: &BestSoFar,
+    ) {
+        let candidate = self.apply_candidate(trace, job, scratch);
+        let idx = job.variant_idx;
+        let bound = lock(best).as_ref().map(|(_, p)| p.distortion_m);
+        let mut resists = || {
+            self.suite
+                .protects_with(&candidate, trace.user(), &mut scratch.attack)
+        };
+        let distortion = match bound {
+            None => resists().then(|| spatio_temporal_distortion(trace, &candidate)),
+            Some(bound) => {
+                spatio_temporal_distortion_within(trace, &candidate, bound).filter(|&d| {
+                    // Read the key in its own statement: the verdict must
+                    // not run under the lock.
+                    let can_win = ranks_before(d, idx, lock(best).as_ref());
+                    can_win && resists()
+                })
+            }
+        };
+        let mut held = lock(best);
+        match distortion {
+            Some(d) if ranks_before(d, idx, held.as_ref()) => {
+                let kept = ProtectedTrace {
+                    trace: candidate,
+                    lppm: job.lppm.name().to_string(),
+                    distortion_m: d,
+                };
+                if let Some((_, displaced)) = held.replace((idx, kept)) {
+                    scratch.records = displaced.trace.into_records();
+                }
+            }
+            _ => scratch.records = candidate.into_records(),
+        }
+    }
+
+    /// The resilient candidate among `jobs` ranked first by
     /// `(distortion, variant_idx)` (Best LPPM Selection, §3.5; the index
     /// tiebreak pins ties to the earliest variant, which is what the
     /// sequential reference scan selected).
+    ///
+    /// The search is bound-first ([`MoodEngine::settle_candidate`]): a
+    /// candidate is dropped only against the key of a candidate already
+    /// known to be resilient, and that key only ever falls, so the
+    /// winner is the exhaustive argmin on every backend and thread
+    /// count. Which losing candidates reach the attack suite may depend
+    /// on scheduling; what is published does not.
     fn best_resilient(
         &self,
         trace: &Trace,
@@ -740,25 +834,38 @@ impl MoodEngine {
         budget: &mut BudgetState,
     ) -> Option<ProtectedTrace> {
         // Deadline-aware cut: only the first `remaining` jobs (in job
-        // order) are submitted, so the set of candidates ever scored is
+        // order) are submitted, so the set of candidates ever tried is
         // a pure function of the budget — identical across executor
         // backends and thread counts. Skipped candidates are skipped
-        // whole; nothing is ever partially scored.
+        // whole. A submitted candidate may be dropped part-way, once
+        // the bound shows it cannot win; the published one is always
+        // fully scored.
         let allowed = jobs.len().min(budget.remaining);
         if allowed < jobs.len() {
             budget.exhausted = true;
         }
         budget.remaining -= allowed;
-        self.evaluate_candidates(trace, &jobs[..allowed])
-            .into_iter()
-            .enumerate()
-            .filter_map(|(i, verdict)| verdict.map(|p| (i, p)))
-            .min_by(|(ia, a), (ib, b)| {
-                a.distortion_m
-                    .total_cmp(&b.distortion_m)
-                    .then_with(|| ia.cmp(ib))
-            })
-            .map(|(_, p)| p)
+        let jobs = &jobs[..allowed];
+        self.observe(STAGE_CANDIDATE_EVAL, jobs.len() as u64, || {
+            #[cfg(test)]
+            if self.exhaustive_selection {
+                return tests::exhaustive_argmin(self, trace, jobs);
+            }
+            let best = BestSoFar::new(None);
+            exec::for_each_index_with(
+                self.executor.as_ref(),
+                jobs.len(),
+                || self.scratch.take(),
+                |lease, i| self.settle_candidate(trace, jobs[i], lease.scratch_mut(), &best),
+            );
+            // The winner's buffer may have been recycled from a longer
+            // candidate; publish it without the spare capacity.
+            let (_, mut winner) = best.into_inner().expect("best-candidate lock")?;
+            let mut records = winner.trace.into_records();
+            records.shrink_to_fit();
+            winner.trace = Trace::new(trace.user(), records).expect("a winner is never empty");
+            Some(winner)
+        })
     }
 
     /// Single-LPPM stage (Algorithm 1 lines 4–14): the resilient single
@@ -918,11 +1025,148 @@ impl MoodEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mood_attacks::{Prediction, TrainedAttack};
+    use mood_geo::GeoPoint;
+    use mood_synth::{presets, DatasetSpec};
     use mood_trace::{TimeDelta, UserId};
+    use rand::RngCore;
+    use std::sync::atomic::AtomicUsize;
 
     fn mini_world() -> (Dataset, Dataset) {
-        let ds = mood_synth::presets::privamov_like().scaled(0.25).generate();
-        ds.split_chronological(TimeDelta::from_days(15))
+        world(presets::privamov_like().scaled(0.25))
+    }
+
+    fn world(spec: DatasetSpec) -> (Dataset, Dataset) {
+        spec.generate()
+            .split_chronological(TimeDelta::from_days(15))
+    }
+
+    /// The scaled-down privamov-like and cabspotting-like worlds.
+    fn both_presets() -> [(Dataset, Dataset); 2] {
+        [
+            world(presets::privamov_like().scaled(0.15)),
+            world(presets::cabspotting_like().scaled(0.02)),
+        ]
+    }
+
+    /// The selection before bound-first search, kept as the oracle:
+    /// score every job in full, then take the minimum by distortion
+    /// (`total_cmp`), then job index.
+    pub(super) fn exhaustive_argmin(
+        engine: &MoodEngine,
+        trace: &Trace,
+        jobs: &[CandidateJob<'_>],
+    ) -> Option<ProtectedTrace> {
+        exec::map_indexed_with(
+            engine.executor.as_ref(),
+            jobs.len(),
+            || engine.scratch.take(),
+            |lease, i| engine.score_candidate(trace, jobs[i], lease.scratch_mut()),
+        )
+        .into_iter()
+        .enumerate()
+        .filter_map(|(i, verdict)| verdict.map(|p| (i, p)))
+        .min_by(|(ia, a), (ib, b)| {
+            a.distortion_m
+                .total_cmp(&b.distortion_m)
+                .then_with(|| ia.cmp(ib))
+        })
+        .map(|(_, p)| p)
+    }
+
+    /// Moves every record `dlat` degrees north: a deterministic LPPM
+    /// whose distortion grows with `dlat`.
+    struct Northward {
+        name: &'static str,
+        dlat: f64,
+    }
+
+    impl Lppm for Northward {
+        fn name(&self) -> &str {
+            self.name
+        }
+
+        fn protect(&self, trace: &Trace, _rng: &mut dyn RngCore) -> Trace {
+            let records = trace
+                .records()
+                .iter()
+                .map(|r| {
+                    let p = r.point();
+                    r.with_point(GeoPoint::new(p.lat() + self.dlat, p.lng()).unwrap())
+                })
+                .collect();
+            Trace::new(trace.user(), records).unwrap()
+        }
+    }
+
+    /// An attack that never re-identifies anyone: every candidate is
+    /// resilient, so selection is decided by distortion alone.
+    struct Blind;
+
+    impl TrainedAttack for Blind {
+        fn name(&self) -> &'static str {
+            "Blind"
+        }
+
+        fn predict(&self, _trace: &Trace) -> Prediction {
+            Prediction::none()
+        }
+    }
+
+    /// Forwards to `inner` and counts the scratch verdicts, the engine's
+    /// only route to the suite.
+    struct Counting {
+        inner: Box<dyn TrainedAttack>,
+        calls: Arc<AtomicUsize>,
+    }
+
+    impl Counting {
+        fn wrap(inner: Box<dyn TrainedAttack>) -> (Box<dyn TrainedAttack>, Arc<AtomicUsize>) {
+            let calls = Arc::new(AtomicUsize::new(0));
+            let counting = Counting {
+                inner,
+                calls: Arc::clone(&calls),
+            };
+            (Box::new(counting), calls)
+        }
+    }
+
+    impl TrainedAttack for Counting {
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+
+        fn predict(&self, trace: &Trace) -> Prediction {
+            self.inner.predict(trace)
+        }
+
+        fn reidentify_with(
+            &self,
+            trace: &Trace,
+            true_user: UserId,
+            scratch: &mut AttackScratch,
+        ) -> bool {
+            self.calls.fetch_add(1, Ordering::Relaxed);
+            self.inner.reidentify_with(trace, true_user, scratch)
+        }
+    }
+
+    /// An engine over `lppms` judged by one counting [`Blind`] attack.
+    fn northward_engine(
+        lppms: Vec<Arc<dyn Lppm>>,
+        executor: Arc<dyn Executor>,
+    ) -> (MoodEngine, Arc<AtomicUsize>) {
+        let (blind, calls) = Counting::wrap(Box::new(Blind));
+        let engine = EngineBuilder::new(Arc::new(AttackSuite::from_trained(vec![blind])))
+            .lppms(lppms)
+            .executor(executor)
+            .build()
+            .unwrap();
+        (engine, calls)
+    }
+
+    fn north(name: &'static str, dlat: f64) -> Arc<dyn Lppm> {
+        Arc::new(Northward { name, dlat })
     }
 
     #[test]
@@ -1464,5 +1708,204 @@ mod tests {
             assert_eq!(p.trace.user(), trace.user());
         }
         assert_ne!(r.user, UserId::new(999_999));
+    }
+
+    #[test]
+    fn bound_first_selection_equals_the_exhaustive_argmin() {
+        let executors = [
+            crate::ExecutorKind::Sequential.build(1),
+            crate::ExecutorKind::Persistent.build(2),
+            crate::ExecutorKind::Persistent.build(4),
+        ];
+        // `protect_user` under the engine's budget; the two search
+        // stages, which take no budget, once per seed.
+        let select = |engine: &MoodEngine, trace: &Trace| {
+            let unlimited = engine.candidate_budget == usize::MAX;
+            (
+                engine.protect_user(trace),
+                unlimited.then(|| {
+                    (
+                        engine.search_single(trace),
+                        engine.search_composition(trace),
+                    )
+                }),
+            )
+        };
+        for (bg, test) in both_presets() {
+            let base = MoodEngine::paper_default(&bg);
+            let users: Vec<&Trace> = test.iter().take(3).collect();
+            for seed in [0, 7, 1000] {
+                for budget in [1, 7, usize::MAX] {
+                    let build = |executor: &Arc<dyn Executor>| {
+                        EngineBuilder::new(base.shared_suite())
+                            .lppms_shared(base.shared_lppms())
+                            .seed(seed)
+                            .candidate_budget(budget)
+                            .executor(Arc::clone(executor))
+                            .build()
+                            .unwrap()
+                    };
+                    let mut oracle = build(&executors[0]);
+                    oracle.exhaustive_selection = true;
+                    let expected: Vec<_> = users.iter().map(|t| select(&oracle, t)).collect();
+                    for executor in &executors {
+                        let engine = build(executor);
+                        for (trace, want) in users.iter().zip(&expected) {
+                            assert_eq!(
+                                &select(&engine, trace),
+                                want,
+                                "{} seed {seed} budget {budget} on {} x{}",
+                                trace.user(),
+                                executor.name(),
+                                executor.max_threads()
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn published_traces_carry_no_spare_capacity() {
+        for (bg, test) in both_presets() {
+            let engine = MoodEngine::paper_default(&bg);
+            let mut published = 0;
+            for trace in test.iter() {
+                let traces = match engine.protect_user(trace).outcome {
+                    ProtectionOutcome::Whole(p) => vec![p],
+                    ProtectionOutcome::FineGrained { published, .. } => published,
+                };
+                for p in traces {
+                    let len = p.trace.len();
+                    assert_eq!(
+                        p.trace.into_records().capacity(),
+                        len,
+                        "{} published via {}",
+                        trace.user(),
+                        p.lppm
+                    );
+                    published += 1;
+                }
+            }
+            assert!(published > 0);
+        }
+    }
+
+    #[test]
+    fn a_candidate_that_cannot_beat_the_best_never_reaches_the_suite() {
+        let (_, test) = mini_world();
+        let trace = test.iter().next().unwrap();
+        // Ascending distortion: after the first resilient candidate,
+        // the others are settled by the bound alone.
+        let (engine, calls) = northward_engine(
+            vec![north("near", 0.001), north("mid", 0.01), north("far", 0.1)],
+            Arc::new(SequentialExecutor),
+        );
+        assert_eq!(engine.search_single(trace).unwrap().lppm, "near");
+        assert_eq!(calls.load(Ordering::Relaxed), 1, "only `near` is judged");
+        // Descending distortion: each candidate beats the one before,
+        // so each must be judged.
+        let (engine, calls) = northward_engine(
+            vec![north("far", 0.1), north("mid", 0.01), north("near", 0.001)],
+            Arc::new(SequentialExecutor),
+        );
+        assert_eq!(engine.search_single(trace).unwrap().lppm, "near");
+        assert_eq!(calls.load(Ordering::Relaxed), 3);
+    }
+
+    #[test]
+    fn the_suite_judges_exactly_the_candidates_the_bound_leaves_open() {
+        // On real mechanisms and attacks under the sequential executor,
+        // a candidate reaches the suite iff nothing before it was
+        // resilient or its key ranks before the best so far. Counting
+        // the first attack counts the candidates that reach the suite.
+        let (bg, test) = mini_world();
+        let (first, calls) = Counting::wrap(PoiAttack::paper_default().train(&bg));
+        let suite = AttackSuite::from_trained(vec![
+            first,
+            PitAttack::paper_default().train(&bg),
+            ApAttack::paper_default().train(&bg),
+        ]);
+        let engine = EngineBuilder::new(Arc::new(suite))
+            .lppms_shared(MoodEngine::paper_default(&bg).shared_lppms())
+            .build()
+            .unwrap();
+        let variants: Vec<&dyn Lppm> = engine
+            .base
+            .iter()
+            .map(|l| l as &dyn Lppm)
+            .chain(engine.compositions.iter().map(|c| c as &dyn Lppm))
+            .collect();
+        let (mut judged, mut tried) = (0, 0);
+        for trace in test.iter() {
+            let singles = 0..engine.base.len();
+            let compositions = engine.base.len()..variants.len();
+            for (stage, range) in [("single", singles), ("composition", compositions)] {
+                // Predict from every candidate's full score.
+                let mut best: Option<(f64, usize)> = None;
+                let mut expected = 0;
+                for idx in range.clone() {
+                    let cand = variants[idx].protect(trace, &mut engine.variant_rng(trace, idx));
+                    let d = spatio_temporal_distortion(trace, &cand);
+                    let can_win =
+                        best.is_none_or(|(bd, bi)| d.total_cmp(&bd).then(idx.cmp(&bi)).is_lt());
+                    if can_win {
+                        expected += 1;
+                        if engine.suite().protects(&cand, trace.user()) {
+                            best = Some((d, idx));
+                        }
+                    }
+                }
+                calls.store(0, Ordering::Relaxed);
+                let found = match stage {
+                    "single" => engine.search_single(trace),
+                    _ => engine.search_composition(trace),
+                };
+                assert_eq!(found.map(|p| p.distortion_m), best.map(|(d, _)| d));
+                assert_eq!(
+                    calls.load(Ordering::Relaxed),
+                    expected,
+                    "{stage} stage of {}",
+                    trace.user()
+                );
+                judged += expected;
+                tried += range.len();
+            }
+        }
+        assert!(
+            judged < tried,
+            "the bound settled no candidate ({judged} of {tried})"
+        );
+    }
+
+    #[test]
+    fn tied_variants_publish_the_lower_index_on_every_executor() {
+        let (_, test) = mini_world();
+        for executor in [
+            crate::ExecutorKind::Sequential.build(1),
+            crate::ExecutorKind::Persistent.build(2),
+            crate::ExecutorKind::Persistent.build(4),
+        ] {
+            // `twin-a` and `twin-b` publish identical traces at an
+            // identical distortion; `far` makes the twins race against
+            // a bound under a parallel executor.
+            let (engine, _) = northward_engine(
+                vec![
+                    north("far", 0.1),
+                    north("twin-a", 0.01),
+                    north("twin-b", 0.01),
+                ],
+                executor,
+            );
+            for _ in 0..5 {
+                for trace in test.iter() {
+                    let p = engine.search_single(trace).unwrap();
+                    assert_eq!(p.lppm, "twin-a", "{}", engine.executor().max_threads());
+                    let r = engine.protect_user(trace);
+                    assert_eq!(r.outcome.published()[0].lppm, "twin-a");
+                }
+            }
+        }
     }
 }

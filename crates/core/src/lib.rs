@@ -58,7 +58,7 @@ mod split;
 
 pub use config::MoodConfig;
 pub use engine::{EngineBuilder, EngineError, MoodEngine, ENGINE_STAGES};
-pub use exec::{CandidateJob, Executor, ExecutorKind, PersistentPoolExecutor, SequentialExecutor};
+pub use exec::{Executor, ExecutorKind, PersistentPoolExecutor, SequentialExecutor};
 pub use hybrid::HybridLppm;
 pub use mood_obs as obs;
 pub use outcome::{FineGrainedStats, ProtectedTrace, ProtectionOutcome, UserClass, UserProtection};

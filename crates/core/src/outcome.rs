@@ -137,11 +137,12 @@ pub struct UserProtection {
     /// Number of records in the user's original trace.
     pub original_records: usize,
     /// `true` when the engine's candidate budget ran out before every
-    /// variant was tried: the outcome was assembled only from candidates
-    /// that were fully scored (each verdict is complete — the budget
-    /// skips whole candidates, never partial scores), so the published
-    /// bytes are still deterministic, but a larger budget might have
-    /// found a lower-distortion variant or protected more sub-traces.
+    /// variant was tried: the budget skips whole candidates, and the
+    /// outcome publishes only fully scored ones (a tried candidate may
+    /// be dropped part-way once it provably cannot win), so the
+    /// published bytes are still deterministic, but a larger budget
+    /// might have found a lower-distortion variant or protected more
+    /// sub-traces.
     pub degraded: bool,
 }
 

@@ -19,7 +19,8 @@ use mood_trace::Trace;
 /// `T'` is time-sorted, so the projections walk `T` forward through a
 /// [`Trace::projection_cursor`] instead of binary-searching it per
 /// record; each projection, and the sum in `T'` order, is bit-identical
-/// to folding [`Trace::interpolate_at`].
+/// to folding [`Trace::interpolate_at`]. This is
+/// [`spatio_temporal_distortion_within`] with an infinite bound.
 ///
 /// # Examples
 ///
@@ -36,13 +37,59 @@ use mood_trace::Trace;
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn spatio_temporal_distortion(original: &Trace, obfuscated: &Trace) -> f64 {
+    spatio_temporal_distortion_within(original, obfuscated, f64::INFINITY)
+        .expect("no mean exceeds an infinite bound")
+}
+
+/// How many records [`spatio_temporal_distortion_within`] sums between
+/// two checks of its bound.
+const BOUND_CHECK_RECORDS: usize = 32;
+
+/// [`spatio_temporal_distortion`] that stops as soon as the value is
+/// known to exceed `bound`: `None` when `STD(T, T') > bound`, otherwise
+/// `Some` of the value, bit-identical to the unbounded one (same cursor,
+/// same summation order).
+///
+/// Every `BOUND_CHECK_RECORDS` records the running sum is divided by
+/// `|T'|` and compared with `bound`. Once that exceeds it, the full
+/// value does too: every term is a haversine distance, so it is ≥ 0;
+/// adding a non-negative `f64` never lowers a sum; and dividing by the
+/// same record count is monotone. The last check runs on the complete
+/// sum, so `Some(d)` never carries a `d > bound`.
+///
+/// # Examples
+///
+/// ```
+/// use mood_geo::GeoPoint;
+/// use mood_trace::{Record, Timestamp, Trace, UserId};
+/// use mood_metrics::{spatio_temporal_distortion, spatio_temporal_distortion_within};
+///
+/// let at = |lng, t| Record::new(GeoPoint::new(46.0, lng).unwrap(), Timestamp::from_unix(t));
+/// let orig = Trace::new(UserId::new(1), vec![at(6.0, 0), at(6.2, 100)])?;
+/// let moved = Trace::new(UserId::new(1), vec![at(6.01, 0), at(6.2, 100)])?;
+/// let std = spatio_temporal_distortion(&orig, &moved);
+/// assert_eq!(spatio_temporal_distortion_within(&orig, &moved, std), Some(std));
+/// assert_eq!(spatio_temporal_distortion_within(&orig, &moved, std / 2.0), None);
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
+pub fn spatio_temporal_distortion_within(
+    original: &Trace,
+    obfuscated: &Trace,
+    bound: f64,
+) -> Option<f64> {
+    let n = obfuscated.len() as f64;
     let mut projection = original.projection_cursor();
     let mut sum = 0.0;
-    for r in obfuscated.records() {
-        let projected = projection.interpolate_at(r.time());
-        sum += projected.haversine_distance(&r.point());
+    for block in obfuscated.records().chunks(BOUND_CHECK_RECORDS) {
+        for r in block {
+            let projected = projection.interpolate_at(r.time());
+            sum += projected.haversine_distance(&r.point());
+        }
+        if sum / n > bound {
+            return None;
+        }
     }
-    sum / obfuscated.len() as f64
+    Some(sum / n)
 }
 
 /// The four utility bands of the paper's Figure 9, classifying a user's
@@ -304,9 +351,14 @@ mod proptests {
     /// Traces with duplicate-timestamp runs, starting anywhere in
     /// `[0, 3000)` so pairs overlap, nest or miss each other in time.
     fn arb_trace_with_runs() -> impl Strategy<Value = Trace> {
+        arb_trace_with_runs_of(1..60)
+    }
+
+    /// [`arb_trace_with_runs`] with `len` records.
+    fn arb_trace_with_runs_of(len: std::ops::Range<usize>) -> impl Strategy<Value = Trace> {
         (
             0i64..3_000,
-            proptest::collection::vec((0i64..3, -0.2f64..0.2, -0.2f64..0.2), 1..60),
+            proptest::collection::vec((0i64..3, -0.2f64..0.2, -0.2f64..0.2), len),
         )
             .prop_map(|(start, tuples)| {
                 let mut at = start;
@@ -334,6 +386,29 @@ mod proptests {
                 spatio_temporal_distortion(&a, &b).to_bits(),
                 tests::distortion_reference(&a, &b).to_bits()
             );
+        }
+
+        #[test]
+        fn bounded_std_stops_only_above_its_bound(
+            // Up to ~5 bound checks, so a stop can land in any block.
+            a in arb_trace_with_runs_of(1..150),
+            b in arb_trace_with_runs_of(1..150),
+            fraction in 0.0f64..1.5,
+        ) {
+            let full = tests::distortion_reference(&a, &b);
+            for bound in [
+                f64::INFINITY,
+                full,
+                full.next_down(),
+                0.0,
+                full * fraction,
+            ] {
+                prop_assert_eq!(
+                    spatio_temporal_distortion_within(&a, &b, bound).map(f64::to_bits),
+                    (full <= bound).then_some(full.to_bits()),
+                    "bound {}", bound
+                );
+            }
         }
 
         #[test]

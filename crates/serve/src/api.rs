@@ -47,8 +47,8 @@ pub struct ProtectRequest {
     /// The trace to protect.
     pub trace: Trace,
     /// Optional per-request candidate budget (deadline-aware graceful
-    /// degradation): at most this many candidate variants are fully
-    /// scored; past the cut the result is flagged `degraded` but stays
+    /// degradation): at most this many candidate variants are tried;
+    /// past the cut the result is flagged `degraded` but stays
     /// deterministic. `None` (or an absent key — old clients keep
     /// working) uses the server's default, normally unlimited.
     pub budget: Option<u64>,

@@ -12,7 +12,7 @@ use crate::{
 /// distance, the average of a *stationary* distance and a *proximity*
 /// distance (the combination the original paper found most effective).
 ///
-/// Our stats-prox rendition (documented in DESIGN.md):
+/// Our stats-prox rendition:
 ///
 /// * **stationary** — Σᵢ π_a(i) · d(state_aᵢ, nearest state of b): the
 ///   expected geographic distance from where the anonymous chain spends

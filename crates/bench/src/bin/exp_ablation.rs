@@ -1,5 +1,6 @@
-//! Ablations beyond the paper: the design-choice sweeps DESIGN.md calls
-//! out, run on the Privamov stand-in (the most vulnerable dataset):
+//! Ablations beyond the paper: the design-choice sweeps of the README's
+//! "Figures" section, run on the Privamov stand-in (the most vulnerable
+//! dataset):
 //!
 //! * composition length cap (1 / 2 / 3) — how much of MooD's power comes
 //!   from deeper chains;

@@ -1,3 +1,4 @@
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -9,7 +10,7 @@ use rand::SeedableRng;
 use mood_attacks::{
     ApAttack, Attack, AttackScratch, AttackSuite, PitAttack, PoiAttack, ProfileStore, StoreCounters,
 };
-use mood_lppm::{enumerate_compositions, Composition, GeoI, Hmc, Lppm, Trl};
+use mood_lppm::{arrangements, Composition, GeoI, Hmc, Lppm, Trl};
 use mood_metrics::{spatio_temporal_distortion, spatio_temporal_distortion_within};
 use mood_trace::{Dataset, Record, Trace};
 
@@ -18,38 +19,46 @@ use crate::{
     FineGrainedStats, MoodConfig, ProtectedTrace, ProtectionOutcome, UserClass, UserProtection,
 };
 
-/// One unit of engine work: apply variant `variant_idx` (an LPPM or a
-/// composition chain) to a trace and judge the result.
+/// What a search stage does with each candidate it applies: called with
+/// the worker's scratch, the candidate's variant index and the
+/// candidate, which stays with the caller. Returns whether the stage
+/// holds a resilient candidate by now.
 ///
 /// The variant index doubles as the RNG-stream selector — see
 /// [`MoodEngine`]'s per-variant RNG derivation — which is what makes
 /// candidate evaluation schedulable in any order.
-#[derive(Clone, Copy)]
-struct CandidateJob<'a> {
-    /// Global variant index (singles first, then compositions).
-    variant_idx: usize,
-    /// The mechanism to apply.
-    lppm: &'a dyn Lppm,
-}
+type Visit<'a> = dyn Fn(&mut CandidateScratch, usize, &Trace) -> bool + Sync + 'a;
 
-/// Reusable per-worker state for one candidate evaluation: the derived
-/// RNG (stack-only, reassigned per candidate), the protected-records
-/// buffer the LPPM writes into, and the attack scratch the suite scores
-/// on — per-trace features (heatmap, POI clusters, Markov chain) plus
-/// the shared rasterization cache both the LPPM fast paths and the
+/// Reusable per-worker state for candidate evaluation: the derived RNG
+/// (stack-only, reassigned per candidate), spare buffers the LPPMs
+/// write candidate records into, and the attack scratch the suite
+/// scores on — per-trace features (heatmap, POI clusters, Markov chain)
+/// plus the shared rasterization cache both the LPPM fast paths and the
 /// attacks use.
 struct CandidateScratch {
     rng: StdRng,
-    records: Vec<Record>,
+    spare: Vec<Vec<Record>>,
     attack: AttackScratch,
 }
+
+/// Spare record buffers one scratch keeps: the singles plus one prefix
+/// per composition depth fit, and buffers handed back from other
+/// workers cannot pile up in one scratch.
+const SPARE_BUFFERS: usize = 8;
 
 impl CandidateScratch {
     fn new() -> Self {
         Self {
             rng: StdRng::seed_from_u64(0),
-            records: Vec::new(),
+            spare: Vec::new(),
             attack: AttackScratch::new(),
+        }
+    }
+
+    /// Keeps a candidate's buffer for the next one.
+    fn recycle(&mut self, candidate: Trace) {
+        if self.spare.len() < SPARE_BUFFERS {
+            self.spare.push(candidate.into_records());
         }
     }
 }
@@ -93,6 +102,15 @@ impl ScratchPool {
         ScratchLease {
             pool: self,
             scratch: Some(scratch.unwrap_or_else(CandidateScratch::new)),
+        }
+    }
+
+    /// Hands the buffers of candidates no search needs any more back to
+    /// a pooled scratch.
+    fn recycle(&self, candidates: Vec<Option<Trace>>) {
+        let mut lease = self.take();
+        for candidate in candidates.into_iter().flatten() {
+            lease.scratch_mut().recycle(candidate);
         }
     }
 }
@@ -389,15 +407,39 @@ impl EngineBuilder {
         self.config.check().map_err(EngineError::InvalidConfig)?;
         let max_len = self.config.max_composition_len.min(self.lppms.len());
         let base = self.lppms.into_shared();
-        let compositions = if max_len >= 2 {
-            enumerate_compositions(&base, 2, max_len)
+        let n = base.len();
+        let chains = if max_len >= 2 {
+            arrangements(n, 2, max_len)
         } else {
             Vec::new()
         };
+        // Shorter chains come first, so a chain's prefix is either a
+        // single or an earlier chain.
+        let links = chains
+            .iter()
+            .map(|chain| {
+                let (&last, prefix) = chain.split_last().expect("chains are never empty");
+                let prefix_idx = match prefix {
+                    [single] => *single,
+                    _ => {
+                        n + chains
+                            .iter()
+                            .position(|c| c == prefix)
+                            .expect("prefix chain")
+                    }
+                };
+                (prefix_idx, last)
+            })
+            .collect();
+        let compositions = chains
+            .iter()
+            .map(|chain| Composition::new(chain.iter().map(|&i| Arc::clone(&base[i])).collect()))
+            .collect();
         Ok(MoodEngine {
             suite: self.suite,
             base,
             compositions,
+            links,
             config: self.config,
             executor: self.executor,
             scratch: ScratchPool::new(),
@@ -435,6 +477,10 @@ pub struct MoodEngine {
     suite: Arc<AttackSuite>,
     base: Arc<[Arc<dyn Lppm>]>,
     compositions: Vec<Composition>,
+    /// Per composition, in `compositions` order: the variant index of its
+    /// prefix `p` (a single for a pair) and the base index of the LPPM
+    /// `x` that it applies to `p`'s candidate.
+    links: Vec<(usize, usize)>,
     config: MoodConfig,
     executor: Arc<dyn Executor>,
     scratch: ScratchPool,
@@ -466,6 +512,15 @@ impl BudgetState {
 
     fn unlimited() -> Self {
         Self::new(usize::MAX)
+    }
+
+    /// Takes up to `wanted` candidates from the budget: how many of a
+    /// stage's variants, in job order, may be tried.
+    fn take(&mut self, wanted: usize) -> usize {
+        let allowed = wanted.min(self.remaining);
+        self.exhausted |= allowed < wanted;
+        self.remaining -= allowed;
+        allowed
     }
 }
 
@@ -586,9 +641,10 @@ impl MoodEngine {
     /// How many candidate evaluations started from a recycled, already
     /// warmed-up scratch buffer instead of a fresh allocation — the
     /// observable evidence that the candidate hot path stops allocating
-    /// once the per-worker arenas have warmed up. (A buffer goes cold
-    /// only when a resilient candidate keeps it for publication — the
-    /// rare, once-per-search-stage case.)
+    /// once the per-worker arenas have warmed up. (A resilient candidate
+    /// that becomes the best is copied, so its buffer stays with the
+    /// worker; a scratch runs short only when another worker's scratch
+    /// got the single stage's buffers back.)
     pub fn scratch_reuses(&self) -> u64 {
         self.scratch.reuses.load(Ordering::Relaxed)
     }
@@ -648,26 +704,57 @@ impl MoodEngine {
         StdRng::seed_from_u64(h)
     }
 
-    /// Applies one candidate job on a scratch arena, under the variant's
-    /// derived RNG stream, writing the protected records into the
-    /// scratch buffer instead of a fresh allocation. A candidate that is
-    /// not kept hands its buffer back to the scratch for the next one.
+    /// The base LPPM variant `idx` applies: a single's own, or the last
+    /// stage `x` of a composition `p → x`.
+    fn stage_lppm(&self, idx: usize) -> &dyn Lppm {
+        let n = self.base.len();
+        let i = if idx < n { idx } else { self.links[idx - n].1 };
+        self.base[i].as_ref()
+    }
+
+    /// Variant `idx`'s published name: "Geo-I", or a chain like
+    /// "HMC→Geo-I".
+    fn variant_name(&self, idx: usize) -> &str {
+        match idx.checked_sub(self.base.len()) {
+            Some(k) => self.compositions[k].name(),
+            None => self.base[idx].name(),
+        }
+    }
+
+    /// The compositions that extend variant `prefix` by one stage, in
+    /// variant order.
+    fn extensions(&self, prefix: usize) -> impl Iterator<Item = usize> + '_ {
+        let n = self.base.len();
+        self.links
+            .iter()
+            .enumerate()
+            .filter(move |(_, link)| link.0 == prefix)
+            .map(move |(k, _)| n + k)
+    }
+
+    /// Applies variant `idx`'s stage to `input` on a scratch arena, under
+    /// the variant RNG derived from the raw (sub-)trace `trace`: a single
+    /// applies its LPPM to `trace` itself, and a composition `p → x`
+    /// applies `x` to `p`'s candidate. The records land in one of the
+    /// scratch's spare buffers instead of a fresh allocation;
+    /// [`CandidateScratch::recycle`] hands the buffer back.
     fn apply_candidate(
         &self,
         trace: &Trace,
-        job: CandidateJob<'_>,
+        input: &Trace,
+        idx: usize,
         scratch: &mut CandidateScratch,
     ) -> Trace {
-        scratch.rng = self.variant_rng(trace, job.variant_idx);
-        let mut buf = std::mem::take(&mut scratch.records);
+        scratch.rng = self.variant_rng(trace, idx);
+        let mut buf = scratch.spare.pop().unwrap_or_default();
         if buf.capacity() > 0 {
             self.scratch.reuses.fetch_add(1, Ordering::Relaxed);
         }
         if scratch.attack.is_warm() {
             self.scratch.attack_reuses.fetch_add(1, Ordering::Relaxed);
         }
-        job.lppm.protect_into_with(
-            trace,
+        self.stage_lppm(idx).protect_into_with(
+            input,
             &mut scratch.rng,
             &mut buf,
             scratch.attack.raster_mut(),
@@ -679,27 +766,27 @@ impl MoodEngine {
         Trace::new(trace.user(), buf).expect("LPPMs never produce an empty trace")
     }
 
-    /// Scores one candidate job in full: the verdict, then the
-    /// distortion of a resilient candidate, which keeps its buffer
-    /// inside the returned [`ProtectedTrace`].
+    /// Scores single `idx` in full: the verdict, then the distortion of
+    /// a resilient candidate, which keeps its buffer inside the returned
+    /// [`ProtectedTrace`].
     fn score_candidate(
         &self,
         trace: &Trace,
-        job: CandidateJob<'_>,
+        idx: usize,
         scratch: &mut CandidateScratch,
     ) -> Option<ProtectedTrace> {
-        let candidate = self.apply_candidate(trace, job, scratch);
+        let candidate = self.apply_candidate(trace, trace, idx, scratch);
         if !self
             .suite
             .protects_with(&candidate, trace.user(), &mut scratch.attack)
         {
-            scratch.records = candidate.into_records();
+            scratch.recycle(candidate);
             return None;
         }
         Some(ProtectedTrace {
             distortion_m: spatio_temporal_distortion(trace, &candidate),
             trace: candidate,
-            lppm: job.lppm.name().to_string(),
+            lppm: self.variant_name(idx).to_string(),
         })
     }
 
@@ -717,28 +804,6 @@ impl MoodEngine {
         }
     }
 
-    /// One job per variant of `variants`, numbered from `idx_base`.
-    /// Variant indices offset by the base-set size keep single and
-    /// composition RNG streams disjoint.
-    fn jobs<'a, I>(variants: I, idx_base: usize) -> Vec<CandidateJob<'a>>
-    where
-        I: IntoIterator<Item = &'a dyn Lppm>,
-    {
-        variants
-            .into_iter()
-            .enumerate()
-            .map(|(i, lppm)| CandidateJob {
-                variant_idx: idx_base + i,
-                lppm,
-            })
-            .collect()
-    }
-
-    /// The single stage's jobs: variant index = base index.
-    fn single_jobs(&self) -> Vec<CandidateJob<'_>> {
-        Self::jobs(self.base.iter().map(|l| l as &dyn Lppm), 0)
-    }
-
     /// Scores every single-stage candidate for `trace` in full, one per
     /// base LPPM in base order, without a budget: `Some` for a variant
     /// that resists the suite, `None` for one an attack re-identifies.
@@ -751,23 +816,24 @@ impl MoodEngine {
     /// candidate budget, a user any single LPPM protects is protected by
     /// MooD's single stage, at no more distortion.
     pub fn single_candidates(&self, trace: &Trace) -> Vec<Option<ProtectedTrace>> {
-        let jobs = self.single_jobs();
+        let n = self.base.len();
         // One aggregated observation for the whole batch (count =
         // candidates), never a per-candidate span: overhead stays
         // bounded by batch count, not candidate count.
-        self.observe(STAGE_CANDIDATE_EVAL, jobs.len() as u64, || {
+        self.observe(STAGE_CANDIDATE_EVAL, n as u64, || {
             exec::map_indexed_with(
                 self.executor.as_ref(),
-                jobs.len(),
+                n,
                 || self.scratch.take(),
-                |lease, i| self.score_candidate(trace, jobs[i], lease.scratch_mut()),
+                |lease, i| self.score_candidate(trace, i, lease.scratch_mut()),
             )
         })
     }
 
-    /// Settles one candidate of a bound-first search against `best`: it
-    /// either becomes the new best, or is dropped and hands its buffer
-    /// back to the scratch.
+    /// Settles candidate `idx` of a bound-first search against `best`:
+    /// a copy of it becomes the new best, or it is dropped. Either way
+    /// the candidate itself stays with the caller, which may extend it.
+    /// Returns whether `best` holds a resilient candidate.
     ///
     /// While nothing is resilient yet, the verdict runs first and the
     /// full distortion follows for a resilient candidate. Once `best`
@@ -778,21 +844,20 @@ impl MoodEngine {
     fn settle_candidate(
         &self,
         trace: &Trace,
-        job: CandidateJob<'_>,
+        idx: usize,
+        candidate: &Trace,
         scratch: &mut CandidateScratch,
         best: &BestSoFar,
-    ) {
-        let candidate = self.apply_candidate(trace, job, scratch);
-        let idx = job.variant_idx;
+    ) -> bool {
         let bound = lock(best).as_ref().map(|(_, p)| p.distortion_m);
         let mut resists = || {
             self.suite
-                .protects_with(&candidate, trace.user(), &mut scratch.attack)
+                .protects_with(candidate, trace.user(), &mut scratch.attack)
         };
         let distortion = match bound {
-            None => resists().then(|| spatio_temporal_distortion(trace, &candidate)),
+            None => resists().then(|| spatio_temporal_distortion(trace, candidate)),
             Some(bound) => {
-                spatio_temporal_distortion_within(trace, &candidate, bound).filter(|&d| {
+                spatio_temporal_distortion_within(trace, candidate, bound).filter(|&d| {
                     // Read the key in its own statement: the verdict must
                     // not run under the lock.
                     let can_win = ranks_before(d, idx, lock(best).as_ref());
@@ -800,28 +865,30 @@ impl MoodEngine {
                 })
             }
         };
+        let Some(d) = distortion else {
+            return bound.is_some();
+        };
+        // Copied outside the lock; the copy holds no spare capacity.
+        let kept = ProtectedTrace {
+            trace: candidate.clone(),
+            lppm: self.variant_name(idx).to_string(),
+            distortion_m: d,
+        };
         let mut held = lock(best);
-        match distortion {
-            Some(d) if ranks_before(d, idx, held.as_ref()) => {
-                let kept = ProtectedTrace {
-                    trace: candidate,
-                    lppm: job.lppm.name().to_string(),
-                    distortion_m: d,
-                };
-                if let Some((_, displaced)) = held.replace((idx, kept)) {
-                    scratch.records = displaced.trace.into_records();
-                }
-            }
-            _ => scratch.records = candidate.into_records(),
+        if ranks_before(d, idx, held.as_ref()) {
+            *held = Some((idx, kept));
         }
+        true
     }
 
-    /// The resilient candidate among `jobs` ranked first by
+    /// The resilient candidate among `variants` ranked first by
     /// `(distortion, variant_idx)` (Best LPPM Selection, §3.5; the index
     /// tiebreak pins ties to the earliest variant, which is what the
     /// sequential reference scan selected).
     ///
-    /// The search is bound-first ([`MoodEngine::settle_candidate`]): a
+    /// `apply` applies every variant of `variants` below the end it is
+    /// given and hands each candidate to the visit it is given. The
+    /// search is bound-first ([`MoodEngine::settle_candidate`]): a
     /// candidate is dropped only against the key of a candidate already
     /// known to be resilient, and that key only ever falls, so the
     /// winner is the exhaustive argmin on every backend and thread
@@ -830,77 +897,157 @@ impl MoodEngine {
     fn best_resilient(
         &self,
         trace: &Trace,
-        jobs: Vec<CandidateJob<'_>>,
+        variants: Range<usize>,
         budget: &mut BudgetState,
+        apply: impl FnOnce(usize, &Visit<'_>),
     ) -> Option<ProtectedTrace> {
-        // Deadline-aware cut: only the first `remaining` jobs (in job
-        // order) are submitted, so the set of candidates ever tried is
-        // a pure function of the budget — identical across executor
-        // backends and thread counts. Skipped candidates are skipped
-        // whole. A submitted candidate may be dropped part-way, once
-        // the bound shows it cannot win; the published one is always
-        // fully scored.
-        let allowed = jobs.len().min(budget.remaining);
-        if allowed < jobs.len() {
-            budget.exhausted = true;
-        }
-        budget.remaining -= allowed;
-        let jobs = &jobs[..allowed];
-        self.observe(STAGE_CANDIDATE_EVAL, jobs.len() as u64, || {
+        // Deadline-aware cut: only the first variants (in job order)
+        // are tried, so the set of candidates ever tried is a pure
+        // function of the budget — identical across executor backends
+        // and thread counts. Skipped candidates are skipped whole. A
+        // tried candidate may be dropped part-way, once the bound shows
+        // it cannot win; the published one is always fully scored.
+        let end = variants.start + budget.take(variants.len());
+        self.observe(STAGE_CANDIDATE_EVAL, (end - variants.start) as u64, || {
             #[cfg(test)]
             if self.exhaustive_selection {
-                return tests::exhaustive_argmin(self, trace, jobs);
+                return tests::exhaustive_argmin(self, trace, variants.start..end);
             }
             let best = BestSoFar::new(None);
-            exec::for_each_index_with(
-                self.executor.as_ref(),
-                jobs.len(),
-                || self.scratch.take(),
-                |lease, i| self.settle_candidate(trace, jobs[i], lease.scratch_mut(), &best),
-            );
-            // The winner's buffer may have been recycled from a longer
-            // candidate; publish it without the spare capacity.
-            let (_, mut winner) = best.into_inner().expect("best-candidate lock")?;
-            let mut records = winner.trace.into_records();
-            records.shrink_to_fit();
-            winner.trace = Trace::new(trace.user(), records).expect("a winner is never empty");
-            Some(winner)
+            apply(end, &|scratch, idx, candidate| {
+                self.settle_candidate(trace, idx, candidate, scratch, &best)
+            });
+            best.into_inner()
+                .expect("best-candidate lock")
+                .map(|(_, winner)| winner)
         })
+    }
+
+    /// Applies the first `end` base LPPMs to `trace`, each under its own
+    /// variant RNG, and visits each candidate. Returns the candidates in
+    /// base order, the prefixes the composition stage extends: all of
+    /// them when no visit found a resilient one, which is the only case
+    /// in which compositions run.
+    fn apply_singles(&self, trace: &Trace, end: usize, visit: &Visit<'_>) -> Vec<Option<Trace>> {
+        exec::map_indexed_with(
+            self.executor.as_ref(),
+            end,
+            || self.scratch.take(),
+            |lease, i| {
+                let scratch = lease.scratch_mut();
+                let candidate = self.apply_candidate(trace, trace, i, scratch);
+                if visit(scratch, i, &candidate) {
+                    scratch.recycle(candidate);
+                    return None;
+                }
+                Some(candidate)
+            },
+        )
+    }
+
+    /// Applies and visits every composition below variant `end`, each as
+    /// one stage on its prefix's candidate; `singles` holds the single
+    /// stage's candidates in base order. Each pair's subtree is one job,
+    /// run depth first (the pair, then its extensions on the pair's
+    /// output), so a worker holds one prefix per depth.
+    fn apply_compositions(
+        &self,
+        trace: &Trace,
+        singles: &[Option<Trace>],
+        end: usize,
+        visit: &Visit<'_>,
+    ) {
+        let n = self.base.len();
+        let pairs: Vec<usize> = (n..end).filter(|&c| self.links[c - n].0 < n).collect();
+        exec::for_each_index_with(
+            self.executor.as_ref(),
+            pairs.len(),
+            || self.scratch.take(),
+            |lease, k| {
+                let single = singles[self.links[pairs[k] - n].0]
+                    .as_ref()
+                    .expect("compositions run only when no single is resilient");
+                self.extend(trace, single, pairs[k], end, lease.scratch_mut(), visit);
+            },
+        );
+    }
+
+    /// Applies composition `idx` to its prefix's candidate `prefix` and
+    /// visits it, then extends it by every composition below `end` that
+    /// has it as prefix.
+    fn extend(
+        &self,
+        trace: &Trace,
+        prefix: &Trace,
+        idx: usize,
+        end: usize,
+        scratch: &mut CandidateScratch,
+        visit: &Visit<'_>,
+    ) {
+        let candidate = self.apply_candidate(trace, prefix, idx, scratch);
+        visit(scratch, idx, &candidate);
+        for next in self.extensions(idx).filter(|&c| c < end) {
+            self.extend(trace, &candidate, next, end, scratch, visit);
+        }
+        scratch.recycle(candidate);
     }
 
     /// Single-LPPM stage (Algorithm 1 lines 4–14): the resilient single
     /// LPPM with the lowest distortion, if any.
     pub fn search_single(&self, trace: &Trace) -> Option<ProtectedTrace> {
-        self.search_single_in(trace, &mut BudgetState::unlimited())
+        let (found, singles) = self.search_single_in(trace, &mut BudgetState::unlimited());
+        self.scratch.recycle(singles);
+        found
     }
 
-    fn search_single_in(&self, trace: &Trace, budget: &mut BudgetState) -> Option<ProtectedTrace> {
+    /// The single stage, also returning the candidates it tried in base
+    /// order: the composition stage extends them when none is resilient.
+    fn search_single_in(
+        &self,
+        trace: &Trace,
+        budget: &mut BudgetState,
+    ) -> (Option<ProtectedTrace>, Vec<Option<Trace>>) {
         self.observe(STAGE_SEARCH_SINGLE, 1, || {
-            self.best_resilient(trace, self.single_jobs(), budget)
+            let mut singles = Vec::new();
+            let found = self.best_resilient(trace, 0..self.base.len(), budget, |end, visit| {
+                singles = self.apply_singles(trace, end, visit);
+            });
+            (found, singles)
         })
     }
 
     /// Composition stage (lines 16–26): the resilient composition with
-    /// the lowest distortion, if any.
+    /// the lowest distortion, if any. Called alone, it applies the
+    /// singles it extends itself, without judging them.
+    ///
+    /// Each composition `p → x` is one draw of `x`, under its own
+    /// variant RNG, on the candidate `p` already produced, so a search
+    /// over the 12 compositions of n = 3 applies 12 stages, not 30.
     ///
     /// Note: the paper's line 26 reads `argmax M`; we interpret `M`
     /// uniformly as a distortion to minimize (the paper's own §3.5:
-    /// "the lower the distortion the better"). See DESIGN.md.
+    /// "the lower the distortion the better").
     pub fn search_composition(&self, trace: &Trace) -> Option<ProtectedTrace> {
-        self.search_composition_in(trace, &mut BudgetState::unlimited())
+        let singles = self.apply_singles(trace, self.base.len(), &|_, _, _| false);
+        let found = self.search_composition_in(trace, &singles, &mut BudgetState::unlimited());
+        self.scratch.recycle(singles);
+        found
     }
 
     fn search_composition_in(
         &self,
         trace: &Trace,
+        singles: &[Option<Trace>],
         budget: &mut BudgetState,
     ) -> Option<ProtectedTrace> {
+        let n = self.base.len();
         self.observe(STAGE_SEARCH_COMPOSITION, 1, || {
-            let jobs = Self::jobs(
-                self.compositions.iter().map(|c| c as &dyn Lppm),
-                self.base.len(),
-            );
-            self.best_resilient(trace, jobs, budget)
+            self.best_resilient(
+                trace,
+                n..n + self.compositions.len(),
+                budget,
+                |end, visit| self.apply_compositions(trace, singles, end, visit),
+            )
         })
     }
 
@@ -916,10 +1063,15 @@ impl MoodEngine {
         trace: &Trace,
         budget: &mut BudgetState,
     ) -> Option<(ProtectedTrace, bool)> {
-        if let Some(p) = self.search_single_in(trace, budget) {
-            return Some((p, false));
-        }
-        self.search_composition_in(trace, budget).map(|p| (p, true))
+        let (single, singles) = self.search_single_in(trace, budget);
+        let found = match single {
+            Some(p) => Some((p, false)),
+            None => self
+                .search_composition_in(trace, &singles, budget)
+                .map(|p| (p, true)),
+        };
+        self.scratch.recycle(singles);
+        found
     }
 
     /// Recursive fine-grained protection (lines 27–36): whole-trace
@@ -960,8 +1112,8 @@ impl MoodEngine {
     /// experimental protocol) and classifies the user.
     pub fn protect_user(&self, trace: &Trace) -> UserProtection {
         // The raw-trace check scores on a pooled scratch, which also
-        // pre-warms the rasterization cache for the raw trace the
-        // HMC-first candidate variants are about to re-raster. It is
+        // pre-warms the rasterization cache for the raw trace the HMC
+        // single is about to re-raster. It is
         // deliberately outside the candidate budget: the user's taxonomy
         // class must not depend on how much compute the request was
         // granted.
@@ -1049,29 +1201,43 @@ mod tests {
         ]
     }
 
+    /// Variant `idx`'s candidate, built the allocating way: `protect`
+    /// under `variant_rng(idx)`, on the raw trace for a single and on
+    /// its prefix's candidate for a composition `p → x`.
+    fn tree_candidate(engine: &MoodEngine, trace: &Trace, idx: usize) -> Trace {
+        let mut rng = engine.variant_rng(trace, idx);
+        match idx.checked_sub(engine.base.len()) {
+            None => engine.base[idx].protect(trace, &mut rng),
+            Some(k) => {
+                let (prefix, last) = engine.links[k];
+                engine.base[last].protect(&tree_candidate(engine, trace, prefix), &mut rng)
+            }
+        }
+    }
+
     /// The selection before bound-first search, kept as the oracle:
-    /// score every job in full, then take the minimum by distortion
-    /// (`total_cmp`), then job index.
+    /// build every candidate of `variants` as the tree defines it
+    /// ([`tree_candidate`]), score each in full, then take the minimum
+    /// by distortion (`total_cmp`), then variant index.
     pub(super) fn exhaustive_argmin(
         engine: &MoodEngine,
         trace: &Trace,
-        jobs: &[CandidateJob<'_>],
+        variants: Range<usize>,
     ) -> Option<ProtectedTrace> {
-        exec::map_indexed_with(
-            engine.executor.as_ref(),
-            jobs.len(),
-            || engine.scratch.take(),
-            |lease, i| engine.score_candidate(trace, jobs[i], lease.scratch_mut()),
-        )
-        .into_iter()
-        .enumerate()
-        .filter_map(|(i, verdict)| verdict.map(|p| (i, p)))
-        .min_by(|(ia, a), (ib, b)| {
-            a.distortion_m
-                .total_cmp(&b.distortion_m)
-                .then_with(|| ia.cmp(ib))
-        })
-        .map(|(_, p)| p)
+        let mut scratch = AttackScratch::new();
+        variants
+            .filter_map(|idx| {
+                let candidate = tree_candidate(engine, trace, idx);
+                let resists = engine
+                    .suite
+                    .protects_with(&candidate, trace.user(), &mut scratch);
+                resists.then(|| ProtectedTrace {
+                    distortion_m: spatio_temporal_distortion(trace, &candidate),
+                    trace: candidate,
+                    lppm: engine.variant_name(idx).to_string(),
+                })
+            })
+            .min_by(|a, b| a.distortion_m.total_cmp(&b.distortion_m))
     }
 
     /// Moves every record `dlat` degrees north: a deterministic LPPM
@@ -1593,15 +1759,18 @@ mod tests {
         let (bg, test) = mini_world();
         let engine = MoodEngine::paper_default(&bg);
         let trace = test.iter().next().unwrap();
-        // First batch warms the arena (one fresh allocation per worker
-        // slot); every later batch on the same worker starts from a
-        // recycled buffer.
+        // The first search warms the arena: a worker allocates one
+        // buffer per candidate it holds at once, and the single stage
+        // holds its candidates until one is resilient, since the
+        // composition stage extends them. Every later search on the
+        // same worker starts from recycled buffers.
+        let _ = engine.protect_user(trace);
+        let cold = engine.scratch_reuses();
         let _ = engine.protect_user(trace);
         let after_warmup = engine.scratch_reuses();
         assert!(
-            after_warmup > 0,
-            "a whole-user search runs several candidate batches; all but \
-             the first per worker must reuse the arena"
+            after_warmup > cold,
+            "a search after the warm-up must reuse the arena"
         );
         let _ = engine.protect_user(trace);
         assert!(
@@ -1626,7 +1795,7 @@ mod tests {
         );
         // ...and the shared raster cache must have served repeats: the
         // raw trace is rasterized by the suite's AP profile and again by
-        // every HMC-first candidate variant.
+        // the HMC single.
         assert!(
             engine.raster_cache_misses() > 0,
             "raster cache never populated"
@@ -1831,22 +2000,28 @@ mod tests {
             .lppms_shared(MoodEngine::paper_default(&bg).shared_lppms())
             .build()
             .unwrap();
-        let variants: Vec<&dyn Lppm> = engine
-            .base
-            .iter()
-            .map(|l| l as &dyn Lppm)
-            .chain(engine.compositions.iter().map(|c| c as &dyn Lppm))
-            .collect();
+        // The order the sequential executor settles candidates in: the
+        // singles, then each pair's subtree, depth first.
+        fn subtree(engine: &MoodEngine, idx: usize, order: &mut Vec<usize>) {
+            order.push(idx);
+            for next in engine.extensions(idx) {
+                subtree(engine, next, order);
+            }
+        }
+        let n = engine.base.len();
+        let singles: Vec<usize> = (0..n).collect();
+        let mut compositions = Vec::new();
+        for pair in (n..n + engine.compositions.len()).filter(|&c| engine.links[c - n].0 < n) {
+            subtree(&engine, pair, &mut compositions);
+        }
         let (mut judged, mut tried) = (0, 0);
         for trace in test.iter() {
-            let singles = 0..engine.base.len();
-            let compositions = engine.base.len()..variants.len();
-            for (stage, range) in [("single", singles), ("composition", compositions)] {
+            for (stage, order) in [("single", &singles), ("composition", &compositions)] {
                 // Predict from every candidate's full score.
                 let mut best: Option<(f64, usize)> = None;
                 let mut expected = 0;
-                for idx in range.clone() {
-                    let cand = variants[idx].protect(trace, &mut engine.variant_rng(trace, idx));
+                for &idx in order {
+                    let cand = tree_candidate(&engine, trace, idx);
                     let d = spatio_temporal_distortion(trace, &cand);
                     let can_win =
                         best.is_none_or(|(bd, bi)| d.total_cmp(&bd).then(idx.cmp(&bi)).is_lt());
@@ -1870,7 +2045,7 @@ mod tests {
                     trace.user()
                 );
                 judged += expected;
-                tried += range.len();
+                tried += order.len();
             }
         }
         assert!(
@@ -1907,5 +2082,168 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Forwards to `inner` and records the input of every application,
+    /// whichever apply method the caller uses.
+    struct Recording {
+        inner: Arc<dyn Lppm>,
+        inputs: Mutex<Vec<Trace>>,
+    }
+
+    impl Recording {
+        fn record(&self, input: &Trace) {
+            self.inputs.lock().unwrap().push(input.clone());
+        }
+    }
+
+    impl Lppm for Recording {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+
+        fn protect(&self, trace: &Trace, rng: &mut dyn RngCore) -> Trace {
+            self.record(trace);
+            self.inner.protect(trace, rng)
+        }
+
+        fn protect_into(&self, trace: &Trace, rng: &mut dyn RngCore, out: &mut Vec<Record>) {
+            self.record(trace);
+            self.inner.protect_into(trace, rng, out)
+        }
+
+        fn protect_into_with(
+            &self,
+            trace: &Trace,
+            rng: &mut dyn RngCore,
+            out: &mut Vec<Record>,
+            raster: &mut mood_models::TraceRaster,
+        ) {
+            self.record(trace);
+            self.inner.protect_into_with(trace, rng, out, raster)
+        }
+    }
+
+    #[test]
+    fn a_composition_search_applies_one_stage_per_candidate() {
+        let (bg, test) = mini_world();
+        let paper = MoodEngine::paper_default(&bg);
+        let recording: Vec<Arc<Recording>> = paper
+            .lppms()
+            .iter()
+            .map(|l| {
+                Arc::new(Recording {
+                    inner: Arc::clone(l),
+                    inputs: Mutex::new(Vec::new()),
+                })
+            })
+            .collect();
+        let engine = EngineBuilder::new(paper.shared_suite())
+            .lppms(recording.iter().map(|r| Arc::clone(r) as _).collect())
+            .build()
+            .unwrap();
+        let orphan = test
+            .iter()
+            .find(|t| paper.search_single(t).is_none())
+            .expect("a user that no single LPPM protects");
+        let check = |what: &str| {
+            let inputs: Vec<Vec<Trace>> = recording
+                .iter()
+                .map(|r| std::mem::take(&mut *r.inputs.lock().unwrap()))
+                .collect();
+            // 3 singles + 12 compositions, one stage each; applying each
+            // chain from the raw trace takes 3 + 30.
+            let stages: usize = inputs.iter().map(Vec::len).sum();
+            assert_eq!(stages, 15, "{what}");
+            for (r, inputs) in recording.iter().zip(&inputs) {
+                let on_raw = inputs.iter().filter(|t| *t == orphan).count();
+                assert_eq!(on_raw, 1, "{what}: {} on the raw trace", r.name());
+            }
+        };
+        let _ = engine.search_whole(orphan);
+        check("search_whole");
+        let _ = engine.search_composition(orphan);
+        check("search_composition");
+    }
+
+    #[test]
+    fn each_composition_extends_its_prefix_candidate() {
+        let executors = [
+            crate::ExecutorKind::Sequential.build(1),
+            crate::ExecutorKind::Persistent.build(2),
+            crate::ExecutorKind::Persistent.build(4),
+        ];
+        let mut composition_stages = 0;
+        for (bg, test) in both_presets() {
+            let base = MoodEngine::paper_default(&bg);
+            for executor in &executors {
+                let engine = EngineBuilder::new(base.shared_suite())
+                    .lppms_shared(base.shared_lppms())
+                    .executor(Arc::clone(executor))
+                    .build()
+                    .unwrap();
+                let n = engine.base.len();
+                let variants = n + engine.compositions.len();
+                for trace in test.iter().take(3) {
+                    let who = format!(
+                        "{} on {} x{}",
+                        trace.user(),
+                        executor.name(),
+                        executor.max_threads()
+                    );
+                    // The engine's own candidates, as its searches apply them.
+                    let seen = Mutex::new(vec![None; variants]);
+                    let record = |_: &mut CandidateScratch, idx: usize, c: &Trace| {
+                        let prev = seen.lock().unwrap()[idx].replace(c.clone());
+                        assert!(prev.is_none(), "variant {idx} applied twice");
+                        false
+                    };
+                    let singles = engine.apply_singles(trace, n, &record);
+                    engine.apply_compositions(trace, &singles, variants, &record);
+                    let seen: Vec<Trace> = seen
+                        .into_inner()
+                        .unwrap()
+                        .into_iter()
+                        .map(Option::unwrap)
+                        .collect();
+                    for (i, lppm) in engine.base.iter().enumerate() {
+                        let want = lppm.protect(trace, &mut engine.variant_rng(trace, i));
+                        assert_eq!(seen[i], want, "single {i} of {who}");
+                        assert_eq!(singles[i].as_ref(), Some(&want), "single {i} of {who}");
+                    }
+                    for (k, &(prefix, last)) in engine.links.iter().enumerate() {
+                        let idx = n + k;
+                        let x = &engine.base[last];
+                        let want = x.protect(&seen[prefix], &mut engine.variant_rng(trace, idx));
+                        assert_eq!(seen[idx], want, "{} of {who}", engine.variant_name(idx));
+                        assert_eq!(
+                            engine.variant_name(idx),
+                            format!("{}→{}", engine.variant_name(prefix), x.name())
+                        );
+                    }
+                }
+                // Alone, the composition stage equals the one inside the
+                // whole-trace search, which runs when no single protects.
+                for trace in test.iter() {
+                    let (single, singles) =
+                        engine.search_single_in(trace, &mut BudgetState::unlimited());
+                    if single.is_some() {
+                        continue;
+                    }
+                    let inside = engine.search_composition_in(
+                        trace,
+                        &singles,
+                        &mut BudgetState::unlimited(),
+                    );
+                    assert_eq!(engine.search_composition(trace), inside);
+                    assert_eq!(engine.search_whole(trace), inside.map(|p| (p, true)));
+                    composition_stages += 1;
+                }
+            }
+        }
+        assert!(
+            composition_stages > 0,
+            "no user reached the composition stage"
+        );
     }
 }

@@ -3,7 +3,7 @@
 //! Prints, per dataset, the number of users re-identified by the
 //! three-attack union and by AP-Attack alone, for each single mechanism.
 //! This is the tool used to calibrate the synthetic presets against the
-//! paper's Figures 2/6/7 (see DESIGN.md §3 and EXPERIMENTS.md).
+//! paper's Figures 2/6/7 (see the README's "Figures" section).
 //!
 //! Run with: `cargo run --release -p mood-lppm --example calib [scale]`
 

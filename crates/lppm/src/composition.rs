@@ -2,8 +2,7 @@ use std::sync::Arc;
 
 use rand::RngCore;
 
-use mood_models::TraceRaster;
-use mood_trace::{Record, Trace};
+use mood_trace::Trace;
 
 use crate::Lppm;
 
@@ -14,7 +13,13 @@ use crate::Lppm;
 /// ```
 ///
 /// The first mechanism in `parts` is applied first; order matters, just
-/// like function composition.
+/// like function composition. [`Lppm::protect`] runs the whole chain on
+/// the one RNG it is given: this is the API form of a composition.
+///
+/// MooD's engine does not apply a composition as one LPPM. It builds its
+/// candidates as a tree instead: composition `p → x` applies `x`, under
+/// its own RNG stream, to the candidate its prefix `p` already produced
+/// (see `mood_core::MoodEngine`).
 ///
 /// # Examples
 ///
@@ -85,78 +90,6 @@ impl Lppm for Composition {
         }
         current
     }
-
-    /// Chained [`Lppm::protect_into`]. Like every implementation of the
-    /// trait method, `out` is **cleared, then filled** — stale contents
-    /// of a recycled buffer never leak into (or get appended to) the
-    /// protected output, whichever mechanism runs last in the chain.
-    ///
-    /// ```
-    /// use std::sync::Arc;
-    /// use mood_lppm::{Composition, GeoI, Lppm, Trl};
-    /// use mood_synth::presets;
-    /// use rand::SeedableRng;
-    ///
-    /// let chain = Composition::new(vec![
-    ///     Arc::new(GeoI::paper_default()) as Arc<dyn Lppm>,
-    ///     Arc::new(Trl::paper_default()),
-    /// ]);
-    /// let ds = presets::privamov_like().scaled(0.1).generate();
-    /// let trace = ds.iter().next().unwrap();
-    ///
-    /// let mut r1 = rand::rngs::StdRng::seed_from_u64(5);
-    /// let expected = chain.protect(trace, &mut r1).into_records();
-    ///
-    /// // a dirty recycled buffer is replaced, not appended to
-    /// let mut out = vec![expected[0]; 7];
-    /// let mut r2 = rand::rngs::StdRng::seed_from_u64(5);
-    /// chain.protect_into(trace, &mut r2, &mut out);
-    /// assert_eq!(out, expected);
-    /// ```
-    fn protect_into(&self, trace: &Trace, rng: &mut dyn RngCore, out: &mut Vec<Record>) {
-        // Intermediate stages still build owned traces (each part needs
-        // a `&Trace` input), but the final — typically largest — stage
-        // writes into the caller's reusable buffer.
-        let (last, init) = self
-            .parts
-            .split_last()
-            .expect("compositions are never empty");
-        let mut current: Option<Trace> = None;
-        for part in init {
-            current = Some(part.protect(current.as_ref().unwrap_or(trace), rng));
-        }
-        last.protect_into(current.as_ref().unwrap_or(trace), rng, out);
-    }
-
-    /// Chained fast path: the shared rasterization cache is threaded
-    /// through **every** stage, so an HMC anywhere in the chain shares
-    /// rasterizations with the attack side (HMC-first chains re-raster
-    /// the raw trace the suite already scored).
-    fn protect_into_with(
-        &self,
-        trace: &Trace,
-        rng: &mut dyn RngCore,
-        out: &mut Vec<Record>,
-        raster: &mut TraceRaster,
-    ) {
-        let (last, init) = self
-            .parts
-            .split_last()
-            .expect("compositions are never empty");
-        let mut current: Option<Trace> = None;
-        let mut buf = Vec::new();
-        for part in init {
-            let input = current.as_ref().unwrap_or(trace);
-            part.protect_into_with(input, rng, &mut buf, raster);
-            // protect_into yields exactly protect's records (time-sorted),
-            // so rebuilding the trace is an identity pass
-            current = Some(
-                Trace::new(input.user(), std::mem::take(&mut buf))
-                    .expect("LPPMs never produce an empty trace"),
-            );
-        }
-        last.protect_into_with(current.as_ref().unwrap_or(trace), rng, out, raster);
-    }
 }
 
 /// Enumerates every ordered composition of distinct mechanisms from
@@ -199,42 +132,43 @@ pub fn enumerate_compositions(
     max_len: usize,
 ) -> Vec<Composition> {
     assert!(!base.is_empty(), "need at least one base LPPM");
+    arrangements(base.len(), min_len, max_len)
+        .into_iter()
+        .map(|chain| Composition::new(chain.iter().map(|&i| Arc::clone(&base[i])).collect()))
+        .collect()
+}
+
+/// The index form of [`enumerate_compositions`]: every ordered
+/// arrangement of distinct indices into `0..n` with length in
+/// `[min_len, max_len]`, in the same order (shorter first, then
+/// lexicographic).
+///
+/// # Panics
+///
+/// Panics when `min_len` is zero or `min_len > max_len`.
+pub fn arrangements(n: usize, min_len: usize, max_len: usize) -> Vec<Vec<usize>> {
     assert!(min_len >= 1, "min_len must be at least 1");
     assert!(min_len <= max_len, "min_len must not exceed max_len");
-    let max_len = max_len.min(base.len());
-    let mut out = Vec::new();
-    let mut stack: Vec<usize> = Vec::new();
-    // Depth-first enumeration of arrangements, emitting by length order:
-    // collect per length to keep "shorter first".
+    let max_len = max_len.min(n);
+    // Depth-first enumeration of arrangements, collected per length to
+    // keep "shorter first".
     let mut by_len: Vec<Vec<Vec<usize>>> = vec![Vec::new(); max_len + 1];
-    fn recurse(
-        base_len: usize,
-        max_len: usize,
-        stack: &mut Vec<usize>,
-        by_len: &mut Vec<Vec<Vec<usize>>>,
-    ) {
+    fn recurse(n: usize, max_len: usize, stack: &mut Vec<usize>, by_len: &mut [Vec<Vec<usize>>]) {
         if stack.len() == max_len {
             return;
         }
-        for i in 0..base_len {
+        for i in 0..n {
             if stack.contains(&i) {
                 continue;
             }
             stack.push(i);
             by_len[stack.len()].push(stack.clone());
-            recurse(base_len, max_len, stack, by_len);
+            recurse(n, max_len, stack, by_len);
             stack.pop();
         }
     }
-    recurse(base.len(), max_len, &mut stack, &mut by_len);
-    for arrangements in by_len.iter().take(max_len + 1).skip(min_len) {
-        for arrangement in arrangements {
-            out.push(Composition::new(
-                arrangement.iter().map(|&i| base[i].clone()).collect(),
-            ));
-        }
-    }
-    out
+    recurse(n, max_len, &mut Vec::new(), &mut by_len);
+    by_len.into_iter().skip(min_len).flatten().collect()
 }
 
 /// The size of the full composition space for `n` base LPPMs:

@@ -14,7 +14,7 @@ use crate::Lppm;
 ///
 /// HMC represents the trace as a heatmap, alters it to *look like another
 /// user's* (the **decoy**), and materializes the altered heatmap back
-/// into a trace. Our rendition (design rationale in DESIGN.md):
+/// into a trace. Our rendition:
 ///
 /// 1. the decoy is the background user whose heatmap has the smallest
 ///    Topsoe divergence from the trace's own heatmap (most confusable
@@ -74,14 +74,16 @@ struct HmcPlan {
     map: Vec<(CellId, CellId)>,
 }
 
-/// The candidate hot path applies HMC to the same trace many times (the
-/// raw trace heads five of the fifteen paper variants), and the decoy
-/// scan — a Topsoe pass over the whole background population — dominates
-/// each application. A handful of verified plans, plus a scratch heatmap
-/// reused across lookups, turns the repeats into a heatmap rebuild and
-/// an equality check. Lookups `try_lock`; on contention the plan is
-/// computed fresh — outputs are identical either way, only the reuse
-/// counter differs.
+/// The decoy scan — a Topsoe pass over the whole background population —
+/// dominates each application, and a plan depends only on the user and
+/// the heatmap. MooD's engine applies HMC to each raw (sub-)trace once,
+/// but a composition's prefix can leave a short sub-trace's heatmap
+/// unchanged (Geo-I noise that keeps every record in its cell), and then
+/// HMC meets a heatmap it has already planned for. A handful of verified
+/// plans, plus a scratch heatmap reused across lookups, turns the repeats
+/// into a heatmap rebuild and an equality check. Lookups `try_lock`; on
+/// contention the plan is computed fresh — outputs are identical either
+/// way, only the reuse counter differs.
 struct PlanCache {
     scratch: Heatmap,
     ranked_scratch: Vec<(CellId, f64)>,
@@ -360,9 +362,10 @@ impl Lppm for Hmc {
     }
 
     /// The native fast path: the cell sequence comes from (and warms)
-    /// the caller's shared rasterization cache, so scoring the same
-    /// trace afterwards — or protecting it under another HMC-first
-    /// variant — skips rasterization entirely.
+    /// the caller's shared rasterization cache, so an input the attack
+    /// side has already rasterized (the raw trace after the raw check)
+    /// skips rasterization, and so does scoring the same trace
+    /// afterwards.
     fn protect_into_with(
         &self,
         trace: &Trace,

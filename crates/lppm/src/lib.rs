@@ -26,7 +26,8 @@
 //! [`Composition`] applies several LPPMs in sequence (function
 //! composition, Eq. 3) and [`enumerate_compositions`] generates the full
 //! search space `C` of MooD's Multi-LPPM Composition Search
-//! (|C| = Σᵢ n!/(n−i)! = 15 for n = 3).
+//! (|C| = Σᵢ n!/(n−i)! = 15 for n = 3); [`arrangements`] is its index
+//! form, from which the engine builds its composition tree.
 //!
 //! Every mechanism is deterministic given its RNG, so whole experiment
 //! runs reproduce exactly.
@@ -42,7 +43,7 @@ pub mod lss;
 mod trl;
 
 pub use cloaking::SpatialCloaking;
-pub use composition::{composition_space_size, enumerate_compositions, Composition};
+pub use composition::{arrangements, composition_space_size, enumerate_compositions, Composition};
 pub use geo_i::GeoI;
 pub use hmc::Hmc;
 pub use trl::Trl;

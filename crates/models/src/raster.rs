@@ -4,8 +4,9 @@
 //! attacks).
 //!
 //! Candidate scoring rasterizes the same trace repeatedly: the raw trace
-//! is rasterized by the attack suite *and* by every HMC-first candidate
-//! variant, all on the paper's shared 800 m grid. [`TraceRaster`] keeps
+//! is rasterized by the attack suite's raw check *and* by the HMC single,
+//! and a candidate that HMC extends may still be cached from the suite's
+//! verdict on it, all on the paper's shared 800 m grid. [`TraceRaster`] keeps
 //! the last few `(grid, trace) → cells` results in per-worker scratch so
 //! those repeats become slice reuse.
 //!

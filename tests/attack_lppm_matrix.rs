@@ -2,8 +2,8 @@
 //! evaluation that must hold on the synthetic stand-ins.
 //!
 //! These tests run on a reduced privamov-like dataset (the paper's most
-//! vulnerable one) and assert *orderings*, not absolute numbers — the
-//! calibration contract documented in DESIGN.md §3.
+//! vulnerable one) and assert *orderings*, not absolute numbers, as the
+//! README's "Figures" section does for the figures.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -115,7 +115,7 @@ fn hmc_defeats_the_heatmap_attack_it_targets() {
     let hmc = Hmc::paper_default(&train);
     let protected = protect_all(&test, &hmc);
     let after = ap_suite.evaluate(&protected).non_protected_count();
-    // HMC at confusion 0.55 is deliberately imperfect (DESIGN.md); it
+    // HMC at confusion 0.55 is deliberately imperfect; it
     // must still remove at least a quarter of the AP re-identifications.
     assert!(
         after * 4 <= raw * 3 && after < raw,

@@ -1,6 +1,6 @@
 //! Whole-workspace determinism: identical seeds must reproduce identical
-//! datasets, protections and reports — the property every experiment in
-//! EXPERIMENTS.md relies on.
+//! datasets, protections and reports — the property every experiment of
+//! the README's "Figures" section relies on.
 
 use mood_core::{protect_dataset, publish, MoodEngine};
 use mood_synth::presets;

@@ -117,10 +117,33 @@ impl TrainedAttack for TrainedApAttack {
         true_user: UserId,
         scratch: &mut AttackScratch,
     ) -> bool {
+        self.decide(trace, true_user, scratch, Heatmap::topsoe_bounded)
+    }
+}
+
+impl TrainedApAttack {
+    /// [`TrainedAttack::reidentify_with`], scoring the query against a
+    /// profile exactly with `exact(query, profile, bound)`, which follows
+    /// [`Heatmap::topsoe_bounded`].
+    ///
+    /// The own profile and the hinted rival are scored as in every
+    /// attack. Only when neither decides does the scan begin: the set's
+    /// [`mood_models::HeatmapIndex`] then bounds every profile's score
+    /// from below in one pass over the query's cells, and a rival whose
+    /// bound exceeds `b*` answers `None` without the kernel, since its
+    /// score exceeds `b*` too.
+    fn decide(
+        &self,
+        trace: &Trace,
+        true_user: UserId,
+        scratch: &mut AttackScratch,
+        mut exact: impl FnMut(&Heatmap, &Heatmap, f64) -> Option<f64>,
+    ) -> bool {
         let AttackScratch {
             raster,
             heatmap,
             ap_beater,
+            ap_bounds,
             ..
         } = scratch;
         let cells = raster.cells(self.profiles.grid(), trace);
@@ -128,10 +151,25 @@ impl TrainedAttack for TrainedApAttack {
         if heatmap.is_empty() {
             return false; // predict abstains
         }
-        let profiles = self.profiles.heatmaps();
-        crate::scratch::true_user_wins(self.profiles.users(), true_user, ap_beater, |i, bound| {
-            heatmap.topsoe_bounded(&profiles[i], bound)
-        })
+        let (profiles, index) = (self.profiles.heatmaps(), self.profiles.index());
+        let mut bounded = false;
+        crate::scratch::true_user_wins(
+            self.profiles.users(),
+            true_user,
+            ap_beater,
+            |i, bound, scan| {
+                if scan {
+                    if !bounded {
+                        index.lower_bounds(heatmap, ap_bounds);
+                        bounded = true;
+                    }
+                    if ap_bounds[i] > bound {
+                        return None;
+                    }
+                }
+                exact(heatmap, &profiles[i], bound)
+            },
+        )
     }
 }
 
@@ -207,6 +245,41 @@ mod tests {
         )
         .unwrap();
         assert_eq!(trained.predict(&anon).scores.len(), 2);
+    }
+
+    /// The work the index saves, pinned: on a fleet of taxis, over raw
+    /// test traces and their one-day windows, the verdicts together
+    /// score at most a tenth of their rivals exactly (the unfiltered
+    /// scan scores every rival it reaches).
+    #[test]
+    fn index_filtered_verdicts_score_at_most_a_tenth_of_the_rivals_exactly() {
+        use mood_synth::presets;
+        let ds = presets::cabspotting_like().scaled(0.3).generate();
+        let (train, test) = ds.split_chronological(TimeDelta::from_days(15));
+        let trained = TrainedApAttack {
+            profiles: Arc::new(HeatmapSet::build(&train, 800.0)),
+        };
+        let windows = test.iter().flat_map(|t| t.windows(TimeDelta::from_days(1)));
+        let queries: Vec<Trace> = test.iter().cloned().chain(windows).collect();
+        let users = trained.profiles.users();
+        let mut scratch = AttackScratch::new();
+        let (mut exact, mut rivals, mut wins) = (0usize, 0usize, 0usize);
+        for trace in &queries {
+            let user = trace.user();
+            let verdict = trained.decide(trace, user, &mut scratch, |q, p, bound| {
+                exact += 1;
+                q.topsoe_bounded(p, bound)
+            });
+            assert_eq!(verdict, trained.re_identifies(trace, user));
+            wins += usize::from(verdict);
+            rivals += users.len() - usize::from(users.binary_search(&user).is_ok());
+        }
+        assert!(wins > 0, "no verdict ran a full scan");
+        assert!(
+            exact * 10 <= rivals,
+            "{exact} exact scores for {rivals} rivals over {} queries",
+            queries.len()
+        );
     }
 
     #[test]

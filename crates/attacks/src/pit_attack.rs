@@ -204,9 +204,14 @@ impl TrainedAttack for TrainedPitAttack {
             return false; // predict abstains
         }
         let (chains, centroids) = (self.profiles.chains(), self.profiles.centroids());
-        crate::scratch::true_user_wins(self.profiles.users(), true_user, pit_beater, |i, bound| {
-            stats_prox_bounded_soa(chain, &chains[i], &centroids[i], self.top_k, bound)
-        })
+        crate::scratch::true_user_wins(
+            self.profiles.users(),
+            true_user,
+            pit_beater,
+            |i, bound, _| {
+                stats_prox_bounded_soa(chain, &chains[i], &centroids[i], self.top_k, bound)
+            },
+        )
     }
 }
 

@@ -133,15 +133,20 @@ impl TrainedAttack for TrainedPoiAttack {
         }
         profile.weights_into(weights);
         let centroids = self.profiles.centroids();
-        crate::scratch::true_user_wins(self.profiles.users(), true_user, poi_beater, |i, bound| {
-            kernels::weighted_nearest_bounded(
-                profile.pois(),
-                weights,
-                &centroids[i],
-                Some(bound),
-                1.0,
-            )
-        })
+        crate::scratch::true_user_wins(
+            self.profiles.users(),
+            true_user,
+            poi_beater,
+            |i, bound, _| {
+                kernels::weighted_nearest_bounded(
+                    profile.pois(),
+                    weights,
+                    &centroids[i],
+                    Some(bound),
+                    1.0,
+                )
+            },
+        )
     }
 }
 

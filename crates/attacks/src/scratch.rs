@@ -41,11 +41,13 @@ pub(crate) type BeaterHint = Option<(UserId, usize)>;
 /// `reidentify_with`: does profile matching pick `true_user`?
 ///
 /// `users` is a profile set's **ascending** user slice; `score(i,
-/// bound)` scores profile `i` and may return `None` to signal "provably
-/// above `bound`" (exact pruning). The true user's profile is scored
-/// once, unbounded, giving `b*`; every other profile is then scored
-/// under the fixed bound `b*`, and the scan stops at the first one that
-/// beats it.
+/// bound, scan)` scores profile `i` and may return `None` to signal
+/// "provably above `bound`" (exact pruning). The true user's profile is
+/// scored once, unbounded, giving `b*`; every other profile is then
+/// scored under the fixed bound `b*`, and the scan stops at the first
+/// one that beats it. `scan` is `true` for the index-order scan's calls
+/// and `false` for the own profile and the hinted rival, so a scorer
+/// can defer work that only the scan needs (AP-Attack's index bounds).
 ///
 /// **Beater first.** When `hint` names a rival that beat `true_user`
 /// before, that rival is scored right after the own profile — the
@@ -70,25 +72,26 @@ pub(crate) fn true_user_wins(
     users: &[UserId],
     true_user: UserId,
     hint: &mut BeaterHint,
-    mut score: impl FnMut(usize, f64) -> Option<f64>,
+    mut score: impl FnMut(usize, f64, bool) -> Option<f64>,
 ) -> bool {
     let Ok(own) = users.binary_search(&true_user) else {
         return false;
     };
-    let Some(bound) = score(own, f64::INFINITY).filter(|d| d.is_finite()) else {
+    let Some(bound) = score(own, f64::INFINITY, false).filter(|d| d.is_finite()) else {
         return false;
     };
-    let mut beats = |i: usize| {
-        score(i, bound).is_some_and(|d| d.is_finite() && (d < bound || (d == bound && i < own)))
+    let mut beats = |i: usize, scan: bool| {
+        score(i, bound, scan)
+            .is_some_and(|d| d.is_finite() && (d < bound || (d == bound && i < own)))
     };
     let first = match *hint {
         Some((user, i)) if user == true_user && i != own && i < users.len() => Some(i),
         _ => None,
     };
-    if first.is_some_and(&mut beats) {
+    if first.is_some_and(|i| beats(i, false)) {
         return false;
     }
-    match (0..users.len()).find(|&i| i != own && Some(i) != first && beats(i)) {
+    match (0..users.len()).find(|&i| i != own && Some(i) != first && beats(i, true)) {
         Some(i) => {
             *hint = Some((true_user, i));
             false
@@ -159,6 +162,9 @@ pub struct AttackScratch {
     pub(crate) chain: MarkovChain,
     /// AP-Attack's beater hint for [`true_user_wins`].
     pub(crate) ap_beater: BeaterHint,
+    /// AP-Attack's index bounds, one per profile, filled when a decision
+    /// reaches the scan.
+    pub(crate) ap_bounds: Vec<f64>,
     /// POI-Attack's beater hint.
     pub(crate) poi_beater: BeaterHint,
     /// PIT-Attack's beater hint.
@@ -235,7 +241,7 @@ mod tests {
             &users(scores.len()),
             UserId::new(true_user),
             hint,
-            |i, bound| (scores[i] <= bound).then_some(scores[i]),
+            |i, bound, _| (scores[i] <= bound).then_some(scores[i]),
         )
     }
 
@@ -284,7 +290,7 @@ mod tests {
             &users(2),
             UserId::new(0),
             &mut None,
-            |_, _| None
+            |_, _, _| None
         ));
     }
 
@@ -298,7 +304,7 @@ mod tests {
         let scores = [2.0, 9.0, 5.0, 1.0, 0.5];
         let visits = |hint: &mut BeaterHint| {
             let mut scored = Vec::new();
-            let wins = true_user_wins(&users(5), UserId::new(4), hint, |i, bound| {
+            let wins = true_user_wins(&users(5), UserId::new(4), hint, |i, bound, _| {
                 scored.push(i);
                 Some(scores[i]).filter(|d| *d <= bound)
             });
@@ -314,6 +320,19 @@ mod tests {
         let mut stale = Some((UserId::new(4), 1));
         assert_eq!(visits(&mut stale), (false, vec![2, 1, 0]));
         assert_eq!(stale, Some((UserId::new(4), 0)));
+    }
+
+    #[test]
+    fn only_the_index_order_scan_is_flagged() {
+        let scores = [2.0, 9.0, 5.0, 1.0, 0.5];
+        let mut calls = Vec::new();
+        let mut stale = Some((UserId::new(4), 1));
+        true_user_wins(&users(5), UserId::new(4), &mut stale, |i, bound, scan| {
+            calls.push((i, scan));
+            Some(scores[i]).filter(|d| *d <= bound)
+        });
+        // the own profile, the hinted rival, then the scan
+        assert_eq!(calls, [(2, false), (1, false), (0, true)]);
     }
 
     /// A score drawn from a small palette, so ties (and non-finite

@@ -25,15 +25,17 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use mood_geo::Grid;
-use mood_models::{CentroidSoa, Heatmap, MarkovChain, PoiExtractor, PoiProfile};
+use mood_models::{CentroidSoa, Heatmap, HeatmapIndex, MarkovChain, PoiExtractor, PoiProfile};
 use mood_trace::{Dataset, UserId};
 
-/// Per-user AP-Attack heatmaps over one grid, in ascending-user order.
+/// Per-user AP-Attack heatmaps over one grid, in ascending-user order,
+/// plus the cell-postings index the verdict's bounds come from.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HeatmapSet {
     grid: Grid,
     users: Vec<UserId>,
     heatmaps: Vec<Heatmap>,
+    index: HeatmapIndex,
 }
 
 impl HeatmapSet {
@@ -56,6 +58,7 @@ impl HeatmapSet {
         Self {
             grid,
             users,
+            index: HeatmapIndex::build(&heatmaps),
             heatmaps,
         }
     }
@@ -73,6 +76,11 @@ impl HeatmapSet {
     /// Users, ascending, parallel to [`HeatmapSet::heatmaps`].
     pub fn users(&self) -> &[UserId] {
         &self.users
+    }
+
+    /// The cell-postings index over [`HeatmapSet::heatmaps`].
+    pub(crate) fn index(&self) -> &HeatmapIndex {
+        &self.index
     }
 
     /// Number of profiled users.

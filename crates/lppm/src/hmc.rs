@@ -1,10 +1,7 @@
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-
 use rand::{Rng, RngCore};
 
 use mood_geo::{CellId, Grid};
-use mood_models::{Heatmap, TraceRaster};
+use mood_models::{Heatmap, HeatmapIndex, TraceRaster};
 use mood_trace::{Dataset, Record, Trace, UserId};
 
 use crate::Lppm;
@@ -51,49 +48,11 @@ use crate::Lppm;
 pub struct Hmc {
     grid: Grid,
     population: Vec<(UserId, Heatmap)>,
+    /// Cell postings over `population`'s heatmaps: the decoy scan's
+    /// lower bounds.
+    index: HeatmapIndex,
     confusion: f64,
-    /// Verified cache of recent protection *plans* (decoy choice +
-    /// rank-matching cell map per `(user, own heatmap)`); see
-    /// [`PlanCache`].
-    plans: Mutex<PlanCache>,
-    plan_hits: AtomicU64,
-    plan_misses: AtomicU64,
 }
-
-/// One cached protection plan: everything derivable from the trace's own
-/// heatmap. The heatmap is stored so a hit can be **verified exactly**
-/// (same user, equal heatmap ⇒ same decoy and same rank map, because
-/// both are pure functions of them) — never keyed by fingerprint.
-struct HmcPlan {
-    user: UserId,
-    own: Heatmap,
-    /// Index into `population`, `None` when no decoy exists (the
-    /// single-user case: the trace passes through unchanged).
-    decoy_idx: Option<usize>,
-    /// Rank-matching cell map, sorted by source cell for binary search.
-    map: Vec<(CellId, CellId)>,
-}
-
-/// The decoy scan — a Topsoe pass over the whole background population —
-/// dominates each application, and a plan depends only on the user and
-/// the heatmap. MooD's engine applies HMC to each raw (sub-)trace once,
-/// but a composition's prefix can leave a short sub-trace's heatmap
-/// unchanged (Geo-I noise that keeps every record in its cell), and then
-/// HMC meets a heatmap it has already planned for. A handful of verified
-/// plans, plus a scratch heatmap reused across lookups, turns the repeats
-/// into a heatmap rebuild and an equality check. Lookups `try_lock`; on
-/// contention the plan is computed fresh — outputs are identical either
-/// way, only the reuse counter differs.
-struct PlanCache {
-    scratch: Heatmap,
-    ranked_scratch: Vec<(CellId, f64)>,
-    plans: Vec<HmcPlan>,
-    next_evict: usize,
-}
-
-/// How many plans stay resident: covers several users' candidate walks
-/// interleaving on one engine (pipeline workers share the `Hmc`).
-const PLAN_CAPACITY: usize = 8;
 
 impl Hmc {
     /// Creates an HMC mechanism over `grid`, imitating profiles drawn
@@ -114,22 +73,15 @@ impl Hmc {
             (0.0..=1.0).contains(&confusion),
             "confusion must be in [0, 1]"
         );
-        let population = background
+        let population: Vec<(UserId, Heatmap)> = background
             .iter()
             .map(|t| (t.user(), Heatmap::from_trace(&grid, t)))
             .collect();
         Self {
             grid,
+            index: HeatmapIndex::build(population.iter().map(|(_, hm)| hm)),
             population,
             confusion,
-            plans: Mutex::new(PlanCache {
-                scratch: Heatmap::new(),
-                ranked_scratch: Vec::new(),
-                plans: Vec::new(),
-                next_evict: 0,
-            }),
-            plan_hits: AtomicU64::new(0),
-            plan_misses: AtomicU64::new(0),
         }
     }
 
@@ -162,136 +114,95 @@ impl Hmc {
             .map(|i| (self.population[i].0, &self.population[i].1))
     }
 
-    /// Protection plans served from the verified cache so far (decoy
-    /// scan and rank-map construction skipped).
-    pub fn plan_cache_hits(&self) -> u64 {
-        self.plan_hits.load(Ordering::Relaxed)
-    }
-
-    /// Protection plans computed fresh so far (cache miss or lock
-    /// contention).
-    pub fn plan_cache_misses(&self) -> u64 {
-        self.plan_misses.load(Ordering::Relaxed)
-    }
-
     /// Index of the decoy in `population` for a trace of `user` with
-    /// heatmap `own` — the pure function the plan cache memoizes.
-    ///
-    /// The Topsoe arg-min over non-self users, first minimum on ties
-    /// (undefined divergences count as ∞). Later profiles are pruned
-    /// under the running best: Topsoe partial sums are monotone, so a
-    /// pruned profile scores above it, and only a strictly smaller
-    /// score replaces it.
+    /// heatmap `own`: the Topsoe arg-min over non-self users, first
+    /// minimum on ties (undefined divergences count as ∞).
     fn decoy_for(&self, user: UserId, own: &Heatmap) -> Option<usize> {
-        let mut others = self
-            .population
-            .iter()
-            .enumerate()
-            .filter(|(_, (u, _))| *u != user);
-        let (first, (_, hm)) = others.next()?;
+        self.decoy_with(user, own, Heatmap::topsoe_bounded)
+    }
+
+    /// [`Hmc::decoy_for`], scoring a profile exactly with
+    /// `exact(own, profile, bound)`, which follows
+    /// [`Heatmap::topsoe_bounded`]: `None` when the score is undefined
+    /// or provably above `bound`.
+    ///
+    /// The index bounds every profile's score from below in one pass
+    /// over `own`'s cells. The profile with the smallest bound is scored
+    /// first, and every other one only when its bound does not exceed
+    /// the running best, under that best as its pruning bound. A
+    /// skipped or pruned profile scores above the best, so it could
+    /// neither win nor tie; a tie goes to the lower index whatever the
+    /// visiting order, which keeps the first-minimum rule.
+    fn decoy_with(
+        &self,
+        user: UserId,
+        own: &Heatmap,
+        mut exact: impl FnMut(&Heatmap, &Heatmap, f64) -> Option<f64>,
+    ) -> Option<usize> {
+        let others = || (0..self.population.len()).filter(move |&i| self.population[i].0 != user);
+        let first = others().next()?;
         if own.is_empty() {
             return Some(first); // every divergence is ∞
         }
-        let mut best = (first, own.topsoe(hm).unwrap_or(f64::INFINITY));
-        for (i, (_, hm)) in others {
-            if let Some(d) = own.topsoe_bounded(hm, best.1) {
-                if d < best.1 {
-                    best = (i, d);
-                }
+        let mut bounds = Vec::new();
+        self.index.lower_bounds(own, &mut bounds);
+        let seed = others()
+            .min_by(|&a, &b| bounds[a].total_cmp(&bounds[b]))
+            .unwrap_or(first);
+        let profile = |i: usize| &self.population[i].1;
+        let mut best = (
+            seed,
+            exact(own, profile(seed), f64::INFINITY).unwrap_or(f64::INFINITY),
+        );
+        for i in others() {
+            if i == seed || bounds[i] > best.1 {
+                continue;
+            }
+            let d = match exact(own, profile(i), best.1) {
+                Some(d) => d,
+                // undefined: ∞, which ties an ∞ best
+                None if best.1 == f64::INFINITY => f64::INFINITY,
+                None => continue,
+            };
+            if d < best.1 || (d == best.1 && i < best.0) {
+                best = (i, d);
             }
         }
         Some(best.0)
     }
 
-    /// Builds the rank-matching cell map from `own` onto the decoy: own
-    /// k-th hottest cell → decoy k-th hottest cell (wrapping when the
-    /// decoy has fewer cells). `map` comes back sorted by source cell;
-    /// `ranked` is a reusable ranking buffer.
-    fn build_rank_map(
-        &self,
-        own: &Heatmap,
-        decoy_idx: Option<usize>,
-        ranked: &mut Vec<(CellId, f64)>,
-        map: &mut Vec<(CellId, CellId)>,
-    ) {
-        map.clear();
-        let Some(decoy_idx) = decoy_idx else { return };
+    /// The rank-matching cell map from `own` onto the decoy: own k-th
+    /// hottest cell → decoy k-th hottest cell (wrapping when the decoy
+    /// has fewer cells), sorted by source cell.
+    fn rank_map(&self, own: &Heatmap, decoy_idx: Option<usize>) -> Vec<(CellId, CellId)> {
+        let Some(decoy_idx) = decoy_idx else {
+            return Vec::new();
+        };
         let decoy_ranked = self.population[decoy_idx].1.ranked_cells();
         if decoy_ranked.is_empty() {
-            return;
+            return Vec::new();
         }
-        own.ranked_cells_into(ranked);
-        map.extend(
-            ranked
-                .iter()
-                .enumerate()
-                .map(|(k, (cell, _))| (*cell, decoy_ranked[k % decoy_ranked.len()].0)),
-        );
+        let mut map: Vec<(CellId, CellId)> = own
+            .ranked_cells()
+            .iter()
+            .enumerate()
+            .map(|(k, (cell, _))| (*cell, decoy_ranked[k % decoy_ranked.len()].0))
+            .collect();
         map.sort_by_key(|e| e.0);
+        map
     }
 
     /// The shared protection body: given the trace's pre-rasterized cell
-    /// sequence, resolve the plan (cached or fresh) and rebuild the
-    /// records run by run into `out`.
+    /// sequence, plan (decoy and rank map) and rebuild the records run
+    /// by run into `out`.
     fn apply(&self, trace: &Trace, cells: &[CellId], rng: &mut dyn RngCore, out: &mut Vec<Record>) {
         out.clear();
         out.reserve(trace.len());
-        match self.plans.try_lock() {
-            Ok(mut guard) => {
-                let cache = &mut *guard;
-                let mut own = std::mem::take(&mut cache.scratch);
-                own.rebuild_from_cells(cells);
-                if let Some(i) = cache
-                    .plans
-                    .iter()
-                    .position(|p| p.user == trace.user() && p.own == own)
-                {
-                    self.plan_hits.fetch_add(1, Ordering::Relaxed);
-                    let plan = &cache.plans[i];
-                    self.rebuild_records(trace, cells, plan.decoy_idx, &plan.map, rng, out);
-                    cache.scratch = own;
-                    return;
-                }
-                self.plan_misses.fetch_add(1, Ordering::Relaxed);
-                let decoy_idx = self.decoy_for(trace.user(), &own);
-                let slot = if cache.plans.len() < PLAN_CAPACITY {
-                    cache.plans.push(HmcPlan {
-                        user: trace.user(),
-                        own: Heatmap::new(),
-                        decoy_idx,
-                        map: Vec::new(),
-                    });
-                    cache.plans.len() - 1
-                } else {
-                    let slot = cache.next_evict;
-                    cache.next_evict = (cache.next_evict + 1) % PLAN_CAPACITY;
-                    cache.plans[slot].user = trace.user();
-                    cache.plans[slot].decoy_idx = decoy_idx;
-                    slot
-                };
-                let mut ranked = std::mem::take(&mut cache.ranked_scratch);
-                let mut map = std::mem::take(&mut cache.plans[slot].map);
-                self.build_rank_map(&own, decoy_idx, &mut ranked, &mut map);
-                self.rebuild_records(trace, cells, decoy_idx, &map, rng, out);
-                cache.plans[slot].map = map;
-                cache.ranked_scratch = ranked;
-                // the plan stores (and so verifies against) the exact
-                // heatmap it was derived from; the old buffer becomes
-                // the next lookup's scratch
-                cache.scratch = std::mem::replace(&mut cache.plans[slot].own, own);
-            }
-            Err(_) => {
-                // Contended or poisoned: compute the plan fresh. Same
-                // output, no blocking on the hot path.
-                let mut own = Heatmap::new();
-                own.rebuild_from_cells(cells);
-                let decoy_idx = self.decoy_for(trace.user(), &own);
-                self.plan_misses.fetch_add(1, Ordering::Relaxed);
-                let (mut ranked, mut map) = (Vec::new(), Vec::new());
-                self.build_rank_map(&own, decoy_idx, &mut ranked, &mut map);
-                self.rebuild_records(trace, cells, decoy_idx, &map, rng, out);
-            }
-        }
+        let mut own = Heatmap::new();
+        own.rebuild_from_cells(cells);
+        let decoy_idx = self.decoy_for(trace.user(), &own);
+        let map = self.rank_map(&own, decoy_idx);
+        self.rebuild_records(trace, cells, decoy_idx, &map, rng, out);
     }
 
     /// Rebuilds the trace run by run: each maximal run of consecutive
@@ -488,7 +399,7 @@ mod tests {
     }
 
     #[test]
-    fn fast_path_is_byte_identical_and_hits_the_plan_cache() {
+    fn fast_path_is_byte_identical_and_hits_the_raster_cache() {
         let hmc = Hmc::paper_default(&background());
         let traces = [
             dwell_trace(1, 46.161, 6.061, 40),
@@ -505,17 +416,15 @@ mod tests {
                 assert_eq!(out.as_slice(), expected.records(), "round {round}");
             }
         }
-        // repeats of the same (user, heatmap) pairs reuse cached plans
-        // and cached rasterizations
-        assert!(hmc.plan_cache_hits() > 0, "no plan-cache hits");
+        // repeats of the same traces reuse cached rasterizations
         assert!(raster.hits() > 0, "no raster hits");
     }
 
     #[test]
-    fn plan_cache_distinguishes_equal_heatmaps_of_different_users() {
+    fn equal_heatmaps_of_different_users_get_different_decoys() {
         // user 1 and user 9 dwell at the SAME spot: identical heatmaps,
         // but user 9's decoy may be user 1's profile while user 1 must
-        // skip itself — the cache must key on the user too.
+        // skip itself.
         let mut bg = background();
         bg.insert(dwell_trace(9, 46.16, 6.06, 60)).unwrap();
         let hmc = Hmc::paper_default(&bg);
@@ -526,7 +435,8 @@ mod tests {
         let (d9, _) = hmc.choose_decoy(&t9).unwrap();
         assert_eq!(d1, UserId::new(9));
         assert_eq!(d9, UserId::new(1));
-        // warm the cache with t1, then protect t9: same heatmap, other user
+        // protect t1, then t9: same heatmap, other user, and the output
+        // a fresh `Hmc` gives
         let mut r = StdRng::seed_from_u64(3);
         let _ = hmc.protect(&t1, &mut r);
         let p9 = hmc.protect(&t9, &mut r);
@@ -611,6 +521,111 @@ mod tests {
                 assert_eq!(decoy_oracle(&hmc, user, &own), expected);
             }
         }
+    }
+
+    /// An `Hmc` over `heatmaps`, for users `1, 2, …` in order.
+    fn with_population(heatmaps: Vec<Heatmap>) -> Hmc {
+        let population: Vec<(UserId, Heatmap)> = (1..).map(UserId::new).zip(heatmaps).collect();
+        let grid = Grid::new(
+            mood_geo::BoundingBox::new(46.1, 46.3, 6.0, 6.3).unwrap(),
+            800.0,
+        )
+        .unwrap();
+        Hmc {
+            grid,
+            index: HeatmapIndex::build(population.iter().map(|(_, hm)| hm)),
+            population,
+            confusion: 0.5,
+        }
+    }
+
+    /// A count-valued heatmap over a 4-column patch of cells.
+    fn counts(cells: &[(u32, u32)]) -> Heatmap {
+        let mut hm = Heatmap::new();
+        for &(k, c) in cells {
+            hm.add(
+                CellId {
+                    row: k / 4,
+                    col: k % 4,
+                },
+                f64::from(c),
+            );
+        }
+        hm
+    }
+
+    proptest::proptest! {
+        // The filtered scan against the full one over small, overlapping
+        // populations: duplicated heatmaps (exact ties), an own heatmap
+        // copied from the population or empty, populations whose every
+        // score is undefined (the first non-self index must win, though
+        // cells of zero mass give those profiles different bounds), and
+        // one-user populations.
+        #[test]
+        fn filtered_decoy_scan_equals_the_full_scan(
+            maps in proptest::collection::vec(
+                proptest::collection::vec((0u32..16, 1u32..6), 0..8), 1..8),
+            copies in proptest::collection::vec(0usize..8, 0..4),
+            own in proptest::collection::vec((0u32..16, 1u32..6), 0..8),
+            own_copy in 0usize..16,
+            undefined in 0u8..4,
+            user in 0u64..14,
+        ) {
+            let massless = |m: &[(u32, u32)]| -> Vec<(u32, u32)> {
+                m.iter().map(|&(k, _)| (k, 0)).collect()
+            };
+            let mut heatmaps: Vec<Heatmap> = maps
+                .iter()
+                .map(|m| if undefined == 0 { counts(&massless(m)) } else { counts(m) })
+                .collect();
+            for &k in &copies {
+                heatmaps.push(heatmaps[k % heatmaps.len()].clone());
+            }
+            let own = match heatmaps.get(own_copy) {
+                Some(hm) if undefined != 0 => hm.clone(),
+                _ => counts(&own),
+            };
+            let hmc = with_population(heatmaps);
+            let user = UserId::new(user);
+            for own in [&own, &Heatmap::new()] {
+                proptest::prop_assert_eq!(
+                    hmc.decoy_for(user, own),
+                    decoy_oracle(&hmc, user, own)
+                );
+            }
+        }
+    }
+
+    /// The work the index saves, pinned: on a fleet of taxis, over raw
+    /// test traces and their one-day windows, the decoy scan scores at
+    /// most a tenth of its rivals exactly (the full scan scores all).
+    #[test]
+    fn filtered_decoy_scan_scores_at_most_a_tenth_of_the_rivals_exactly() {
+        use mood_synth::presets;
+        let ds = presets::cabspotting_like().scaled(0.3).generate();
+        let (bg, test) = ds.split_chronological(TimeDelta::from_days(15));
+        let hmc = Hmc::paper_default(&bg);
+        let windows = test.iter().flat_map(|t| t.windows(TimeDelta::from_days(1)));
+        let queries: Vec<Trace> = test.iter().cloned().chain(windows).collect();
+        let (mut exact, mut rivals) = (0usize, 0usize);
+        for trace in &queries {
+            let own = Heatmap::from_trace(hmc.grid(), trace);
+            let decoy = hmc.decoy_with(trace.user(), &own, |q, p, bound| {
+                exact += 1;
+                q.topsoe_bounded(p, bound)
+            });
+            assert_eq!(decoy, decoy_oracle(&hmc, trace.user(), &own));
+            rivals += hmc
+                .population
+                .iter()
+                .filter(|(u, _)| *u != trace.user())
+                .count();
+        }
+        assert!(
+            exact * 10 <= rivals,
+            "{exact} exact scores for {rivals} rivals over {} queries",
+            queries.len()
+        );
     }
 
     #[test]

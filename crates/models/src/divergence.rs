@@ -1,8 +1,8 @@
 //! Divergences between sparse probability distributions.
 //!
 //! AP-Attack compares heatmaps with the **Topsoe divergence** (Endres &
-//! Schindelin 2003, the paper's \[13\]); Jensen–Shannon and KL are provided
-//! for completeness and for tests that cross-check Topsoe = 2·JS.
+//! Schindelin 2003, the paper's \[13\]), twice the Jensen–Shannon
+//! divergence; KL is provided for completeness.
 //!
 //! Distributions are sparse maps from an ordered key to a non-negative
 //! mass; they do not need to be normalized — every function normalizes
@@ -41,15 +41,6 @@ pub fn kl<K: Ord + Copy>(p: &BTreeMap<K, f64>, q: &BTreeMap<K, f64>) -> Option<f
         }
     }
     Some(sum)
-}
-
-/// Jensen–Shannon divergence: `JS(P, Q) = ½ KL(P ‖ M) + ½ KL(Q ‖ M)` with
-/// `M = (P + Q)/2`. Always finite, symmetric, bounded by `ln 2`.
-///
-/// Returns `None` when either distribution is empty or has non-positive
-/// total mass.
-pub fn jensen_shannon<K: Ord + Copy>(p: &BTreeMap<K, f64>, q: &BTreeMap<K, f64>) -> Option<f64> {
-    topsoe(p, q).map(|t| t / 2.0)
 }
 
 /// Topsoe divergence (the paper's heatmap distance, ref. \[13\]):
@@ -228,7 +219,8 @@ fn matched_term(pv: f64, qv: f64) -> f64 {
 
 /// Relative and absolute safety margin of [`matched_lower_bound`]:
 /// `m = 2⁻⁴⁰`, some 2¹² times the rounding error of either formula.
-const BOUND_MARGIN: f64 = 1.0 / (1u64 << 40) as f64;
+/// [`crate::HeatmapIndex`] scales it by the number of terms it sums.
+pub(crate) const BOUND_MARGIN: f64 = 1.0 / (1u64 << 40) as f64;
 
 /// Range of `p + q` in which [`matched_lower_bound`] computes its
 /// bound: inside it no intermediate overflows and the absolute margin
@@ -429,15 +421,6 @@ mod tests {
     }
 
     #[test]
-    fn topsoe_is_twice_js() {
-        let p = dist(&[(0, 0.5), (1, 0.2), (2, 0.3)]);
-        let q = dist(&[(0, 0.1), (1, 0.8), (3, 0.1)]);
-        let t = topsoe(&p, &q).unwrap();
-        let js = jensen_shannon(&p, &q).unwrap();
-        assert!((t - 2.0 * js).abs() < 1e-12);
-    }
-
-    #[test]
     fn kl_zero_for_identical() {
         let p = dist(&[(0, 0.4), (1, 0.6)]);
         assert!(kl(&p, &p).unwrap().abs() < 1e-12);
@@ -620,12 +603,6 @@ mod proptests {
         #[test]
         fn topsoe_self_is_zero(p in arb_dist()) {
             prop_assert!(topsoe(&p, &p).unwrap() < 1e-12);
-        }
-
-        #[test]
-        fn js_bounded_by_ln2(p in arb_dist(), q in arb_dist()) {
-            let js = jensen_shannon(&p, &q).unwrap();
-            prop_assert!((0.0..=LN_2 + 1e-9).contains(&js));
         }
 
         // The BTreeMap entry point (its own totals and normalization)

@@ -276,6 +276,12 @@ impl Heatmap {
         &self.weights
     }
 
+    /// The normalized masses, parallel to [`Heatmap::keys`]: what the
+    /// Topsoe kernel reads.
+    pub(crate) fn normalized(&self) -> &[f64] {
+        &self.norm
+    }
+
     /// The raw per-cell counts as `(cell, count)` pairs, sorted by cell.
     pub fn cell_entries(&self) -> impl Iterator<Item = (CellId, f64)> + '_ {
         self.keys.iter().copied().zip(self.weights.iter().copied())

@@ -14,9 +14,12 @@
 //!   AP-Attack.
 //!
 //! The [`divergence`] module provides the underlying f64 distribution
-//! distances (KL, Jensen–Shannon, Topsoe), including the sorted-slice
-//! merge walk with **best-bound pruning** (and its logarithm-free
-//! lower-bound pass) the candidate hot path uses.
+//! distances (KL, Topsoe), including the sorted-slice merge walk with
+//! **best-bound pruning** (and its logarithm-free lower-bound pass) the
+//! candidate hot path uses. [`HeatmapIndex`] bounds a query's Topsoe
+//! divergence from every profile of a set in one pass over the query's
+//! cells, so profile scans run that walk only where the bound leaves a
+//! profile in contention.
 //!
 //! Every model supports a scratch-reuse path for allocation-free hot
 //! loops: [`Heatmap::rebuild_from_cells`],
@@ -32,12 +35,14 @@
 
 pub mod divergence;
 mod heatmap;
+mod heatmap_index;
 pub mod kernels;
 mod mmc;
 mod poi;
 mod raster;
 
 pub use heatmap::Heatmap;
+pub use heatmap_index::HeatmapIndex;
 pub use kernels::CentroidSoa;
 pub use mmc::MarkovChain;
 pub use poi::{Poi, PoiExtractor, PoiProfile, Stay};

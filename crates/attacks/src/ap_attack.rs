@@ -144,6 +144,7 @@ impl TrainedApAttack {
             heatmap,
             ap_beater,
             ap_bounds,
+            ap_credits,
             ..
         } = scratch;
         let cells = raster.cells(self.profiles.grid(), trace);
@@ -160,7 +161,7 @@ impl TrainedApAttack {
             |i, bound, scan| {
                 if scan {
                     if !bounded {
-                        index.lower_bounds(heatmap, ap_bounds);
+                        index.lower_bounds_with(heatmap, ap_bounds, ap_credits);
                         bounded = true;
                     }
                     if ap_bounds[i] > bound {
@@ -259,6 +260,10 @@ mod tests {
         let trained = TrainedApAttack {
             profiles: Arc::new(HeatmapSet::build(&train, 800.0)),
         };
+        assert!(
+            trained.profiles.index().hot_rows() > 0,
+            "the scan must run on hot rows"
+        );
         let windows = test.iter().flat_map(|t| t.windows(TimeDelta::from_days(1)));
         let queries: Vec<Trace> = test.iter().cloned().chain(windows).collect();
         let users = trained.profiles.users();

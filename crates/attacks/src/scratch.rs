@@ -165,6 +165,8 @@ pub struct AttackScratch {
     /// AP-Attack's index bounds, one per profile, filled when a decision
     /// reaches the scan.
     pub(crate) ap_bounds: Vec<f64>,
+    /// The `f32` accumulator of the index's hot rows behind `ap_bounds`.
+    pub(crate) ap_credits: Vec<f32>,
     /// POI-Attack's beater hint.
     pub(crate) poi_beater: BeaterHint,
     /// PIT-Attack's beater hint.

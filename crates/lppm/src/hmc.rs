@@ -51,6 +51,9 @@ pub struct Hmc {
     /// Cell postings over `population`'s heatmaps: the decoy scan's
     /// lower bounds.
     index: HeatmapIndex,
+    /// Each population profile's cells, hottest first (ties by cell):
+    /// the decoy side of the rank map.
+    ranked: Vec<Vec<CellId>>,
     confusion: f64,
 }
 
@@ -77,9 +80,24 @@ impl Hmc {
             .iter()
             .map(|t| (t.user(), Heatmap::from_trace(&grid, t)))
             .collect();
+        Self::over(grid, population, confusion)
+    }
+
+    /// An HMC imitating `population`'s profiles: indexes them and ranks
+    /// each one's cells once, for every decoy scan and rank map to come.
+    fn over(grid: Grid, population: Vec<(UserId, Heatmap)>, confusion: f64) -> Self {
         Self {
             grid,
             index: HeatmapIndex::build(population.iter().map(|(_, hm)| hm)),
+            ranked: population
+                .iter()
+                .map(|(_, hm)| {
+                    hm.ranked_cells()
+                        .into_iter()
+                        .map(|(cell, _)| cell)
+                        .collect()
+                })
+                .collect(),
             population,
             confusion,
         }
@@ -144,8 +162,8 @@ impl Hmc {
         if own.is_empty() {
             return Some(first); // every divergence is ∞
         }
-        let mut bounds = Vec::new();
-        self.index.lower_bounds(own, &mut bounds);
+        let (mut bounds, mut credits) = (Vec::new(), Vec::new());
+        self.index.lower_bounds_with(own, &mut bounds, &mut credits);
         let seed = others()
             .min_by(|&a, &b| bounds[a].total_cmp(&bounds[b]))
             .unwrap_or(first);
@@ -173,12 +191,12 @@ impl Hmc {
 
     /// The rank-matching cell map from `own` onto the decoy: own k-th
     /// hottest cell → decoy k-th hottest cell (wrapping when the decoy
-    /// has fewer cells), sorted by source cell.
+    /// has fewer cells), sorted by source cell. Only `own`'s cells are
+    /// ranked here; the decoy's ranking was stored with the population.
     fn rank_map(&self, own: &Heatmap, decoy_idx: Option<usize>) -> Vec<(CellId, CellId)> {
-        let Some(decoy_idx) = decoy_idx else {
+        let Some(decoy_ranked) = decoy_idx.map(|i| &self.ranked[i]) else {
             return Vec::new();
         };
-        let decoy_ranked = self.population[decoy_idx].1.ranked_cells();
         if decoy_ranked.is_empty() {
             return Vec::new();
         }
@@ -186,7 +204,7 @@ impl Hmc {
             .ranked_cells()
             .iter()
             .enumerate()
-            .map(|(k, (cell, _))| (*cell, decoy_ranked[k % decoy_ranked.len()].0))
+            .map(|(k, (cell, _))| (*cell, decoy_ranked[k % decoy_ranked.len()]))
             .collect();
         map.sort_by_key(|e| e.0);
         map
@@ -531,12 +549,7 @@ mod tests {
             800.0,
         )
         .unwrap();
-        Hmc {
-            grid,
-            index: HeatmapIndex::build(population.iter().map(|(_, hm)| hm)),
-            population,
-            confusion: 0.5,
-        }
+        Hmc::over(grid, population, 0.5)
     }
 
     /// A count-valued heatmap over a 4-column patch of cells.
@@ -605,6 +618,7 @@ mod tests {
         let ds = presets::cabspotting_like().scaled(0.3).generate();
         let (bg, test) = ds.split_chronological(TimeDelta::from_days(15));
         let hmc = Hmc::paper_default(&bg);
+        assert!(hmc.index.hot_rows() > 0, "the scan must run on hot rows");
         let windows = test.iter().flat_map(|t| t.windows(TimeDelta::from_days(1)));
         let queries: Vec<Trace> = test.iter().cloned().chain(windows).collect();
         let (mut exact, mut rivals) = (0usize, 0usize);

@@ -332,15 +332,6 @@ impl Heatmap {
         self.top_cells(self.keys.len())
     }
 
-    /// Writes the full hottest-first ranking into `out` (cleared first),
-    /// reusing its buffer — the scratch twin of
-    /// [`Heatmap::ranked_cells`].
-    pub fn ranked_cells_into(&self, out: &mut Vec<(CellId, f64)>) {
-        out.clear();
-        out.extend(self.cell_entries());
-        Self::rank(out);
-    }
-
     fn rank(v: &mut [(CellId, f64)]) {
         v.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
     }
@@ -589,9 +580,6 @@ mod tests {
         // tie between (0,0) and (2,2) broken by cell order
         assert_eq!(top[1].0, CellId { row: 0, col: 0 });
         assert_eq!(top[2].0, CellId { row: 2, col: 2 });
-        let mut ranked = vec![(CellId { row: 7, col: 7 }, 1.0)];
-        hm.ranked_cells_into(&mut ranked);
-        assert_eq!(ranked, hm.ranked_cells());
     }
 
     #[test]

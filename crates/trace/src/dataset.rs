@@ -150,61 +150,6 @@ impl Dataset {
         (train, test)
     }
 
-    /// Restricts each trace to the most active `days`-day window of the
-    /// *dataset* (the consecutive window maximizing total record count,
-    /// evaluated at day granularity, paper §4.2). Users with no records in
-    /// the window are dropped. Returns `None` when the dataset is empty.
-    pub fn most_active_window(&self, days: i64) -> Option<Dataset> {
-        assert!(days > 0, "days must be positive");
-        if self.traces.is_empty() {
-            return None;
-        }
-        let start = self
-            .traces
-            .values()
-            .map(|t| t.start_time())
-            .min()
-            .expect("non-empty");
-        let end = self
-            .traces
-            .values()
-            .map(|t| t.end_time())
-            .max()
-            .expect("non-empty");
-        let total_days = (end.since(start).as_secs() / 86_400 + 1).max(1);
-        // Count records per day index.
-        let mut per_day = vec![0usize; total_days as usize];
-        for t in self.traces.values() {
-            for r in t.records() {
-                let d = (r.time().since(start).as_secs() / 86_400) as usize;
-                per_day[d] += 1;
-            }
-        }
-        // Slide a `days`-wide window and pick the densest start.
-        let w = (days as usize).min(per_day.len());
-        let mut best_start = 0usize;
-        let mut window_sum: usize = per_day[..w].iter().sum();
-        let mut best_sum = window_sum;
-        for s in 1..=(per_day.len() - w) {
-            window_sum = window_sum - per_day[s - 1] + per_day[s + w - 1];
-            if window_sum > best_sum {
-                best_sum = window_sum;
-                best_start = s;
-            }
-        }
-        let win_start = start.offset(TimeDelta::from_days(best_start as i64));
-        let win_end = win_start.offset(TimeDelta::from_days(days));
-        let mut out = Dataset::new();
-        for t in self.traces.values() {
-            let records = t.records_between(win_start, win_end).to_vec();
-            if !records.is_empty() {
-                out.insert(Trace::from_sorted(t.user(), records).expect("slice stays sorted"))
-                    .expect("unique users preserved");
-            }
-        }
-        Some(out)
-    }
-
     /// Earliest record timestamp in the dataset, or `None` when empty.
     pub fn start_time(&self) -> Option<Timestamp> {
         self.traces.values().map(Trace::start_time).min()
@@ -316,29 +261,6 @@ mod tests {
         assert_eq!(train.user_count(), 1);
         assert_eq!(test.user_count(), 1);
         assert!(train.get(UserId::new(2)).is_none());
-    }
-
-    #[test]
-    fn most_active_window_picks_dense_days() {
-        // user 1: sparse on days 0-9, dense on days 10-12
-        let mut records = Vec::new();
-        for d in 0..10 {
-            records.push(rec(46.0, 6.0, d * 86_400));
-        }
-        for d in 10..13 {
-            for h in 0..24 {
-                records.push(rec(46.0, 6.0, d * 86_400 + h * 3600));
-            }
-        }
-        let ds = Dataset::from_traces([Trace::new(UserId::new(1), records).unwrap()]).unwrap();
-        let win = ds.most_active_window(3).unwrap();
-        let t = win.get(UserId::new(1)).unwrap();
-        assert_eq!(t.len(), 72);
-    }
-
-    #[test]
-    fn most_active_window_empty_dataset() {
-        assert!(Dataset::new().most_active_window(30).is_none());
     }
 
     #[test]

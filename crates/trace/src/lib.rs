@@ -17,8 +17,8 @@
 //!   (MooD publishes sub-traces under pseudonyms, §3.4);
 //! * [`TraceStore`](store::TraceStore) — compressed, chunked storage for
 //!   corpora whose decoded form exceeds RAM ([`store`]);
-//! * CSV and JSON input/output ([`io`]), including streaming ingestion
-//!   straight into a store ([`io::stream_csv`]).
+//! * CSV input/output ([`io`]), including streaming ingestion straight
+//!   into a store ([`io::stream_csv`]).
 //!
 //! # Examples
 //!

@@ -82,19 +82,9 @@ impl TimeDelta {
         self.0
     }
 
-    /// The span in fractional hours.
-    pub fn as_hours_f64(&self) -> f64 {
-        self.0 as f64 / 3600.0
-    }
-
     /// Absolute value of the span.
     pub fn abs(&self) -> TimeDelta {
         TimeDelta(self.0.abs())
-    }
-
-    /// Half of this span (truncating).
-    pub fn halved(&self) -> TimeDelta {
-        TimeDelta(self.0 / 2)
     }
 }
 
@@ -164,14 +154,6 @@ impl Record {
             time: self.time,
         }
     }
-
-    /// A copy of this record at a different instant, same position.
-    pub fn with_time(&self, time: Timestamp) -> Record {
-        Record {
-            point: self.point,
-            time,
-        }
-    }
 }
 
 impl std::fmt::Display for Record {
@@ -224,10 +206,6 @@ mod tests {
         assert_eq!(h - h, TimeDelta::from_secs(0));
         assert_eq!(h * 24, TimeDelta::from_days(1));
         assert_eq!(TimeDelta::from_secs(-30).abs(), TimeDelta::from_secs(30));
-        assert_eq!(
-            TimeDelta::from_hours(24).halved(),
-            TimeDelta::from_hours(12)
-        );
     }
 
     #[test]
@@ -236,11 +214,6 @@ mod tests {
         assert_eq!(TimeDelta::from_hours(4).to_string(), "4h");
         assert_eq!(TimeDelta::from_secs(90).to_string(), "90s");
         assert_eq!(TimeDelta::from_hours(-4).to_string(), "-4h");
-    }
-
-    #[test]
-    fn delta_as_hours() {
-        assert!((TimeDelta::from_mins(90).as_hours_f64() - 1.5).abs() < 1e-12);
     }
 
     #[test]
@@ -253,9 +226,6 @@ mod tests {
         let moved = r.with_point(q);
         assert_eq!(moved.point(), q);
         assert_eq!(moved.time(), r.time());
-        let shifted = r.with_time(Timestamp::from_unix(100));
-        assert_eq!(shifted.point(), p);
-        assert_eq!(shifted.time().as_unix(), 100);
     }
 
     #[test]

@@ -244,21 +244,6 @@ impl Trace {
         }
     }
 
-    /// A new trace keeping every `step`-th record (≥ 1), always retaining
-    /// the first record. Used to build scaled-down workloads.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `step` is zero.
-    pub fn subsampled(&self, step: usize) -> Trace {
-        assert!(step > 0, "step must be positive");
-        let records: Vec<Record> = self.records.iter().copied().step_by(step).collect();
-        Trace {
-            user: self.user,
-            records,
-        }
-    }
-
     /// Concatenates several fragments of the *same* user into one trace.
     ///
     /// # Errors
@@ -624,14 +609,6 @@ mod tests {
         assert_cursor_matches(&t, &[600, 150, 150, 899, 201, 100, 5_000, 250, -1]);
         // A one-record trace answers its only point everywhere.
         assert_cursor_matches(&walk(1, 60), &[-10, 0, 10, 5, -3]);
-    }
-
-    #[test]
-    fn subsample_keeps_first() {
-        let t = walk(10, 60);
-        let s = t.subsampled(3);
-        assert_eq!(s.len(), 4); // indices 0,3,6,9
-        assert_eq!(s.records()[0], t.records()[0]);
     }
 
     #[test]

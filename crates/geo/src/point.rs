@@ -71,6 +71,7 @@ impl GeoPoint {
     /// Returns [`GeoError::InvalidLatitude`] when `lat ∉ [-90, 90]` or is
     /// not finite, and [`GeoError::InvalidLongitude`] when
     /// `lng ∉ [-180, 180]` or is not finite.
+    #[inline]
     pub fn new(lat: f64, lng: f64) -> Result<Self> {
         if !lat.is_finite() || !(-90.0..=90.0).contains(&lat) {
             return Err(GeoError::InvalidLatitude(lat));

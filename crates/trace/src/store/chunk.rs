@@ -28,9 +28,14 @@ use mood_geo::GeoPoint;
 
 use crate::{Record, Timestamp};
 
-/// Little-endian bit-stream writer; values are packed LSB-first.
+#[cfg(test)]
+mod oracle;
+
+/// Little-endian bit-stream writer: values are packed LSB-first into a
+/// 64-bit accumulator that flushes a whole word at a time.
 struct BitWriter {
     bytes: Vec<u8>,
+    /// Pending bits, LSB-first; only the low `nbits` (< 64) are set.
     acc: u64,
     nbits: u32,
 }
@@ -44,45 +49,48 @@ impl BitWriter {
         }
     }
 
-    /// Appends the low `n` bits of `bits` (`n <= 64`).
+    /// Appends the low `n` bits of `bits` (`n <= 64`; the bits above
+    /// them must be zero).
     fn push(&mut self, bits: u64, n: u32) {
-        if n > 32 {
-            self.push_raw(bits & 0xFFFF_FFFF, 32);
-            self.push_raw(bits >> 32, n - 32);
-        } else {
-            self.push_raw(bits, n);
-        }
-    }
-
-    fn push_raw(&mut self, bits: u64, n: u32) {
-        debug_assert!(n <= 32 && (n == 32 || bits >> n == 0));
+        debug_assert!(n <= 64 && (n == 64 || bits >> n == 0));
         self.acc |= bits << self.nbits;
-        self.nbits += n;
-        while self.nbits >= 8 {
-            self.bytes.push((self.acc & 0xff) as u8);
-            self.acc >>= 8;
-            self.nbits -= 8;
+        let total = self.nbits + n;
+        if total >= 64 {
+            self.bytes.extend_from_slice(&self.acc.to_le_bytes());
+            // The bits of `bits` that did not fit. Shifting in two steps
+            // keeps each shift below 64 when the accumulator was empty.
+            self.acc = (bits >> 1) >> (63 - self.nbits);
+            self.nbits = total - 64;
+        } else {
+            self.nbits = total;
         }
     }
 
+    /// The stream's bytes: the flushed words, then the `ceil(nbits / 8)`
+    /// bytes that hold the pending bits.
     fn finish(mut self) -> Vec<u8> {
-        if self.nbits > 0 {
-            self.bytes.push((self.acc & 0xff) as u8);
-        }
+        let tail = self.nbits.div_ceil(8) as usize;
+        self.bytes
+            .extend_from_slice(&self.acc.to_le_bytes()[..tail]);
         self.bytes.shrink_to_fit();
         self.bytes
     }
 }
 
-/// Reader matching [`BitWriter`]'s packing.
+/// Reader matching [`BitWriter`]'s packing, refilled a word at a time.
 ///
 /// # Panics
 ///
 /// Panics on truncated input — chunks are only decoded from buffers
 /// this module produced, so truncation is a logic error, not bad data.
+/// The reader never reads past its slice.
 struct BitReader<'a> {
     bytes: &'a [u8],
+    /// Next byte to load into `acc`.
     pos: usize,
+    /// Buffered bits, LSB-first. The low `nbits` are the stream's next
+    /// bits; above them sit zeros or the bits of `bytes[pos..]`, so
+    /// loading those bytes again ORs in bits already there.
     acc: u64,
     nbits: u32,
 }
@@ -97,28 +105,83 @@ impl<'a> BitReader<'a> {
         }
     }
 
-    /// Reads the next `n` bits (`n <= 64`).
+    /// Buffers at least 56 bits, or every bit left in the slice. Needs
+    /// `nbits < 56`.
+    fn refill(&mut self) {
+        debug_assert!(self.nbits < 56);
+        let rest = &self.bytes[self.pos..];
+        let word = match rest.first_chunk::<8>() {
+            Some(word) => u64::from_le_bytes(*word),
+            None => tail_word(rest),
+        };
+        self.acc |= word << self.nbits;
+        // Whole bytes that fit above the buffered bits, and exist.
+        let take = ((63 - self.nbits) as usize / 8).min(rest.len());
+        self.pos += take;
+        self.nbits += take as u32 * 8;
+    }
+
+    /// Drops the next `n` buffered bits (`n < 64`).
+    fn consume(&mut self, n: u32) {
+        assert!(n <= self.nbits, "truncated chunk");
+        self.acc >>= n;
+        self.nbits -= n;
+    }
+
+    /// Reads the next `n` bits (`n <= 56`).
+    fn read_short(&mut self, n: u32) -> u64 {
+        if self.nbits < n {
+            self.refill();
+        }
+        let v = self.acc & ((1u64 << n) - 1);
+        self.consume(n);
+        v
+    }
+
+    /// Reads the next `n` bits (`n <= 64`); more than 56 take two reads.
     fn read(&mut self, n: u32) -> u64 {
-        if n > 32 {
-            let lo = self.read_raw(32);
-            lo | (self.read_raw(n - 32) << 32)
+        if n > 56 {
+            let lo = self.read_short(32);
+            lo | self.read_short(n - 32) << 32
         } else {
-            self.read_raw(n)
+            self.read_short(n)
         }
     }
 
-    fn read_raw(&mut self, n: u32) -> u64 {
-        debug_assert!(n <= 32);
-        while self.nbits < n {
-            self.acc |= u64::from(self.bytes[self.pos]) << self.nbits;
-            self.pos += 1;
-            self.nbits += 8;
+    /// Reads one residual written by [`write_residual`], taking its
+    /// 1 + 6-bit header in one step.
+    #[inline(always)]
+    fn read_residual(&mut self) -> i64 {
+        if self.nbits < 56 {
+            self.refill();
         }
-        let v = self.acc & ((1u64 << n) - 1);
-        self.acc >>= n;
-        self.nbits -= n;
-        v
+        let head = self.acc;
+        if head & 1 == 0 {
+            self.consume(1);
+            return 0;
+        }
+        let len = (head >> 1 & 0x3f) as u32 + 1;
+        let z = if len + 6 <= self.nbits {
+            // Header and body are both buffered: one shift drops both.
+            let body = head >> 7 & ((1u64 << (len - 1)) - 1);
+            self.acc >>= len + 6;
+            self.nbits -= len + 6;
+            body
+        } else {
+            self.consume(7);
+            self.read(len - 1)
+        };
+        unzigzag(z | 1u64 << (len - 1))
     }
+}
+
+/// The chunk's last 1–7 bytes (or none) as a zero-padded little-endian
+/// word, read one byte at a time.
+#[cold]
+fn tail_word(rest: &[u8]) -> u64 {
+    rest.iter()
+        .rev()
+        .fold(0, |word, &b| word << 8 | u64::from(b))
 }
 
 /// Maps a signed residual to its unsigned bit payload (zigzag).
@@ -132,27 +195,24 @@ fn unzigzag(v: u64) -> i64 {
 }
 
 /// Writes one zigzagged residual: `0` for zero, else `1` + 6-bit
-/// length-minus-one + the value's bits below the implied leading one.
+/// length-minus-one + the value's bits below the implied leading one,
+/// in one push when the whole field fits a word.
+#[inline(always)]
 fn write_residual(out: &mut BitWriter, v: i64) {
     let z = zigzag(v);
     if z == 0 {
         out.push(0, 1);
+        return;
+    }
+    let len = 64 - z.leading_zeros();
+    let head = 1 | u64::from(len - 1) << 1;
+    let body = z ^ (1u64 << (len - 1));
+    if len <= 58 {
+        out.push(head | body << 7, len + 6);
     } else {
-        let len = 64 - z.leading_zeros();
-        out.push(1, 1);
-        out.push(u64::from(len - 1), 6);
-        out.push(z ^ (1u64 << (len - 1)), len - 1);
+        out.push(head, 7);
+        out.push(body, len - 1);
     }
-}
-
-/// Inverse of [`write_residual`].
-fn read_residual(input: &mut BitReader<'_>) -> i64 {
-    if input.read(1) == 0 {
-        return 0;
-    }
-    let len = input.read(6) as u32 + 1;
-    let z = input.read(len - 1) | (1u64 << (len - 1));
-    unzigzag(z)
 }
 
 /// A compressed block of one user's records plus its record count and
@@ -259,9 +319,9 @@ impl TraceChunk {
         let mut lat_delta = 0i64;
         let mut lng_delta = 0i64;
         for _ in 1..self.count {
-            ts_delta = ts_delta.wrapping_add(read_residual(&mut bits));
-            lat_delta = lat_delta.wrapping_add(read_residual(&mut bits));
-            lng_delta = lng_delta.wrapping_add(read_residual(&mut bits));
+            ts_delta = ts_delta.wrapping_add(bits.read_residual());
+            lat_delta = lat_delta.wrapping_add(bits.read_residual());
+            lng_delta = lng_delta.wrapping_add(bits.read_residual());
             ts = ts.wrapping_add(ts_delta);
             lat = lat.wrapping_add(lat_delta as u64);
             lng = lng.wrapping_add(lng_delta as u64);
@@ -294,6 +354,7 @@ impl TraceChunk {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     fn rec(lat: f64, lng: f64, t: i64) -> Record {
         Record::new(GeoPoint::new(lat, lng).unwrap(), Timestamp::from_unix(t))
@@ -391,7 +452,7 @@ mod tests {
         let bytes = bits.finish();
         let mut reader = BitReader::new(&bytes);
         for v in values {
-            assert_eq!(read_residual(&mut reader), v);
+            assert_eq!(reader.read_residual(), v);
         }
     }
 
@@ -406,5 +467,191 @@ mod tests {
         assert_eq!(reader.read(64), u64::MAX);
         assert_eq!(reader.read(3), 0b101);
         assert_eq!(reader.read(63), u64::MAX >> 1);
+    }
+
+    /// The low `n` bits of `x` (`n <= 64`).
+    fn low_bits(x: u64, n: u32) -> u64 {
+        x & u64::MAX.checked_shr(64 - n).unwrap_or(0)
+    }
+
+    /// A residual whose zigzag image is `len` bits long (0: the zero
+    /// residual), with the bits below its leading one taken from `seed`.
+    fn residual_of_len(len: u32, seed: u64) -> i64 {
+        if len == 0 {
+            return 0;
+        }
+        unzigzag(1u64 << (len - 1) | low_bits(seed, len - 1))
+    }
+
+    #[test]
+    fn every_width_at_every_offset_matches_the_byte_oracle() {
+        let pattern = 0x9e37_79b9_7f4a_7c15u64;
+        for offset in 0..64u32 {
+            for len in 0..=64u32 {
+                let prefix = low_bits(pattern.rotate_left(offset), offset);
+                let raw = low_bits(pattern.rotate_left(len), len);
+                let v = residual_of_len(len, pattern.rotate_right(offset + len));
+                let mut new = BitWriter::with_capacity(0);
+                let mut old = oracle::ByteWriter::new();
+                new.push(prefix, offset);
+                old.push(prefix, offset);
+                write_residual(&mut new, v);
+                oracle::write_residual(&mut old, v);
+                new.push(raw, len);
+                old.push(raw, len);
+                new.push(0b1011, 4);
+                old.push(0b1011, 4);
+                let bytes = new.finish();
+                assert_eq!(bytes, old.finish(), "offset {offset}, length {len}");
+
+                let mut reader = BitReader::new(&bytes);
+                assert_eq!(reader.read(offset), prefix);
+                assert_eq!(reader.read_residual(), v, "offset {offset}, length {len}");
+                assert_eq!(reader.read(len), raw, "offset {offset}, width {len}");
+                assert_eq!(reader.read(4), 0b1011);
+                let mut oracle = oracle::ByteReader::new(&bytes);
+                assert_eq!(oracle.read(offset), prefix);
+                assert_eq!(oracle::read_residual(&mut oracle), v);
+            }
+        }
+    }
+
+    /// Records with 64-bit residuals (sign flips, timestamp extremes), so
+    /// the word reader splits reads, beside short and zero ones.
+    fn varied_records() -> Vec<Record> {
+        vec![
+            rec(46.2, 6.1, 0),
+            rec(-46.2, -6.1, i64::MAX),
+            rec(90.0, 180.0, i64::MIN),
+            rec(-0.0, 0.0, 600),
+            rec(f64::from_bits(1), -180.0, 600),
+            rec(46.2, 6.1, 1_200),
+            rec(46.2000001, 6.1000001, 1_800),
+            rec(-90.0, -0.0, -5),
+            rec(12.5, 99.25, 1 << 40),
+            rec(12.5, 99.25, 1 << 40),
+        ]
+    }
+
+    #[test]
+    fn truncated_chunks_panic_on_both_readers() {
+        let records = varied_records();
+        let chunk = TraceChunk::encode(&records);
+        assert_eq!(chunk.bytes, oracle::encode(&records));
+        for cut in 0..chunk.bytes.len() {
+            let truncated = TraceChunk {
+                bytes: chunk.bytes[..cut].to_vec(),
+                ..chunk.clone()
+            };
+            let new = catch_unwind(AssertUnwindSafe(|| {
+                let mut out = Vec::new();
+                truncated.decode_into(&mut out);
+                out
+            }));
+            assert!(
+                new.is_err(),
+                "cut at {cut} of {} bytes decoded",
+                chunk.bytes.len()
+            );
+            let old = catch_unwind(|| oracle::decode(&chunk.bytes[..cut], records.len()));
+            assert!(old.is_err(), "oracle decoded a cut at {cut}");
+        }
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// A value in `[-limit, limit]` chosen by `kind` so residuals reach
+    /// every length: uniform draws, the edges ±0.0 and ±limit and their
+    /// neighbouring ulps, the previous value with its sign flipped (its
+    /// bit image moves by about 2⁶³), a few ulps from it, the same value
+    /// again, or GPS-like motion.
+    fn coordinate(kind: u64, raw: u64, prev: f64, limit: f64) -> f64 {
+        let ulps = raw % 4;
+        let unit = (raw >> 11) as f64 / (1u64 << 53) as f64;
+        match kind % 6 {
+            0 => unit * 2.0 * limit - limit,
+            1 => {
+                let edge = [0.0, -0.0, limit, -limit][(raw >> 2) as usize % 4];
+                if edge == 0.0 {
+                    // Away from zero, into the subnormals.
+                    f64::from_bits(edge.to_bits() + ulps)
+                } else {
+                    // Toward zero, inside the range.
+                    f64::from_bits(edge.to_bits() - ulps)
+                }
+            }
+            2 => -prev,
+            3 => {
+                let bits = prev.to_bits();
+                let stepped = f64::from_bits(if raw & 4 == 0 {
+                    bits.wrapping_add(ulps)
+                } else {
+                    bits.wrapping_sub(ulps)
+                });
+                if stepped.abs() <= limit {
+                    stepped
+                } else {
+                    prev
+                }
+            }
+            4 => prev,
+            _ => (prev + (unit - 0.5) * 1e-3).clamp(-limit, limit),
+        }
+    }
+
+    /// A timestamp chosen by `kind`: near `i64::MIN` or `i64::MAX`, a
+    /// regular step or a duplicate of the previous one, or any `i64`.
+    fn timestamp(kind: u64, raw: u64, prev: i64) -> i64 {
+        match kind % 5 {
+            0 => i64::MIN + (raw % 1024) as i64,
+            1 => i64::MAX - (raw % 1024) as i64,
+            2 => prev.wrapping_add(30),
+            3 => raw as i64,
+            _ => prev,
+        }
+    }
+
+    /// Chunks of 1..=600 records over the whole valid range.
+    fn arb_full_range_records() -> impl Strategy<Value = Vec<Record>> {
+        let draw = 0u64..u64::MAX;
+        collection::vec((draw.clone(), draw.clone(), draw.clone(), draw), 1..601).prop_map(
+            |draws| {
+                let (mut lat, mut lng, mut t) = (0.0f64, 0.0f64, 0i64);
+                draws
+                    .into_iter()
+                    .map(|(kinds, lat_raw, lng_raw, t_raw)| {
+                        lat = coordinate(kinds, lat_raw, lat, 90.0);
+                        lng = coordinate(kinds >> 8, lng_raw, lng, 180.0);
+                        t = timestamp(kinds >> 16, t_raw, t);
+                        Record::new(GeoPoint::new(lat, lng).unwrap(), Timestamp::from_unix(t))
+                    })
+                    .collect()
+            },
+        )
+    }
+
+    fn assert_same_bits(got: &[Record], want: &[Record]) {
+        assert_eq!(got.len(), want.len());
+        for (a, b) in got.iter().zip(want) {
+            assert_eq!(a.time(), b.time());
+            assert_eq!(a.point().lat().to_bits(), b.point().lat().to_bits());
+            assert_eq!(a.point().lng().to_bits(), b.point().lng().to_bits());
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn codec_matches_byte_oracle_over_full_range(records in arb_full_range_records()) {
+            let chunk = TraceChunk::encode(&records);
+            prop_assert_eq!(&chunk.bytes, &oracle::encode(&records));
+            let mut back = Vec::new();
+            chunk.decode_into(&mut back);
+            assert_same_bits(&back, &records);
+            assert_same_bits(&oracle::decode(&chunk.bytes, records.len()), &records);
+        }
     }
 }

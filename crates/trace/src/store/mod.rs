@@ -188,7 +188,13 @@ fn seal_slot(slot: &mut UserSlot) -> usize {
 /// ```
 pub struct TraceStore {
     config: StoreConfig,
-    users: BTreeMap<UserId, UserSlot>,
+    /// Each user's index into `slots`, in user order.
+    users: BTreeMap<UserId, usize>,
+    /// Per-user state in first-append order; a slot never moves.
+    slots: Vec<UserSlot>,
+    /// The last appended user and its slot: consecutive appends of one
+    /// user form a run, and a run costs one map lookup.
+    run: Option<(UserId, usize)>,
     cache: Mutex<DecodedCache>,
     appends: u64,
     resorts: u64,
@@ -213,6 +219,8 @@ impl TraceStore {
         TraceStore {
             config,
             users: BTreeMap::new(),
+            slots: Vec::new(),
+            run: None,
             cache: Mutex::new(DecodedCache::new(config.cache_budget_bytes)),
             appends: 0,
             resorts: 0,
@@ -242,7 +250,8 @@ impl TraceStore {
     /// Appends one record to `user`'s trace. Records may arrive in any
     /// order; out-of-order users are globally re-sorted at
     /// [`TraceStore::finish`] so decoded traces always match
-    /// [`Trace::new`] bit-for-bit.
+    /// [`Trace::new`] bit-for-bit. A run of consecutive appends by one
+    /// user costs one user lookup.
     ///
     /// # Panics
     ///
@@ -251,7 +260,19 @@ impl TraceStore {
         assert!(!self.finished, "append after finish()");
         self.appends += 1;
         let appends = self.appends;
-        let slot = self.users.entry(user).or_insert_with(UserSlot::new);
+        let index = match self.run {
+            Some((u, index)) if u == user => index,
+            _ => {
+                let next = self.slots.len();
+                let index = *self.users.entry(user).or_insert(next);
+                if index == next {
+                    self.slots.push(UserSlot::new());
+                }
+                self.run = Some((user, index));
+                index
+            }
+        };
+        let slot = &mut self.slots[index];
         if slot.max_sealed_time.is_some_and(|m| record.time() < m) {
             slot.dirty = true;
         }
@@ -274,7 +295,7 @@ impl TraceStore {
     fn sweep_cold(&mut self, interval: u64) {
         let threshold = self.appends.saturating_sub(interval);
         let mut freed = 0usize;
-        for slot in self.users.values_mut() {
+        for slot in &mut self.slots {
             if slot.last_append <= threshold && !slot.buffer.is_empty() {
                 freed += seal_slot(slot);
                 slot.buffer.shrink_to_fit();
@@ -292,7 +313,7 @@ impl TraceStore {
         }
         let seal_records = self.config.seal_records.max(1);
         let mut freed = 0usize;
-        for slot in self.users.values_mut() {
+        for slot in &mut self.slots {
             if !slot.buffer.is_empty() {
                 freed += seal_slot(slot);
             }
@@ -330,7 +351,7 @@ impl TraceStore {
 
     /// Total records across all users.
     pub fn record_count(&self) -> usize {
-        self.users.values().map(UserSlot::record_count).sum()
+        self.slots.iter().map(UserSlot::record_count).sum()
     }
 
     /// The user IDs present, ascending (same order as
@@ -340,8 +361,7 @@ impl TraceStore {
     }
 
     fn slot(&self, user: UserId) -> &UserSlot {
-        assert!(self.finished, "TraceStore reads require finish()");
-        self.users.get(&user).expect("unknown user in TraceStore")
+        &self.slots[*self.users.get(&user).expect("unknown user in TraceStore")]
     }
 
     fn decode_slot(&self, user: UserId, slot: &UserSlot) -> Trace {
@@ -360,6 +380,7 @@ impl TraceStore {
     ///
     /// Panics for unknown users or before [`TraceStore::finish`].
     pub fn trace(&self, user: UserId) -> Arc<Trace> {
+        assert!(self.finished, "TraceStore reads require finish()");
         let slot = self.slot(user);
         if let Some(hit) = self.cache.lock().expect("store cache lock").get(user) {
             return hit;
@@ -380,14 +401,14 @@ impl TraceStore {
         Dataset::from_traces(
             self.users
                 .iter()
-                .map(|(user, slot)| self.decode_slot(*user, slot)),
+                .map(|(&user, &index)| self.decode_slot(user, &self.slots[index])),
         )
         .expect("store users are unique")
     }
 
     /// Atomic snapshot of the store's counters and gauges.
     pub fn stats(&self) -> StoreStats {
-        let (chunks, encoded_bytes) = self.users.values().fold((0usize, 0usize), |(n, b), s| {
+        let (chunks, encoded_bytes) = self.slots.iter().fold((0usize, 0usize), |(n, b), s| {
             (
                 n + s.chunks.len(),
                 b + s
@@ -447,7 +468,8 @@ mod tests {
     }
 
     fn chunk_lens(store: &TraceStore, user: u64) -> Vec<usize> {
-        store.users[&UserId::new(user)]
+        store
+            .slot(UserId::new(user))
             .chunks
             .iter()
             .map(TraceChunk::len)
@@ -556,11 +578,11 @@ mod tests {
             store.append(UserId::new(1), rec(46.1, 6.1, i));
         }
         // The sweep at append 64 found user 9 active within its window.
-        assert_eq!(store.users[&UserId::new(9)].buffer.len(), 3);
+        assert_eq!(store.slot(UserId::new(9)).buffer.len(), 3);
         store.append(UserId::new(1), rec(46.1, 6.1, 124));
         // The sweep at append 128 sealed user 9's buffer even though it
         // is below seal_records.
-        assert!(store.users[&UserId::new(9)].buffer.is_empty());
+        assert!(store.slot(UserId::new(9)).buffer.is_empty());
         assert_eq!(chunk_lens(&store, 9), vec![3]);
         store.finish();
         assert_eq!(store.trace(UserId::new(9)).len(), 3);
@@ -687,6 +709,35 @@ mod proptests {
         })
     }
 
+    /// Appends of a few users in runs of random length, as a CSV reader
+    /// would see them: most runs continue their user's clock (with
+    /// duplicate timestamps), some go back in time.
+    fn arb_interleaved() -> impl Strategy<Value = Vec<(UserId, Record)>> {
+        proptest::collection::vec((0u64..6, 1usize..40, 0i64..4, 0i64..50_000), 1..30).prop_map(
+            |runs| {
+                let mut clock = [0i64; 6];
+                let mut arrivals = Vec::new();
+                for (user, len, step, start) in runs {
+                    for i in 0..len as i64 {
+                        let t = if step == 0 {
+                            start - i * 7
+                        } else {
+                            clock[user as usize] += (step - 1) * 30;
+                            clock[user as usize]
+                        };
+                        let point = GeoPoint::new(46.0 + user as f64 * 0.01 + i as f64 * 1e-5, 6.0)
+                            .unwrap();
+                        arrivals.push((
+                            UserId::new(user),
+                            Record::new(point, Timestamp::from_unix(t)),
+                        ));
+                    }
+                }
+                arrivals
+            },
+        )
+    }
+
     proptest! {
         #[test]
         fn chunk_roundtrip_is_bit_exact(records in arb_records()) {
@@ -713,6 +764,48 @@ mod proptests {
             store.finish();
             let expected = Trace::new(UserId::new(5), records).unwrap();
             prop_assert_eq!(&*store.trace(UserId::new(5)), &expected);
+        }
+
+        #[test]
+        fn interleaved_users_match_trace_new(arrivals in arb_interleaved()) {
+            let mut by_user: BTreeMap<UserId, Vec<Record>> = BTreeMap::new();
+            for &(user, r) in &arrivals {
+                by_user.entry(user).or_default().push(r);
+            }
+            let expected: Vec<Trace> = by_user
+                .iter()
+                .map(|(&user, records)| Trace::new(user, records.clone()).unwrap())
+                .collect();
+            // Every trace fits the budget but not all of them together,
+            // so the scans evict whenever there are two users.
+            let budget = expected.iter().map(Trace::len).max().unwrap() * RECORD_BYTES;
+            for seal_records in [1, 7, 512] {
+                let mut store = TraceStore::new(StoreConfig {
+                    seal_records,
+                    cache_budget_bytes: budget,
+                });
+                for &(user, r) in &arrivals {
+                    store.append(user, r);
+                }
+                store.finish();
+                prop_assert_eq!(store.user_ids(), by_user.keys().copied().collect::<Vec<_>>());
+                prop_assert_eq!(store.record_count(), arrivals.len());
+                let stats = store.stats();
+                prop_assert_eq!(stats.users, by_user.len());
+                prop_assert_eq!(stats.records, arrivals.len());
+                for _ in 0..2 {
+                    for trace in &expected {
+                        prop_assert_eq!(&*store.trace(trace.user()), trace);
+                    }
+                }
+                let stats = store.stats();
+                prop_assert!(stats.resident_bytes <= budget);
+                prop_assert_eq!(stats.evictions > 0, expected.len() > 1);
+                prop_assert_eq!(
+                    store.to_dataset(),
+                    Dataset::from_traces(expected.clone()).unwrap()
+                );
+            }
         }
     }
 }

@@ -1,9 +1,9 @@
 use std::sync::Arc;
 
-use mood_models::Heatmap;
+use mood_models::{Heatmap, HeatmapSet};
 use mood_trace::{Dataset, Trace, UserId};
 
-use crate::{Attack, AttackScratch, HeatmapSet, Prediction, ProfileStore, TrainedAttack};
+use crate::{Attack, AttackScratch, Prediction, ProfileStore, TrainedAttack};
 
 /// AP-Attack (Maouche et al. 2017, the paper's \[22\]): heatmap profiles
 /// over a uniform grid, compared with the Topsoe divergence.
@@ -65,7 +65,7 @@ impl Attack for ApAttack {
         assert!(!background.is_empty(), "background knowledge is empty");
         // One-shot build of the same set a ProfileStore would intern
         // (grid widened 2 km so obfuscated traces land in real cells
-        // instead of piling up on the border — see `HeatmapSet::build`).
+        // instead of piling up on the border — see `background_grid`).
         Box::new(TrainedApAttack {
             profiles: Arc::new(HeatmapSet::build(background, self.cell_size_m)),
         })

@@ -60,7 +60,7 @@ pub use pit_attack::PitAttack;
 pub use poi_attack::PoiAttack;
 pub use prediction::Prediction;
 pub use scratch::AttackScratch;
-pub use store::{ChainSet, HeatmapSet, PoiProfileSet, ProfileStore, StoreCounters};
+pub use store::{ChainSet, PoiProfileSet, ProfileStore, StoreCounters};
 
 use mood_trace::{Dataset, Trace};
 

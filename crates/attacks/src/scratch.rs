@@ -9,7 +9,7 @@
 //! builds them in place instead of allocating per candidate, plus a
 //! shared [`TraceRaster`] so a trace's grid cell-sequence is computed
 //! once and reused by every grid-based consumer (AP-Attack today, HMC's
-//! `protect_into` fast path upstream, future grid attacks).
+//! `apply` upstream, future grid attacks).
 //!
 //! # Contract (for attack implementors)
 //!
@@ -183,8 +183,8 @@ impl AttackScratch {
     }
 
     /// The shared rasterization cache, for callers that want to pre-warm
-    /// it (e.g. an LPPM's `protect_into_with` rasterizing the same trace
-    /// the suite scores next).
+    /// it (e.g. an LPPM's `apply` rasterizing the same trace the suite
+    /// scores next).
     pub fn raster_mut(&mut self) -> &mut TraceRaster {
         &mut self.raster
     }

@@ -24,81 +24,8 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use mood_geo::Grid;
-use mood_models::{CentroidSoa, Heatmap, HeatmapIndex, MarkovChain, PoiExtractor, PoiProfile};
+use mood_models::{CentroidSoa, HeatmapSet, MarkovChain, PoiExtractor, PoiProfile};
 use mood_trace::{Dataset, UserId};
-
-/// Per-user AP-Attack heatmaps over one grid, in ascending-user order,
-/// plus the cell-postings index the verdict's bounds come from.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HeatmapSet {
-    grid: Grid,
-    users: Vec<UserId>,
-    heatmaps: Vec<Heatmap>,
-    index: HeatmapIndex,
-}
-
-impl HeatmapSet {
-    /// Builds per-user heatmaps exactly as AP-Attack training always
-    /// has: the background bounding box widened by 2 km (obfuscated
-    /// traces wander outside the raw extent), one heatmap per user.
-    pub fn build(background: &Dataset, cell_size_m: f64) -> Self {
-        let bbox = background
-            .bounding_box()
-            .expect("non-empty dataset has a bounding box")
-            .expanded(2_000.0)
-            .expect("non-negative margin");
-        let grid = Grid::new(bbox, cell_size_m).expect("validated cell size");
-        let mut users = Vec::with_capacity(background.user_count());
-        let mut heatmaps = Vec::with_capacity(background.user_count());
-        for trace in background.iter() {
-            users.push(trace.user());
-            heatmaps.push(Heatmap::from_trace(&grid, trace));
-        }
-        Self {
-            grid,
-            users,
-            index: HeatmapIndex::build(&heatmaps),
-            heatmaps,
-        }
-    }
-
-    /// The grid the heatmaps are binned over.
-    pub fn grid(&self) -> &Grid {
-        &self.grid
-    }
-
-    /// Profiles in ascending-user order.
-    pub fn heatmaps(&self) -> &[Heatmap] {
-        &self.heatmaps
-    }
-
-    /// Users, ascending, parallel to [`HeatmapSet::heatmaps`].
-    pub fn users(&self) -> &[UserId] {
-        &self.users
-    }
-
-    /// The cell-postings index over [`HeatmapSet::heatmaps`].
-    pub(crate) fn index(&self) -> &HeatmapIndex {
-        &self.index
-    }
-
-    /// Number of profiled users.
-    pub fn len(&self) -> usize {
-        self.users.len()
-    }
-
-    /// Whether no user is profiled.
-    pub fn is_empty(&self) -> bool {
-        self.users.is_empty()
-    }
-
-    /// `(user, heatmap)` pairs in ascending-user order — the exact
-    /// iteration order of the `BTreeMap` scans this set replaced.
-    pub fn iter(&self) -> impl Iterator<Item = (UserId, &Heatmap)> + '_ {
-        self.users.iter().copied().zip(self.heatmaps.iter())
-    }
-}
 
 /// Per-user POI profiles plus the SoA centroid sidecars the verdict
 /// kernels stream, in ascending-user order.
@@ -436,6 +363,7 @@ fn mix64(mut z: u64) -> u64 {
 mod tests {
     use super::*;
     use crate::{ApAttack, Attack, AttackSuite, PitAttack, PoiAttack};
+    use mood_models::Heatmap;
     use mood_synth::presets;
     use mood_trace::TimeDelta;
 

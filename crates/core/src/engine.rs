@@ -753,16 +753,15 @@ impl MoodEngine {
         if scratch.attack.is_warm() {
             self.scratch.attack_reuses.fetch_add(1, Ordering::Relaxed);
         }
-        self.stage_lppm(idx).protect_into_with(
+        self.stage_lppm(idx).apply(
             input,
             &mut scratch.rng,
             &mut buf,
             scratch.attack.raster_mut(),
         );
-        // `protect_into_with` yields time-sorted records (the `Trace`
-        // invariant of `protect`'s output), so this re-sort is a
-        // stable identity pass: the candidate is byte-identical to
-        // what `protect` would have returned.
+        // `apply` yields time-sorted records (the `Trace` invariant),
+        // so this re-sort is a stable identity pass: the candidate is
+        // byte-identical to what `protect` would have returned.
         Trace::new(trace.user(), buf).expect("LPPMs never produce an empty trace")
     }
 
@@ -1179,6 +1178,7 @@ mod tests {
     use super::*;
     use mood_attacks::{Prediction, TrainedAttack};
     use mood_geo::GeoPoint;
+    use mood_models::TraceRaster;
     use mood_synth::{presets, DatasetSpec};
     use mood_trace::{TimeDelta, UserId};
     use rand::RngCore;
@@ -1252,16 +1252,18 @@ mod tests {
             self.name
         }
 
-        fn protect(&self, trace: &Trace, _rng: &mut dyn RngCore) -> Trace {
-            let records = trace
-                .records()
-                .iter()
-                .map(|r| {
-                    let p = r.point();
-                    r.with_point(GeoPoint::new(p.lat() + self.dlat, p.lng()).unwrap())
-                })
-                .collect();
-            Trace::new(trace.user(), records).unwrap()
+        fn apply(
+            &self,
+            trace: &Trace,
+            _rng: &mut dyn RngCore,
+            out: &mut Vec<Record>,
+            _raster: &mut TraceRaster,
+        ) {
+            out.clear();
+            out.extend(trace.records().iter().map(|r| {
+                let p = r.point();
+                r.with_point(GeoPoint::new(p.lat() + self.dlat, p.lng()).unwrap())
+            }));
         }
     }
 
@@ -2084,8 +2086,7 @@ mod tests {
         }
     }
 
-    /// Forwards to `inner` and records the input of every application,
-    /// whichever apply method the caller uses.
+    /// Forwards to `inner` and records the input of every application.
     struct Recording {
         inner: Arc<dyn Lppm>,
         inputs: Mutex<Vec<Trace>>,
@@ -2102,25 +2103,15 @@ mod tests {
             self.inner.name()
         }
 
-        fn protect(&self, trace: &Trace, rng: &mut dyn RngCore) -> Trace {
-            self.record(trace);
-            self.inner.protect(trace, rng)
-        }
-
-        fn protect_into(&self, trace: &Trace, rng: &mut dyn RngCore, out: &mut Vec<Record>) {
-            self.record(trace);
-            self.inner.protect_into(trace, rng, out)
-        }
-
-        fn protect_into_with(
+        fn apply(
             &self,
             trace: &Trace,
             rng: &mut dyn RngCore,
             out: &mut Vec<Record>,
-            raster: &mut mood_models::TraceRaster,
+            raster: &mut TraceRaster,
         ) {
             self.record(trace);
-            self.inner.protect_into_with(trace, rng, out, raster)
+            self.inner.apply(trace, rng, out, raster)
         }
     }
 

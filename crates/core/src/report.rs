@@ -2,7 +2,7 @@ use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
-use mood_metrics::{DataLoss, DistortionBand};
+use mood_metrics::DataLoss;
 use mood_trace::UserId;
 
 use crate::{ProtectionOutcome, UserClass, UserProtection};
@@ -118,21 +118,6 @@ impl ProtectionReport {
             .collect()
     }
 
-    /// Number of users per distortion band (Fig. 9), over users with
-    /// published data.
-    pub fn distortion_bands(&self) -> BTreeMap<DistortionBand, usize> {
-        let mut bands = BTreeMap::new();
-        for b in DistortionBand::all() {
-            bands.insert(b, 0);
-        }
-        for e in &self.distortions {
-            *bands
-                .entry(DistortionBand::classify(e.distortion_m))
-                .or_insert(0) += 1;
-        }
-        bands
-    }
-
     /// Count of users in `class`.
     pub fn class_count(&self, class: UserClass) -> usize {
         self.class_counts.get(&class).copied().unwrap_or(0)
@@ -196,6 +181,7 @@ mod tests {
     use super::*;
     use crate::{FineGrainedStats, ProtectedTrace};
     use mood_geo::GeoPoint;
+    use mood_metrics::DistortionBand;
     use mood_trace::{Record, Timestamp, Trace};
 
     fn trace(user: u64, n: i64) -> Trace {
@@ -278,11 +264,22 @@ mod tests {
             whole_outcome(2, 100, 700.0), // Medium
             fine_outcome(3, 60, 40),      // 1500 m -> High
         ]);
-        let bands = report.distortion_bands();
-        assert_eq!(bands[&DistortionBand::Low], 1);
-        assert_eq!(bands[&DistortionBand::Medium], 1);
-        assert_eq!(bands[&DistortionBand::High], 1);
-        assert_eq!(bands[&DistortionBand::ExtremelyHigh], 0);
+        let bands: Vec<(u64, f64, DistortionBand)> = report
+            .distortions
+            .iter()
+            .map(|e| {
+                let band = DistortionBand::classify(e.distortion_m);
+                (e.user.as_u64(), e.distortion_m, band)
+            })
+            .collect();
+        assert_eq!(
+            bands,
+            [
+                (1, 200.0, DistortionBand::Low),
+                (2, 700.0, DistortionBand::Medium),
+                (3, 1_500.0, DistortionBand::High),
+            ]
+        );
     }
 
     #[test]

@@ -162,15 +162,6 @@ impl BoundingBox {
         )
         .expect("interpolated point inside valid box is valid")
     }
-
-    /// Clamps an arbitrary point into the box.
-    pub fn clamp_point(&self, p: &GeoPoint) -> GeoPoint {
-        GeoPoint::new(
-            p.lat().clamp(self.min_lat, self.max_lat),
-            p.lng().clamp(self.min_lng, self.max_lng),
-        )
-        .expect("clamped point is valid")
-    }
 }
 
 impl std::fmt::Display for BoundingBox {
@@ -276,15 +267,6 @@ mod tests {
     }
 
     #[test]
-    fn clamp_point_moves_outside_inside() {
-        let b = sample_box();
-        let far = GeoPoint::new(50.0, 7.0).unwrap();
-        let clamped = b.clamp_point(&far);
-        assert!(b.contains(&clamped));
-        assert_eq!(clamped.lat(), b.max_lat());
-    }
-
-    #[test]
     fn serde_roundtrip() {
         let b = sample_box();
         let json = serde_json::to_string(&b).unwrap();
@@ -318,12 +300,6 @@ mod proptests {
             fx in 0.0f64..1.0,
         ) {
             prop_assert!(b.contains(&b.point_at_fraction(fy, fx)));
-        }
-
-        #[test]
-        fn clamped_points_are_contained(b in arb_box(), lat in -80.0f64..80.0, lng in -179.0f64..179.0) {
-            let p = GeoPoint::new(lat, lng).unwrap();
-            prop_assert!(b.contains(&b.clamp_point(&p)));
         }
 
         #[test]

@@ -165,32 +165,6 @@ impl Grid {
         };
         (fy, fx)
     }
-
-    /// The (up to 8) neighbouring cells of `cell` that exist in the grid.
-    pub fn neighbors(&self, cell: CellId) -> Vec<CellId> {
-        let mut out = Vec::with_capacity(8);
-        for dr in -1i64..=1 {
-            for dc in -1i64..=1 {
-                if dr == 0 && dc == 0 {
-                    continue;
-                }
-                let r = cell.row as i64 + dr;
-                let c = cell.col as i64 + dc;
-                if r >= 0 && c >= 0 && (r as u32) < self.rows && (c as u32) < self.cols {
-                    out.push(CellId {
-                        row: r as u32,
-                        col: c as u32,
-                    });
-                }
-            }
-        }
-        out
-    }
-
-    /// Approximate center-to-center distance between two cells in meters.
-    pub fn cell_distance_m(&self, a: CellId, b: CellId) -> f64 {
-        self.cell_center(a).approx_distance(&self.cell_center(b))
-    }
 }
 
 /// Serialized form of [`Grid`]: only the defining parameters are stored;
@@ -304,23 +278,10 @@ mod tests {
     }
 
     #[test]
-    fn neighbors_interior_cell_has_eight() {
-        let g = geneva_grid();
-        let n = g.neighbors(CellId { row: 5, col: 5 });
-        assert_eq!(n.len(), 8);
-    }
-
-    #[test]
-    fn neighbors_corner_cell_has_three() {
-        let g = geneva_grid();
-        let n = g.neighbors(CellId { row: 0, col: 0 });
-        assert_eq!(n.len(), 3);
-    }
-
-    #[test]
     fn adjacent_cell_distance_approx_cell_size() {
         let g = geneva_grid();
-        let d = g.cell_distance_m(CellId { row: 4, col: 4 }, CellId { row: 4, col: 5 });
+        let (a, b) = (CellId { row: 4, col: 4 }, CellId { row: 4, col: 5 });
+        let d = g.cell_center(a).approx_distance(&g.cell_center(b));
         assert!((d - g.cell_size_m()).abs() < 120.0, "{d}");
     }
 

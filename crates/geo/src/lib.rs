@@ -4,13 +4,12 @@
 //! crate in the workspace builds on:
 //!
 //! * [`GeoPoint`] — a validated WGS-84 latitude/longitude pair with
-//!   haversine and equirectangular distances, bearings and destination
-//!   points;
+//!   haversine and equirectangular distances and destination points;
 //! * [`BoundingBox`] — axis-aligned lat/lng boxes with containment,
 //!   expansion and sampling helpers;
 //! * [`LocalProjection`] — a local east-north (ENU-style) tangent-plane
-//!   projection used to do metric geometry (noise, trilateration) around a
-//!   reference point;
+//!   projection used to do metric geometry (noise, dummy locations)
+//!   around a reference point;
 //! * [`Grid`] — a uniform metric grid over a bounding box, the substrate of
 //!   heatmap profiles and the HMC protection mechanism.
 //!

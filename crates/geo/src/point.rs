@@ -123,17 +123,6 @@ impl GeoPoint {
         EARTH_RADIUS_M * (dx * dx + dy * dy).sqrt()
     }
 
-    /// Initial bearing from `self` to `other` in degrees, normalized to
-    /// `[0, 360)`. North is 0°, east is 90°.
-    pub fn bearing_to(&self, other: &GeoPoint) -> f64 {
-        let (lat1, lng1) = (self.lat.to_radians(), self.lng.to_radians());
-        let (lat2, lng2) = (other.lat.to_radians(), other.lng.to_radians());
-        let dlng = lng2 - lng1;
-        let y = dlng.sin() * lat2.cos();
-        let x = lat1.cos() * lat2.sin() - lat1.sin() * lat2.cos() * dlng.cos();
-        (y.atan2(x).to_degrees() + 360.0) % 360.0
-    }
-
     /// The point reached by travelling `distance_m` meters from `self` on
     /// the great circle with initial `bearing_deg` degrees.
     ///
@@ -305,15 +294,6 @@ mod tests {
         let h = a.haversine_distance(&b);
         let e = a.approx_distance(&b);
         assert!((h - e).abs() / h < 1e-3, "haversine {h} vs approx {e}");
-    }
-
-    #[test]
-    fn bearing_cardinal_directions() {
-        let origin = p(0.0, 0.0);
-        assert!((origin.bearing_to(&p(1.0, 0.0)) - 0.0).abs() < 1e-6); // north
-        assert!((origin.bearing_to(&p(0.0, 1.0)) - 90.0).abs() < 1e-6); // east
-        assert!((origin.bearing_to(&p(-1.0, 0.0)) - 180.0).abs() < 1e-6); // south
-        assert!((origin.bearing_to(&p(0.0, -1.0)) - 270.0).abs() < 1e-6); // west
     }
 
     #[test]

@@ -82,14 +82,6 @@ impl LocalProjection {
         let theta = bearing_deg.to_radians();
         Ok(self.to_geo(x + distance_m * theta.sin(), y + distance_m * theta.cos()))
     }
-
-    /// Euclidean distance between two points measured in the local frame.
-    /// Matches haversine to well under 0.1 % at city scale.
-    pub fn local_distance(&self, a: &GeoPoint, b: &GeoPoint) -> f64 {
-        let (ax, ay) = self.to_local(a);
-        let (bx, by) = self.to_local(b);
-        ((ax - bx).powi(2) + (ay - by).powi(2)).sqrt()
-    }
 }
 
 #[cfg(test)]
@@ -148,8 +140,9 @@ mod tests {
         let proj = LocalProjection::new(origin());
         let a = GeoPoint::new(45.75, 4.82).unwrap();
         let b = GeoPoint::new(45.79, 4.88).unwrap();
+        let ((ax, ay), (bx, by)) = (proj.to_local(&a), proj.to_local(&b));
         let h = a.haversine_distance(&b);
-        let l = proj.local_distance(&a, &b);
+        let l = (ax - bx).hypot(ay - by);
         assert!((h - l).abs() / h < 2e-3, "h={h} l={l}");
     }
 }
@@ -183,8 +176,8 @@ mod proptests {
             let origin = GeoPoint::new(46.0, 6.0).unwrap();
             let proj = LocalProjection::new(origin);
             let moved = proj.displace(&origin, bearing, dist).unwrap();
-            let measured = proj.local_distance(&origin, &moved);
-            prop_assert!((measured - dist).abs() < 0.5);
+            let (x, y) = proj.to_local(&moved);
+            prop_assert!((x.hypot(y) - dist).abs() < 0.5);
         }
     }
 }

@@ -1,6 +1,7 @@
 use rand::RngCore;
 
 use mood_geo::Grid;
+use mood_models::{background_grid, TraceRaster};
 use mood_trace::{Dataset, Record, Trace};
 
 use crate::Lppm;
@@ -47,21 +48,16 @@ impl SpatialCloaking {
         Self { grid }
     }
 
-    /// Builds the cloaking grid from the background dataset's extent
-    /// (with the same 2 km margin the attacks use) and `cell_size_m`
-    /// cells.
+    /// Cloaks over the grid the attacks bin `background` on
+    /// ([`background_grid`]: its extent widened by 2 km), with
+    /// `cell_size_m` cells.
     ///
     /// # Panics
     ///
     /// Panics when `background` is empty or `cell_size_m` is not
     /// strictly positive.
     pub fn from_background(background: &Dataset, cell_size_m: f64) -> Self {
-        let bbox = background
-            .bounding_box()
-            .expect("background must not be empty")
-            .expanded(2_000.0)
-            .expect("non-negative margin");
-        Self::new(Grid::new(bbox, cell_size_m).expect("validated cell size"))
+        Self::new(background_grid(background, cell_size_m))
     }
 
     /// The generalization grid.
@@ -75,13 +71,13 @@ impl Lppm for SpatialCloaking {
         "Cloaking"
     }
 
-    fn protect(&self, trace: &Trace, rng: &mut dyn RngCore) -> Trace {
-        let mut records = Vec::new();
-        self.protect_into(trace, rng, &mut records);
-        Trace::new(trace.user(), records).expect("same cardinality as input")
-    }
-
-    fn protect_into(&self, trace: &Trace, _rng: &mut dyn RngCore, out: &mut Vec<Record>) {
+    fn apply(
+        &self,
+        trace: &Trace,
+        _rng: &mut dyn RngCore,
+        out: &mut Vec<Record>,
+        _raster: &mut TraceRaster,
+    ) {
         out.clear();
         out.reserve(trace.len());
         out.extend(

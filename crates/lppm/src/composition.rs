@@ -2,7 +2,8 @@ use std::sync::Arc;
 
 use rand::RngCore;
 
-use mood_trace::Trace;
+use mood_models::TraceRaster;
+use mood_trace::{Record, Trace};
 
 use crate::Lppm;
 
@@ -13,8 +14,9 @@ use crate::Lppm;
 /// ```
 ///
 /// The first mechanism in `parts` is applied first; order matters, just
-/// like function composition. [`Lppm::protect`] runs the whole chain on
-/// the one RNG it is given: this is the API form of a composition.
+/// like function composition. [`Lppm::apply`] runs the whole chain on
+/// the one RNG and raster it is given: this is the API form of a
+/// composition.
 ///
 /// MooD's engine does not apply a composition as one LPPM. It builds its
 /// candidates as a tree instead: composition `p → x` applies `x`, under
@@ -83,12 +85,19 @@ impl Lppm for Composition {
         &self.name
     }
 
-    fn protect(&self, trace: &Trace, rng: &mut dyn RngCore) -> Trace {
-        let mut current = self.parts[0].protect(trace, rng);
+    fn apply(
+        &self,
+        trace: &Trace,
+        rng: &mut dyn RngCore,
+        out: &mut Vec<Record>,
+        raster: &mut TraceRaster,
+    ) {
+        self.parts[0].apply(trace, rng, out, raster);
         for part in &self.parts[1..] {
-            current = part.protect(&current, rng);
+            let input = Trace::new(trace.user(), std::mem::take(out))
+                .expect("LPPMs never produce an empty trace");
+            part.apply(&input, rng, out, raster);
         }
-        current
     }
 }
 
@@ -189,9 +198,10 @@ pub fn composition_space_size(n: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{GeoI, Trl};
+    use crate::{GeoI, Hmc, SpatialCloaking, Trl};
     use mood_geo::GeoPoint;
-    use mood_trace::{Record, Timestamp, UserId};
+    use mood_synth::presets;
+    use mood_trace::{TimeDelta, Timestamp, UserId};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -288,45 +298,65 @@ mod tests {
     }
 
     #[test]
-    fn protect_into_clears_stale_contents_for_every_mechanism() {
-        // The cleared-then-filled contract, regression-tested across the
-        // default impl, per-record overrides and the composition: a
-        // recycled buffer pre-seeded with junk must come back holding
-        // exactly what `protect` returns — one stale record appended
-        // would silently corrupt every downstream verdict.
-        let t = walk(10);
+    fn apply_clears_stale_contents_for_every_mechanism() {
+        // The cleared-then-filled contract on every mechanism, alone and
+        // chained, over both presets: a recycled buffer pre-seeded with
+        // junk must come back holding exactly what `protect` returns (one
+        // stale record appended would silently corrupt every downstream
+        // verdict), whether the raster is cold or already holds the
+        // input's cells.
         let junk = Record::new(
             GeoPoint::new(10.0, 10.0).unwrap(),
             Timestamp::from_unix(-999),
         );
-        let mechanisms: Vec<Arc<dyn Lppm>> = {
-            let mut v = base3();
-            v.push(Arc::new(Composition::new(base3())));
-            v.push(Arc::new(Composition::new(vec![
-                Arc::new(Trl::paper_default()) as Arc<dyn Lppm>,
-                Arc::new(GeoI::paper_default()),
-            ])));
-            v
-        };
-        for lppm in mechanisms {
-            let mut r1 = StdRng::seed_from_u64(42);
-            let expected = lppm.protect(&t, &mut r1).into_records();
+        let check = |lppm: &dyn Lppm, trace: &Trace| {
+            let seed = trace.user().as_u64();
+            let expected = lppm
+                .protect(trace, &mut StdRng::seed_from_u64(seed))
+                .into_records();
             for stale_len in [0usize, 3, 64] {
-                let mut out = vec![junk; stale_len];
-                let mut r2 = StdRng::seed_from_u64(42);
-                lppm.protect_into(&t, &mut r2, &mut out);
-                assert_eq!(
-                    out,
-                    expected,
-                    "{} with {stale_len} stale records",
-                    lppm.name()
-                );
-                // the raster-threaded variant honours the same contract
-                let mut out = vec![junk; stale_len];
-                let mut raster = mood_models::TraceRaster::new();
-                let mut r3 = StdRng::seed_from_u64(42);
-                lppm.protect_into_with(&t, &mut r3, &mut out, &mut raster);
-                assert_eq!(out, expected, "{} (with raster)", lppm.name());
+                let mut raster = TraceRaster::new();
+                for pass in ["cold", "warm"] {
+                    let mut out = vec![junk; stale_len];
+                    let rng = &mut StdRng::seed_from_u64(seed);
+                    lppm.apply(trace, rng, &mut out, &mut raster);
+                    let who = format!("{} on {}", lppm.name(), trace.user());
+                    assert_eq!(out, expected, "{who}, {stale_len} stale, {pass}");
+                }
+                // HMC rasterizes its input, so its warm pass must hit
+                let hmc = lppm.name().contains("HMC");
+                assert_eq!(raster.hits() > 0, hmc, "{}", lppm.name());
+            }
+        };
+        for spec in [
+            presets::privamov_like().scaled(0.1),
+            presets::cabspotting_like().scaled(0.02),
+        ] {
+            let (bg, test) = spec
+                .generate()
+                .split_chronological(TimeDelta::from_days(15));
+            let geo_i: Arc<dyn Lppm> = Arc::new(GeoI::paper_default());
+            let trl: Arc<dyn Lppm> = Arc::new(Trl::paper_default());
+            let hmc: Arc<dyn Lppm> = Arc::new(Hmc::paper_default(&bg));
+            let cloak: Arc<dyn Lppm> = Arc::new(SpatialCloaking::from_background(&bg, 800.0));
+            let chain = |parts: &[&Arc<dyn Lppm>]| {
+                Composition::new(parts.iter().map(|&p| Arc::clone(p)).collect())
+            };
+            let compositions = [
+                chain(&[&geo_i, &trl]),
+                chain(&[&trl, &geo_i]),
+                chain(&[&hmc, &geo_i]),
+                chain(&[&trl, &hmc]),
+                chain(&[&cloak, &hmc, &trl]),
+            ];
+            let singles = [&geo_i, &trl, &hmc, &cloak].map(|l| &**l);
+            let mechanisms = singles
+                .into_iter()
+                .chain(compositions.iter().map(|c| c as &dyn Lppm));
+            for lppm in mechanisms {
+                for trace in test.iter().take(2) {
+                    check(lppm, trace);
+                }
             }
         }
     }

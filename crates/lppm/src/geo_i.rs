@@ -1,6 +1,7 @@
 use rand::{Rng, RngCore};
 
 use mood_geo::LocalProjection;
+use mood_models::TraceRaster;
 use mood_trace::{Record, Trace};
 
 use crate::Lppm;
@@ -90,7 +91,7 @@ impl GeoI {
     }
 }
 
-/// Records per lockstep Lambert-W block in [`GeoI`]'s `protect_into`.
+/// Records per lockstep Lambert-W block in [`GeoI`]'s `apply`.
 /// Four independent Halley chains hide most of the latency of one; eight
 /// measured no faster.
 const LANES: usize = 4;
@@ -100,13 +101,13 @@ impl Lppm for GeoI {
         "Geo-I"
     }
 
-    fn protect(&self, trace: &Trace, rng: &mut dyn RngCore) -> Trace {
-        let mut records = Vec::new();
-        self.protect_into(trace, rng, &mut records);
-        Trace::new(trace.user(), records).expect("same cardinality as input")
-    }
-
-    fn protect_into(&self, trace: &Trace, rng: &mut dyn RngCore, out: &mut Vec<Record>) {
+    fn apply(
+        &self,
+        trace: &Trace,
+        rng: &mut dyn RngCore,
+        out: &mut Vec<Record>,
+        _raster: &mut TraceRaster,
+    ) {
         out.clear();
         out.reserve(trace.len());
         let (blocks, tail) = trace.records().as_chunks::<LANES>();
@@ -210,14 +211,9 @@ mod tests {
             -(w + 1.0) / self.epsilon_per_m
         }
 
-        /// The per-record loop `protect_into` blocks: the oracle it must
-        /// equal record for record and draw for draw.
-        fn protect_into_per_record(
-            &self,
-            trace: &Trace,
-            rng: &mut dyn RngCore,
-            out: &mut Vec<Record>,
-        ) {
+        /// The per-record loop `apply` blocks: the oracle it must equal
+        /// record for record and draw for draw.
+        fn apply_per_record(&self, trace: &Trace, rng: &mut dyn RngCore, out: &mut Vec<Record>) {
             out.clear();
             for r in trace.records() {
                 let theta: f64 = rng.gen_range(0.0..360.0);
@@ -327,8 +323,9 @@ mod tests {
                 let mut oracle_rng = StdRng::seed_from_u64(seed);
                 let mut blocked = vec![trace.records()[0]; 3];
                 let mut oracle = Vec::new();
-                geo_i.protect_into(&trace, &mut blocked_rng, &mut blocked);
-                geo_i.protect_into_per_record(&trace, &mut oracle_rng, &mut oracle);
+                let raster = &mut TraceRaster::new();
+                geo_i.apply(&trace, &mut blocked_rng, &mut blocked, raster);
+                geo_i.apply_per_record(&trace, &mut oracle_rng, &mut oracle);
                 assert_eq!(blocked.len(), oracle.len());
                 for (a, b) in blocked.iter().zip(&oracle) {
                     assert_eq!(a.time(), b.time());

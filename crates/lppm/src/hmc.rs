@@ -1,7 +1,7 @@
 use rand::{Rng, RngCore};
 
 use mood_geo::{CellId, Grid};
-use mood_models::{Heatmap, HeatmapIndex, TraceRaster};
+use mood_models::{Heatmap, HeatmapSet, TraceRaster};
 use mood_trace::{Dataset, Record, Trace, UserId};
 
 use crate::Lppm;
@@ -46,22 +46,20 @@ use crate::Lppm;
 /// assert_eq!(protected.len(), trace.len());
 /// ```
 pub struct Hmc {
-    grid: Grid,
-    population: Vec<(UserId, Heatmap)>,
-    /// Cell postings over `population`'s heatmaps: the decoy scan's
-    /// lower bounds.
-    index: HeatmapIndex,
-    /// Each population profile's cells, hottest first (ties by cell):
-    /// the decoy side of the rank map.
+    /// The background profiles to imitate, with the cell-postings index
+    /// the decoy scan's lower bounds come from.
+    profiles: HeatmapSet,
+    /// Each profile's cells, hottest first (ties by cell): the decoy
+    /// side of the rank map.
     ranked: Vec<Vec<CellId>>,
     confusion: f64,
 }
 
 impl Hmc {
-    /// Creates an HMC mechanism over `grid`, imitating profiles drawn
-    /// from `background` (the same background knowledge the attacks
-    /// train on — MooD's system model gives the protector access to past
-    /// traces, §3.1).
+    /// Creates an HMC mechanism imitating `profiles` (heatmaps of the
+    /// same background knowledge the attacks train on — MooD's system
+    /// model gives the protector access to past traces, §3.1). Each
+    /// profile's cells are ranked once, for every rank map to come.
     ///
     /// `confusion` is the probability that a cell-run is remapped
     /// (1.0 = move everything; the original system's utility constraints
@@ -69,36 +67,24 @@ impl Hmc {
     ///
     /// # Panics
     ///
-    /// Panics when `background` is empty or `confusion ∉ [0, 1]`.
-    pub fn new(grid: Grid, background: &Dataset, confusion: f64) -> Self {
-        assert!(!background.is_empty(), "HMC needs a background population");
+    /// Panics when `confusion ∉ [0, 1]`.
+    pub fn new(profiles: HeatmapSet, confusion: f64) -> Self {
         assert!(
             (0.0..=1.0).contains(&confusion),
             "confusion must be in [0, 1]"
         );
-        let population: Vec<(UserId, Heatmap)> = background
-            .iter()
-            .map(|t| (t.user(), Heatmap::from_trace(&grid, t)))
-            .collect();
-        Self::over(grid, population, confusion)
-    }
-
-    /// An HMC imitating `population`'s profiles: indexes them and ranks
-    /// each one's cells once, for every decoy scan and rank map to come.
-    fn over(grid: Grid, population: Vec<(UserId, Heatmap)>, confusion: f64) -> Self {
         Self {
-            grid,
-            index: HeatmapIndex::build(population.iter().map(|(_, hm)| hm)),
-            ranked: population
+            ranked: profiles
+                .heatmaps()
                 .iter()
-                .map(|(_, hm)| {
+                .map(|hm| {
                     hm.ranked_cells()
                         .into_iter()
                         .map(|(cell, _)| cell)
                         .collect()
                 })
                 .collect(),
-            population,
+            profiles,
             confusion,
         }
     }
@@ -108,31 +94,20 @@ impl Hmc {
     /// leaves roughly the paper's share of users exposed to POI/PIT
     /// attacks — the original HMC's utility constraints have the same
     /// effect).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `background` is empty.
     pub fn paper_default(background: &Dataset) -> Self {
-        let bbox = background
-            .bounding_box()
-            .expect("non-empty background")
-            .expanded(2_000.0)
-            .expect("non-negative margin");
-        let grid = Grid::new(bbox, 800.0).expect("valid cell size");
-        Self::new(grid, background, 0.55)
+        Self::new(HeatmapSet::build(background, 800.0), 0.55)
     }
 
     /// The grid the heatmaps live on.
     pub fn grid(&self) -> &Grid {
-        &self.grid
+        self.profiles.grid()
     }
 
-    /// The decoy for `trace`: the background user (≠ the trace's user)
-    /// whose profile is Topsoe-closest to the trace's heatmap. `None`
-    /// when the only background user is the trace's own.
-    pub fn choose_decoy(&self, trace: &Trace) -> Option<(UserId, &Heatmap)> {
-        let own = Heatmap::from_trace(&self.grid, trace);
-        self.decoy_for(trace.user(), &own)
-            .map(|i| (self.population[i].0, &self.population[i].1))
-    }
-
-    /// Index of the decoy in `population` for a trace of `user` with
+    /// Index of the decoy in `profiles` for a trace of `user` with
     /// heatmap `own`: the Topsoe arg-min over non-self users, first
     /// minimum on ties (undefined divergences count as ∞).
     fn decoy_for(&self, user: UserId, own: &Heatmap) -> Option<usize> {
@@ -157,17 +132,20 @@ impl Hmc {
         own: &Heatmap,
         mut exact: impl FnMut(&Heatmap, &Heatmap, f64) -> Option<f64>,
     ) -> Option<usize> {
-        let others = || (0..self.population.len()).filter(move |&i| self.population[i].0 != user);
+        let users = self.profiles.users();
+        let others = || (0..users.len()).filter(move |&i| users[i] != user);
         let first = others().next()?;
         if own.is_empty() {
             return Some(first); // every divergence is ∞
         }
         let (mut bounds, mut credits) = (Vec::new(), Vec::new());
-        self.index.lower_bounds_with(own, &mut bounds, &mut credits);
+        self.profiles
+            .index()
+            .lower_bounds_with(own, &mut bounds, &mut credits);
         let seed = others()
             .min_by(|&a, &b| bounds[a].total_cmp(&bounds[b]))
             .unwrap_or(first);
-        let profile = |i: usize| &self.population[i].1;
+        let profile = |i: usize| &self.profiles.heatmaps()[i];
         let mut best = (
             seed,
             exact(own, profile(seed), f64::INFINITY).unwrap_or(f64::INFINITY),
@@ -192,7 +170,7 @@ impl Hmc {
     /// The rank-matching cell map from `own` onto the decoy: own k-th
     /// hottest cell → decoy k-th hottest cell (wrapping when the decoy
     /// has fewer cells), sorted by source cell. Only `own`'s cells are
-    /// ranked here; the decoy's ranking was stored with the population.
+    /// ranked here; the decoy's ranking was stored with the profiles.
     fn rank_map(&self, own: &Heatmap, decoy_idx: Option<usize>) -> Vec<(CellId, CellId)> {
         let Some(decoy_ranked) = decoy_idx.map(|i| &self.ranked[i]) else {
             return Vec::new();
@@ -208,19 +186,6 @@ impl Hmc {
             .collect();
         map.sort_by_key(|e| e.0);
         map
-    }
-
-    /// The shared protection body: given the trace's pre-rasterized cell
-    /// sequence, plan (decoy and rank map) and rebuild the records run
-    /// by run into `out`.
-    fn apply(&self, trace: &Trace, cells: &[CellId], rng: &mut dyn RngCore, out: &mut Vec<Record>) {
-        out.clear();
-        out.reserve(trace.len());
-        let mut own = Heatmap::new();
-        own.rebuild_from_cells(cells);
-        let decoy_idx = self.decoy_for(trace.user(), &own);
-        let map = self.rank_map(&own, decoy_idx);
-        self.rebuild_records(trace, cells, decoy_idx, &map, rng, out);
     }
 
     /// Rebuilds the trace run by run: each maximal run of consecutive
@@ -243,7 +208,7 @@ impl Hmc {
             out.extend_from_slice(trace.records());
             return;
         }
-        let rs = trace.records();
+        let (rs, grid) = (trace.records(), self.grid());
         let mut i = 0;
         while i < rs.len() {
             // maximal run of consecutive records in the same cell
@@ -259,8 +224,8 @@ impl Hmc {
                 .unwrap_or(cell);
             for r in &rs[i..j] {
                 if move_run && target != cell {
-                    let (fy, fx) = self.grid.fraction_in_cell(&r.point());
-                    out.push(r.with_point(self.grid.point_in_cell(target, fy, fx)));
+                    let (fy, fx) = grid.fraction_in_cell(&r.point());
+                    out.push(r.with_point(grid.point_in_cell(target, fy, fx)));
                 } else {
                     out.push(*r);
                 }
@@ -275,35 +240,26 @@ impl Lppm for Hmc {
         "HMC"
     }
 
-    fn protect(&self, trace: &Trace, rng: &mut dyn RngCore) -> Trace {
-        let mut records = Vec::with_capacity(trace.len());
-        self.protect_into(trace, rng, &mut records);
-        Trace::new(trace.user(), records).expect("same cardinality as input")
-    }
-
-    fn protect_into(&self, trace: &Trace, rng: &mut dyn RngCore, out: &mut Vec<Record>) {
-        let cells: Vec<CellId> = trace
-            .records()
-            .iter()
-            .map(|r| self.grid.cell_of(&r.point()))
-            .collect();
-        self.apply(trace, &cells, rng, out);
-    }
-
-    /// The native fast path: the cell sequence comes from (and warms)
-    /// the caller's shared rasterization cache, so an input the attack
-    /// side has already rasterized (the raw trace after the raw check)
-    /// skips rasterization, and so does scoring the same trace
-    /// afterwards.
-    fn protect_into_with(
+    /// Plans (the decoy and the rank map), then rebuilds the records run
+    /// by run. The cell sequence comes from (and warms) the caller's
+    /// shared rasterization cache, so an input the attack side has
+    /// already rasterized (the raw trace after the raw check) skips
+    /// rasterization, and so does scoring the same trace afterwards.
+    fn apply(
         &self,
         trace: &Trace,
         rng: &mut dyn RngCore,
         out: &mut Vec<Record>,
         raster: &mut TraceRaster,
     ) {
-        let cells = raster.cells(&self.grid, trace);
-        self.apply(trace, cells, rng, out);
+        let cells = raster.cells(self.grid(), trace);
+        out.clear();
+        out.reserve(trace.len());
+        let mut own = Heatmap::new();
+        own.rebuild_from_cells(cells);
+        let decoy_idx = self.decoy_for(trace.user(), &own);
+        let map = self.rank_map(&own, decoy_idx);
+        self.rebuild_records(trace, cells, decoy_idx, &map, rng, out);
     }
 }
 
@@ -333,6 +289,13 @@ mod tests {
         .unwrap()
     }
 
+    /// The user `hmc` imitates for `trace`, and that user's profile.
+    fn decoy<'a>(hmc: &'a Hmc, trace: &Trace) -> Option<(UserId, &'a Heatmap)> {
+        let own = Heatmap::from_trace(hmc.grid(), trace);
+        let i = hmc.decoy_for(trace.user(), &own)?;
+        Some((hmc.profiles.users()[i], &hmc.profiles.heatmaps()[i]))
+    }
+
     #[test]
     fn preserves_cardinality_and_timestamps() {
         let hmc = Hmc::paper_default(&background());
@@ -352,7 +315,7 @@ mod tests {
         // rather than user 2 (~14 km)... with disjoint supports Topsoe
         // saturates, so any non-self decoy is acceptable; assert non-self.
         let t = dwell_trace(1, 46.161, 6.061, 40);
-        let (decoy, _) = hmc.choose_decoy(&t).unwrap();
+        let (decoy, _) = decoy(&hmc, &t).unwrap();
         assert_ne!(decoy, UserId::new(1));
     }
 
@@ -363,20 +326,18 @@ mod tests {
         bg.insert(dwell_trace(9, 46.1601, 6.0601, 60)).unwrap();
         let hmc = Hmc::paper_default(&bg);
         let t = dwell_trace(1, 46.1602, 6.0602, 40);
-        let (decoy, _) = hmc.choose_decoy(&t).unwrap();
+        let (decoy, _) = decoy(&hmc, &t).unwrap();
         assert_eq!(decoy, UserId::new(9));
     }
 
     #[test]
     fn full_confusion_moves_all_mass_to_decoy_cells() {
-        let bg = background();
-        let bbox = bg.bounding_box().unwrap().expanded(2_000.0).unwrap();
-        let grid = Grid::new(bbox, 800.0).unwrap();
-        let hmc = Hmc::new(grid.clone(), &bg, 1.0);
+        let hmc = Hmc::new(HeatmapSet::build(&background(), 800.0), 1.0);
+        let grid = hmc.grid();
         let t = dwell_trace(1, 46.161, 6.061, 40);
         let mut rng = StdRng::seed_from_u64(2);
         let p = hmc.protect(&t, &mut rng);
-        let (decoy, decoy_hm) = hmc.choose_decoy(&t).unwrap();
+        let (decoy, decoy_hm) = decoy(&hmc, &t).unwrap();
         assert_ne!(decoy, UserId::new(1));
         // every protected record lands in a decoy-occupied cell
         let decoy_cells: std::collections::BTreeSet<CellId> =
@@ -388,10 +349,7 @@ mod tests {
 
     #[test]
     fn zero_confusion_is_identity() {
-        let bg = background();
-        let bbox = bg.bounding_box().unwrap().expanded(2_000.0).unwrap();
-        let grid = Grid::new(bbox, 800.0).unwrap();
-        let hmc = Hmc::new(grid, &bg, 0.0);
+        let hmc = Hmc::new(HeatmapSet::build(&background(), 800.0), 0.0);
         let t = dwell_trace(1, 46.161, 6.061, 40);
         let mut rng = StdRng::seed_from_u64(3);
         assert_eq!(hmc.protect(&t, &mut rng), t);
@@ -404,7 +362,7 @@ mod tests {
         let t = dwell_trace(1, 46.161, 6.061, 40);
         let mut rng = StdRng::seed_from_u64(4);
         assert_eq!(hmc.protect(&t, &mut rng), t);
-        assert!(hmc.choose_decoy(&t).is_none());
+        assert!(decoy(&hmc, &t).is_none());
     }
 
     #[test]
@@ -430,7 +388,7 @@ mod tests {
                 let mut r1 = StdRng::seed_from_u64(11 + round);
                 let mut r2 = StdRng::seed_from_u64(11 + round);
                 let expected = hmc.protect(t, &mut r1);
-                hmc.protect_into_with(t, &mut r2, &mut out, &mut raster);
+                hmc.apply(t, &mut r2, &mut out, &mut raster);
                 assert_eq!(out.as_slice(), expected.records(), "round {round}");
             }
         }
@@ -449,8 +407,8 @@ mod tests {
         let (spot_lat, spot_lng) = (46.1605, 6.0605);
         let t1 = dwell_trace(1, spot_lat, spot_lng, 40);
         let t9 = dwell_trace(9, spot_lat, spot_lng, 40);
-        let (d1, _) = hmc.choose_decoy(&t1).unwrap();
-        let (d9, _) = hmc.choose_decoy(&t9).unwrap();
+        let (d1, _) = decoy(&hmc, &t1).unwrap();
+        let (d9, _) = decoy(&hmc, &t9).unwrap();
         assert_eq!(d1, UserId::new(9));
         assert_eq!(d9, UserId::new(1));
         // protect t1, then t9: same heatmap, other user, and the output
@@ -467,7 +425,7 @@ mod tests {
     /// The unpruned reference `decoy_for` must equal: every non-self
     /// divergence in full, `min_by`'s first minimum.
     fn decoy_oracle(hmc: &Hmc, user: UserId, own: &Heatmap) -> Option<usize> {
-        hmc.population
+        hmc.profiles
             .iter()
             .enumerate()
             .filter(|(_, (u, _))| *u != user)
@@ -512,7 +470,7 @@ mod tests {
         let own = Heatmap::from_trace(hmc.grid(), &originals[0]);
         assert_eq!(hmc.decoy_for(outsider, &own), Some(0));
         assert_eq!(
-            hmc.population[hmc.decoy_for(originals[0].user(), &own).unwrap()].0,
+            hmc.profiles.users()[hmc.decoy_for(originals[0].user(), &own).unwrap()],
             UserId::new(first_twin)
         );
     }
@@ -543,13 +501,13 @@ mod tests {
 
     /// An `Hmc` over `heatmaps`, for users `1, 2, …` in order.
     fn with_population(heatmaps: Vec<Heatmap>) -> Hmc {
-        let population: Vec<(UserId, Heatmap)> = (1..).map(UserId::new).zip(heatmaps).collect();
+        let users = (1..=heatmaps.len() as u64).map(UserId::new).collect();
         let grid = Grid::new(
             mood_geo::BoundingBox::new(46.1, 46.3, 6.0, 6.3).unwrap(),
             800.0,
         )
         .unwrap();
-        Hmc::over(grid, population, 0.5)
+        Hmc::new(HeatmapSet::new(grid, users, heatmaps), 0.5)
     }
 
     /// A count-valued heatmap over a 4-column patch of cells.
@@ -618,7 +576,10 @@ mod tests {
         let ds = presets::cabspotting_like().scaled(0.3).generate();
         let (bg, test) = ds.split_chronological(TimeDelta::from_days(15));
         let hmc = Hmc::paper_default(&bg);
-        assert!(hmc.index.hot_rows() > 0, "the scan must run on hot rows");
+        assert!(
+            hmc.profiles.index().hot_rows() > 0,
+            "the scan must run on hot rows"
+        );
         let windows = test.iter().flat_map(|t| t.windows(TimeDelta::from_days(1)));
         let queries: Vec<Trace> = test.iter().cloned().chain(windows).collect();
         let (mut exact, mut rivals) = (0usize, 0usize);
@@ -630,9 +591,10 @@ mod tests {
             });
             assert_eq!(decoy, decoy_oracle(&hmc, trace.user(), &own));
             rivals += hmc
-                .population
+                .profiles
+                .users()
                 .iter()
-                .filter(|(u, _)| *u != trace.user())
+                .filter(|&&u| u != trace.user())
                 .count();
         }
         assert!(
@@ -651,10 +613,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "confusion must be")]
     fn rejects_bad_confusion() {
-        let bg = background();
-        let bbox = bg.bounding_box().unwrap();
-        let grid = Grid::new(bbox, 800.0).unwrap();
-        Hmc::new(grid, &bg, 1.5);
+        Hmc::new(HeatmapSet::build(&background(), 800.0), 1.5);
     }
 
     #[test]

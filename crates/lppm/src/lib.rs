@@ -12,9 +12,7 @@
 //! * [`GeoI`] — Geo-indistinguishability (Andrés et al. 2013): planar
 //!   Laplace noise per record, ε = 0.01 m⁻¹ ("medium privacy");
 //! * [`Trl`] — Trilateration dummies (Huang et al. 2018): each record is
-//!   replaced by 3 assisted locations within r = 1 km; the [`lss`] module
-//!   demonstrates the accurate-service property (exact distance recovery
-//!   by trilateration);
+//!   replaced by 3 assisted locations within r = 1 km;
 //! * [`Hmc`] — HeatMap Confusion (Maouche et al. 2018): the trace's
 //!   heatmap is made to look like another user's (the *decoy*) by
 //!   rank-matched cell remapping, then re-materialized as a trace.
@@ -39,7 +37,6 @@ mod cloaking;
 mod composition;
 mod geo_i;
 mod hmc;
-pub mod lss;
 mod trl;
 
 pub use cloaking::SpatialCloaking;
@@ -48,8 +45,6 @@ pub use geo_i::GeoI;
 pub use hmc::Hmc;
 pub use trl::Trl;
 
-use std::sync::Arc;
-
 use rand::RngCore;
 
 use mood_models::TraceRaster;
@@ -57,37 +52,36 @@ use mood_trace::{Record, Trace};
 
 /// A Location Privacy Protection Mechanism.
 ///
-/// Implementations must be deterministic given the RNG: calling
-/// [`Lppm::protect`] with an identically-seeded RNG must produce an
-/// identical trace. The output trace keeps the input's user ID (the
-/// ground truth MooD evaluates against).
+/// Implementations must be deterministic given the RNG: applying one
+/// to the same trace with an identically-seeded RNG must produce
+/// identical records. The output keeps the input's user ID (the ground
+/// truth MooD evaluates against).
 pub trait Lppm: Send + Sync {
     /// Short mechanism name ("Geo-I", "TRL", "HMC", or a composition
     /// chain like "HMC→Geo-I").
     fn name(&self) -> &str;
 
-    /// Produces the obfuscated version of `trace`.
-    fn protect(&self, trace: &Trace, rng: &mut dyn RngCore) -> Trace;
-
     /// Writes the obfuscated records of `trace` into `out`, replacing
-    /// its previous contents — the buffer-reusing twin of
-    /// [`Lppm::protect`] for hot loops (MooD evaluates thousands of
-    /// candidates per orphan user; per-record mechanisms like Geo-I
-    /// override this to fill the caller's buffer in place and allocate
-    /// nothing once the buffer has warmed up).
+    /// its previous contents: MooD evaluates thousands of candidates per
+    /// orphan user, so the engine recycles `out` across them and a
+    /// per-record mechanism like Geo-I allocates nothing once the buffer
+    /// has warmed up.
     ///
-    /// The contract is exact equivalence: the same RNG draws in the
-    /// same order, and `out` holding precisely the records `protect`
-    /// would have returned (time-sorted, per the [`Trace`] invariant).
-    /// In particular `out` is **cleared, then filled**: whatever it held
-    /// before the call is discarded, never appended to — callers may
-    /// hand in a dirty recycled buffer. The default implementation
-    /// delegates to `protect` and moves the resulting buffer out, so
-    /// implementations only override it when they can genuinely reuse
-    /// `out`'s capacity.
+    /// The records are time-sorted (the [`Trace`] invariant), and `out`
+    /// is **cleared, then filled**: whatever it held before the call is
+    /// discarded, never appended to, so callers may hand in a dirty
+    /// recycled buffer.
+    ///
+    /// `raster` is the caller's shared `(grid, trace) → cell-sequence`
+    /// cache, the one attack scoring uses on the same scratch arena.
+    /// Grid-based mechanisms (HMC) take the input's cells from it, so
+    /// rasterizing a trace is shared with, or served by, the attack
+    /// side; everything else ignores it. Its hits are verified by full
+    /// record comparison, so the records are the same, cold or warm.
     ///
     /// ```
     /// use mood_lppm::{GeoI, Lppm};
+    /// use mood_models::TraceRaster;
     /// use mood_synth::presets;
     /// use rand::SeedableRng;
     ///
@@ -101,54 +95,23 @@ pub trait Lppm: Send + Sync {
     /// // a recycled buffer full of stale records...
     /// let mut out = vec![expected[0]; 5];
     /// let mut r2 = rand::rngs::StdRng::seed_from_u64(7);
-    /// geoi.protect_into(trace, &mut r2, &mut out);
+    /// geoi.apply(trace, &mut r2, &mut out, &mut TraceRaster::new());
     /// // ...is cleared then filled: prior contents never leak through
     /// assert_eq!(out, expected);
     /// ```
-    fn protect_into(&self, trace: &Trace, rng: &mut dyn RngCore, out: &mut Vec<Record>) {
-        *out = self.protect(trace, rng).into_records();
-    }
-
-    /// [`Lppm::protect_into`] with access to the caller's shared
-    /// [`TraceRaster`] — the per-worker `(grid, trace) → cell-sequence`
-    /// cache that attack scoring uses on the same scratch arena.
-    /// Grid-based mechanisms (HMC) override this so rasterizing the
-    /// input trace is shared with — or served by — the attack side;
-    /// everything else ignores the cache. Same exact-equivalence
-    /// contract as `protect_into` (cache hits are verified by full
-    /// record comparison, so outputs are bit-identical either way).
-    fn protect_into_with(
+    fn apply(
         &self,
         trace: &Trace,
         rng: &mut dyn RngCore,
         out: &mut Vec<Record>,
         raster: &mut TraceRaster,
-    ) {
-        let _ = raster;
-        self.protect_into(trace, rng, out);
-    }
-}
+    );
 
-impl<T: Lppm + ?Sized> Lppm for Arc<T> {
-    fn name(&self) -> &str {
-        (**self).name()
-    }
-
+    /// Produces the obfuscated version of `trace`: [`Lppm::apply`] into
+    /// a new buffer, with a new [`TraceRaster`].
     fn protect(&self, trace: &Trace, rng: &mut dyn RngCore) -> Trace {
-        (**self).protect(trace, rng)
-    }
-
-    fn protect_into(&self, trace: &Trace, rng: &mut dyn RngCore, out: &mut Vec<Record>) {
-        (**self).protect_into(trace, rng, out)
-    }
-
-    fn protect_into_with(
-        &self,
-        trace: &Trace,
-        rng: &mut dyn RngCore,
-        out: &mut Vec<Record>,
-        raster: &mut TraceRaster,
-    ) {
-        (**self).protect_into_with(trace, rng, out, raster)
+        let mut records = Vec::new();
+        self.apply(trace, rng, &mut records, &mut TraceRaster::new());
+        Trace::new(trace.user(), records).expect("LPPMs never produce an empty trace")
     }
 }

@@ -1,6 +1,7 @@
 use rand::{Rng, RngCore};
 
 use mood_geo::{GeoPoint, LocalProjection};
+use mood_models::TraceRaster;
 use mood_trace::{Record, Trace};
 
 use crate::Lppm;
@@ -9,7 +10,7 @@ use crate::Lppm;
 /// \[18\]): every true position is replaced by **three assisted locations**
 /// drawn uniformly within radius `r` of it. The service provider only
 /// ever sees the assisted locations; the client recovers the exact
-/// answer by trilateration (demonstrated in the [`crate::lss`] module).
+/// answer by trilateration.
 ///
 /// For offline dataset protection (the paper's use of TRL as a dataset
 /// LPPM) the obfuscated trace contains the three assisted records per
@@ -83,13 +84,13 @@ impl Lppm for Trl {
         "TRL"
     }
 
-    fn protect(&self, trace: &Trace, rng: &mut dyn RngCore) -> Trace {
-        let mut records = Vec::new();
-        self.protect_into(trace, rng, &mut records);
-        Trace::new(trace.user(), records).expect("3x records, still non-empty")
-    }
-
-    fn protect_into(&self, trace: &Trace, rng: &mut dyn RngCore, out: &mut Vec<Record>) {
+    fn apply(
+        &self,
+        trace: &Trace,
+        rng: &mut dyn RngCore,
+        out: &mut Vec<Record>,
+        _raster: &mut TraceRaster,
+    ) {
         out.clear();
         out.reserve(trace.len() * 3);
         for r in trace.records() {

@@ -19,7 +19,9 @@
 //! candidate hot path uses. [`HeatmapIndex`] bounds a query's Topsoe
 //! divergence from every profile of a set in one pass over the query's
 //! cells, so profile scans run that walk only where the bound leaves a
-//! profile in contention.
+//! profile in contention. [`HeatmapSet`] holds one heatmap per
+//! background user with that index, over the [`background_grid`] that
+//! AP-Attack, HMC and spatial cloaking share.
 //!
 //! Every model supports a scratch-reuse path for allocation-free hot
 //! loops: [`Heatmap::rebuild_from_cells`],
@@ -36,6 +38,7 @@
 pub mod divergence;
 mod heatmap;
 mod heatmap_index;
+mod heatmap_set;
 pub mod kernels;
 mod mmc;
 mod poi;
@@ -43,6 +46,7 @@ mod raster;
 
 pub use heatmap::Heatmap;
 pub use heatmap_index::HeatmapIndex;
+pub use heatmap_set::{background_grid, HeatmapSet};
 pub use kernels::CentroidSoa;
 pub use mmc::MarkovChain;
 pub use poi::{Poi, PoiExtractor, PoiProfile, Stay};

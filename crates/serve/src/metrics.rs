@@ -249,14 +249,6 @@ impl ServerMetrics {
         self.responses.load(Ordering::Relaxed)
     }
 
-    /// Requests routed so far (any endpoint).
-    pub fn requests_total(&self) -> u64 {
-        self.requests
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .sum()
-    }
-
     /// Connections accepted so far.
     pub fn connections_total(&self) -> u64 {
         self.connections.load(Ordering::Relaxed)
@@ -285,31 +277,6 @@ impl ServerMetrics {
     /// Users protected so far (single + batch).
     pub fn users_protected_total(&self) -> u64 {
         self.users_protected.load(Ordering::Relaxed)
-    }
-
-    /// Attack-scratch reuses accumulated from request engines so far.
-    pub fn attack_scratch_reuses_total(&self) -> u64 {
-        self.attack_scratch_reuses.load(Ordering::Relaxed)
-    }
-
-    /// Heatmap-scratch (rasterization-cache) hits accumulated so far.
-    pub fn heatmap_cache_hits_total(&self) -> u64 {
-        self.heatmap_cache_hits.load(Ordering::Relaxed)
-    }
-
-    /// Heatmap-scratch (rasterization-cache) misses accumulated so far.
-    pub fn heatmap_cache_misses_total(&self) -> u64 {
-        self.heatmap_cache_misses.load(Ordering::Relaxed)
-    }
-
-    /// Responses sent with `status` so far.
-    pub fn responses_with_status(&self, status: u16) -> u64 {
-        self.statuses
-            .lock()
-            .expect("status map lock")
-            .get(&status)
-            .copied()
-            .unwrap_or(0)
     }
 
     /// Renders the Prometheus text exposition for `GET /metrics` with
@@ -547,11 +514,7 @@ mod tests {
         m.record_connection();
         m.record_overload();
 
-        assert_eq!(m.requests_total(), 3);
         assert_eq!(m.responses_total(), 3);
-        assert_eq!(m.responses_with_status(200), 2);
-        assert_eq!(m.responses_with_status(404), 1);
-        assert_eq!(m.responses_with_status(500), 0);
 
         let text = m.render(
             "persistent",
@@ -568,9 +531,18 @@ mod tests {
             "{text}"
         );
         assert!(
+            text.contains("mood_serve_requests_total{endpoint=\"healthz\"} 1"),
+            "{text}"
+        );
+        assert!(
             text.contains("mood_serve_responses_total{status=\"200\"} 2"),
             "{text}"
         );
+        assert!(
+            text.contains("mood_serve_responses_total{status=\"404\"} 1"),
+            "{text}"
+        );
+        assert!(!text.contains("status=\"500\""), "{text}");
         // 300 µs lands in the first bucket; everything is <= +Inf.
         assert!(
             text.contains("mood_serve_request_seconds_bucket{le=\"0.0005\"} 1"),
@@ -601,9 +573,6 @@ mod tests {
             text.contains("mood_serve_heatmap_cache_total{result=\"miss\"} 4"),
             "{text}"
         );
-        assert_eq!(m.attack_scratch_reuses_total(), 11);
-        assert_eq!(m.heatmap_cache_hits_total(), 3);
-        assert_eq!(m.heatmap_cache_misses_total(), 4);
         assert!(
             text.contains("mood_serve_profile_store_total{result=\"hit\"} 6"),
             "{text}"
@@ -664,8 +633,11 @@ mod tests {
         m.record_error_status(503);
         m.record_error_status(408);
         assert_eq!(m.responses_total(), 3);
-        assert_eq!(m.responses_with_status(503), 1);
         let text = m.render("persistent", 1, 1, StoreCounters::default());
+        assert!(
+            text.contains("mood_serve_responses_total{status=\"503\"} 1"),
+            "{text}"
+        );
         assert!(
             text.contains("mood_serve_request_seconds_count 1"),
             "histogram must only see routed responses: {text}"

@@ -19,7 +19,6 @@
 
 use std::collections::HashMap;
 use std::io;
-use std::net::ToSocketAddrs;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -378,22 +377,6 @@ impl RetryClient {
             }
         }
     }
-}
-
-/// One-shot helper: a [`RetryClient`] for `addr` is built, used for a
-/// single request and dropped.
-///
-/// # Errors
-///
-/// See [`RetryClient::request`].
-pub fn fetch_with_retries<A: ToSocketAddrs + std::fmt::Display>(
-    addr: A,
-    method: &str,
-    path: &str,
-    body: Option<&[u8]>,
-    policy: RetryPolicy,
-) -> io::Result<ClientResponse> {
-    RetryClient::new(addr.to_string(), policy).request(method, path, body)
 }
 
 #[cfg(test)]

@@ -62,11 +62,6 @@ impl DayPlan {
         }
     }
 
-    /// Number of segments in the plan.
-    pub fn segment_count(&self) -> usize {
-        self.segments.len()
-    }
-
     /// Start of the first segment (seconds within the day), or `None` for
     /// an empty plan.
     pub fn start_s(&self) -> Option<i64> {
@@ -152,8 +147,8 @@ mod tests {
         let mut plan = DayPlan::new();
         plan.dwell(p(46.2, 6.1), 100, 100);
         plan.travel(p(46.2, 6.1), p(46.3, 6.2), 200, 150);
-        assert_eq!(plan.segment_count(), 0);
         assert!(plan.start_s().is_none());
+        assert!(plan.end_s().is_none());
     }
 
     #[test]

@@ -15,9 +15,8 @@
 //! Two readers share one row loop (so they agree on every error and
 //! line number): [`read_csv`] decodes the whole file into an in-memory
 //! [`Dataset`], while [`stream_csv`] feeds rows straight into a
-//! compressed [`TraceStore`](crate::store::TraceStore) without ever
-//! materializing the corpus — the path for files whose decoded form
-//! exceeds RAM.
+//! compressed [`TraceStore`] without ever materializing the corpus —
+//! the path for files whose decoded form exceeds RAM.
 //!
 //! The loop reads each line once from a block-buffered byte stream. A
 //! row in the canonical shape (plain digit runs and decimals, as

@@ -15,8 +15,8 @@
 //!   attack (15-day background knowledge / 15-day attack data);
 //! * [`PseudonymFactory`] — fresh user IDs for fine-grained sub-traces
 //!   (MooD publishes sub-traces under pseudonyms, §3.4);
-//! * [`TraceStore`](store::TraceStore) — compressed, chunked storage for
-//!   corpora whose decoded form exceeds RAM ([`store`]);
+//! * [`TraceStore`] — compressed, chunked storage for corpora whose
+//!   decoded form exceeds RAM ([`store`]);
 //! * CSV input/output ([`io`]), including streaming ingestion straight
 //!   into a store ([`io::stream_csv`]).
 //!

@@ -9,9 +9,8 @@
 //! written once, at one size, and never re-encoded — except for a user
 //! whose records arrived out of order, whom [`TraceStore::finish`]
 //! re-sorts and re-chunks at the same size. Every read decodes a user's
-//! whole trace through a byte-budgeted LRU
-//! [`DecodedCache`](cache::DecodedCache), which keeps only the hot
-//! working set decoded.
+//! whole trace through a byte-budgeted LRU of decoded traces, which
+//! keeps only the hot working set decoded.
 //!
 //! The store is bit-exact: decoding any user reproduces exactly the
 //! trace the in-memory [`Dataset`] path would have built from the same

@@ -218,13 +218,6 @@ impl Trace {
         out
     }
 
-    /// The records with timestamps in `[from, to)`.
-    pub fn records_between(&self, from: Timestamp, to: Timestamp) -> &[Record] {
-        let lo = self.records.partition_point(|r| r.time() < from);
-        let hi = self.records.partition_point(|r| r.time() < to);
-        &self.records[lo..hi]
-    }
-
     /// Temporal projection (paper Eq. 8): the expected position at instant
     /// `t`, linearly interpolated between the two records bracketing `t`.
     /// Instants before the first or after the last record clamp to the
@@ -534,13 +527,6 @@ mod tests {
         let parts = t.windows(TimeDelta::from_hours(3));
         let total: usize = parts.iter().map(|p| p.len()).sum();
         assert_eq!(total, 100);
-    }
-
-    #[test]
-    fn records_between_half_open() {
-        let t = walk(10, 60);
-        let slice = t.records_between(Timestamp::from_unix(60), Timestamp::from_unix(180));
-        assert_eq!(slice.len(), 2); // t=60 and t=120, not t=180
     }
 
     #[test]

@@ -21,7 +21,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use mood_core::obs::{chrome_trace, StageAgg, TraceSpans};
-use mood_core::{publish, EngineBuilder, ExecutorKind, MoodConfig, ENGINE_STAGES};
+use mood_core::{
+    publish, EngineBuilder, ExecutorKind, MoodConfig, ProtectionReport, UserProtection,
+    ENGINE_STAGES,
+};
 use mood_geo::Grid;
 use mood_metrics::CountQueryStats;
 use mood_serve::{ChaosConfig, MoodServer, ServeConfig};
@@ -269,15 +272,10 @@ fn cmd_split(opts: &HashMap<String, String>) -> Result<(), String> {
 fn cmd_protect(opts: &HashMap<String, String>) -> Result<(), String> {
     let input = required(opts, "input")?;
     let background_path = required(opts, "background")?;
-    let out = required(opts, "out")?;
+    required(opts, "out")?;
     let (threads, executor_kind) = executor_opts(opts)?;
     let quiet: u8 = parse_or(opts, "quiet", 0)?;
-    let delta_hours: i64 = parse_or(opts, "delta-hours", 4)?;
-    let window_hours: i64 = parse_or(opts, "window-hours", 24)?;
-    let seed: u64 = parse_or(opts, "seed", MoodConfig::paper_default().seed)?;
-    if delta_hours <= 0 || window_hours <= 0 {
-        return Err("--delta-hours and --window-hours must be positive".into());
-    }
+    let config = engine_config(opts)?;
 
     let background = trace_io::read_csv_file(background_path).map_err(|e| e.to_string())?;
     let test = trace_io::read_csv_file(input).map_err(|e| e.to_string())?;
@@ -291,10 +289,6 @@ fn cmd_protect(opts: &HashMap<String, String>) -> Result<(), String> {
         test.record_count()
     );
 
-    let mut config = MoodConfig::paper_default();
-    config.delta = TimeDelta::from_hours(delta_hours);
-    config.initial_window = Some(TimeDelta::from_hours(window_hours));
-    config.seed = seed;
     // The thread budget goes to the user-level fan-out; the engine
     // keeps its sequential candidate executor. Parallelizing both
     // levels with the full budget would oversubscribe (threads ×
@@ -306,47 +300,10 @@ fn cmd_protect(opts: &HashMap<String, String>) -> Result<(), String> {
         .build()
         .map_err(|e| e.to_string())?;
 
-    // Stream per-user outcomes to stderr as they complete: on large
-    // datasets the operator sees orphan users the moment they are
-    // found, not minutes later when the whole batch lands.
-    let total = test.user_count();
-    let mut done = 0usize;
-    let mut orphans = 0usize;
-    let report = mood_core::protect_stream(&engine, &test, executor.as_ref(), |outcome| {
-        done += 1;
-        if outcome.class.is_orphan() {
-            orphans += 1;
-        }
-        if quiet == 0 {
-            eprint!(
-                "\r  [{done}/{total}] protected, {orphans} orphan users (last: {} -> {})   ",
-                outcome.user, outcome.class
-            );
-            let _ = std::io::stderr().flush();
-        }
-    })
-    .map_err(|e| e.to_string())?;
-    if quiet == 0 {
-        eprintln!();
-    }
-    let (published, _ground_truth) = publish(report.outcomes());
-    trace_io::write_csv_file(&published, out).map_err(|e| e.to_string())?;
-
-    println!("\nprotection classes:");
-    for (class, count) in &report.class_counts {
-        println!("  {class}: {count}");
-    }
-    println!("data loss: {}", report.data_loss);
-    println!(
-        "published {} pseudonymous traces -> {out}",
-        published.user_count()
-    );
-    if let Some(report_path) = opts.get("report") {
-        let json = serde_json::to_string_pretty(&report.summary()).map_err(|e| e.to_string())?;
-        std::fs::write(report_path, json).map_err(|e| e.to_string())?;
-        println!("report -> {report_path}");
-    }
-    Ok(())
+    let sink = progress(test.user_count(), quiet);
+    let report = mood_core::protect_stream(&engine, &test, executor.as_ref(), sink)
+        .map_err(|e| e.to_string())?;
+    publish_report(&report, opts)
 }
 
 fn cmd_ingest(opts: &HashMap<String, String>) -> Result<(), String> {
@@ -394,12 +351,7 @@ fn cmd_ingest(opts: &HashMap<String, String>) -> Result<(), String> {
     };
     let (threads, executor_kind) = executor_opts(opts)?;
     let quiet: u8 = parse_or(opts, "quiet", 0)?;
-    let delta_hours: i64 = parse_or(opts, "delta-hours", 4)?;
-    let window_hours: i64 = parse_or(opts, "window-hours", 24)?;
-    let seed: u64 = parse_or(opts, "seed", MoodConfig::paper_default().seed)?;
-    if delta_hours <= 0 || window_hours <= 0 {
-        return Err("--delta-hours and --window-hours must be positive".into());
-    }
+    let config = engine_config(opts)?;
     let background = trace_io::read_csv_file(background_path).map_err(|e| e.to_string())?;
     if background.is_empty() {
         return Err("background dataset must not be empty".into());
@@ -409,36 +361,15 @@ fn cmd_ingest(opts: &HashMap<String, String>) -> Result<(), String> {
         store.user_count()
     );
 
-    let mut config = MoodConfig::paper_default();
-    config.delta = TimeDelta::from_hours(delta_hours);
-    config.initial_window = Some(TimeDelta::from_hours(window_hours));
-    config.seed = seed;
     let executor = executor_kind.build(threads);
     let engine = EngineBuilder::paper_default(&background)
         .config(config)
         .build()
         .map_err(|e| e.to_string())?;
 
-    let total = store.user_count();
-    let mut done = 0usize;
-    let mut orphans = 0usize;
-    let report = mood_core::protect_store_stream(&engine, &store, executor.as_ref(), |outcome| {
-        done += 1;
-        if outcome.class.is_orphan() {
-            orphans += 1;
-        }
-        if quiet == 0 {
-            eprint!(
-                "\r  [{done}/{total}] protected, {orphans} orphan users (last: {} -> {})   ",
-                outcome.user, outcome.class
-            );
-            let _ = std::io::stderr().flush();
-        }
-    })
-    .map_err(|e| e.to_string())?;
-    if quiet == 0 {
-        eprintln!();
-    }
+    let sink = progress(store.user_count(), quiet);
+    let report = mood_core::protect_store_stream(&engine, &store, executor.as_ref(), sink)
+        .map_err(|e| e.to_string())?;
 
     let stats = store.stats();
     println!(
@@ -449,6 +380,52 @@ fn cmd_ingest(opts: &HashMap<String, String>) -> Result<(), String> {
         stats.decodes,
         stats.evictions
     );
+    publish_report(&report, opts)
+}
+
+/// Parses the engine flags `protect`, `ingest` and `trace` share:
+/// `--delta-hours`, `--window-hours` and `--seed`.
+fn engine_config(opts: &HashMap<String, String>) -> Result<MoodConfig, String> {
+    let mut config = MoodConfig::paper_default();
+    let delta_hours: i64 = parse_or(opts, "delta-hours", 4)?;
+    let window_hours: i64 = parse_or(opts, "window-hours", 24)?;
+    config.seed = parse_or(opts, "seed", config.seed)?;
+    if delta_hours <= 0 || window_hours <= 0 {
+        return Err("--delta-hours and --window-hours must be positive".into());
+    }
+    config.delta = TimeDelta::from_hours(delta_hours);
+    config.initial_window = Some(TimeDelta::from_hours(window_hours));
+    Ok(config)
+}
+
+/// The sink `protect` and `ingest` stream outcomes into: unless
+/// `quiet`, it reports each of the `total` users on stderr as it
+/// completes, so on large datasets the operator sees orphan users the
+/// moment they are found, not minutes later when the whole batch lands.
+fn progress(total: usize, quiet: u8) -> impl FnMut(&UserProtection) + Send {
+    let (mut done, mut orphans) = (0usize, 0usize);
+    move |outcome: &UserProtection| {
+        done += 1;
+        if outcome.class.is_orphan() {
+            orphans += 1;
+        }
+        if quiet == 0 {
+            eprint!(
+                "\r  [{done}/{total}] protected, {orphans} orphan users (last: {} -> {})   ",
+                outcome.user, outcome.class
+            );
+            if done == total {
+                eprintln!();
+            }
+            let _ = std::io::stderr().flush();
+        }
+    }
+}
+
+/// Prints the protection classes and data loss, then publishes the
+/// pseudonymous CSV to `--out` and the summary to `--report`, each
+/// when given.
+fn publish_report(report: &ProtectionReport, opts: &HashMap<String, String>) -> Result<(), String> {
     println!("\nprotection classes:");
     for (class, count) in &report.class_counts {
         println!("  {class}: {count}");
@@ -618,13 +595,8 @@ fn cmd_trace(opts: &HashMap<String, String>) -> Result<(), String> {
     let input = required(opts, "input")?;
     let background_path = required(opts, "background")?;
     let trace_out = required(opts, "trace-out")?;
-    let delta_hours: i64 = parse_or(opts, "delta-hours", 4)?;
-    let window_hours: i64 = parse_or(opts, "window-hours", 24)?;
-    let seed: u64 = parse_or(opts, "seed", MoodConfig::paper_default().seed)?;
+    let config = engine_config(opts)?;
     let limit: usize = parse_or(opts, "limit-users", 0)?;
-    if delta_hours <= 0 || window_hours <= 0 {
-        return Err("--delta-hours and --window-hours must be positive".into());
-    }
 
     let background = trace_io::read_csv_file(background_path).map_err(|e| e.to_string())?;
     let test = trace_io::read_csv_file(input).map_err(|e| e.to_string())?;
@@ -632,10 +604,6 @@ fn cmd_trace(opts: &HashMap<String, String>) -> Result<(), String> {
         return Err("input datasets must not be empty".into());
     }
 
-    let mut config = MoodConfig::paper_default();
-    config.delta = TimeDelta::from_hours(delta_hours);
-    config.initial_window = Some(TimeDelta::from_hours(window_hours));
-    config.seed = seed;
     // Sequential on purpose: one user at a time means the shared stage
     // aggregate drained after each user is exactly that user's work.
     let agg = Arc::new(StageAgg::new(&ENGINE_STAGES));
@@ -653,7 +621,7 @@ fn cmd_trace(opts: &HashMap<String, String>) -> Result<(), String> {
         }
         // The same id the server would assign to request_id = index:
         // offline traces line up with online ones for the same seed.
-        let spans = TraceSpans::new(mood_serve::request_seed(seed, index as u64));
+        let spans = TraceSpans::new(mood_serve::request_seed(config.seed, index as u64));
         let root = spans.begin("protect_user");
         spans.attr(root, "user", trace.user());
         let outcome = engine.protect_user(trace);

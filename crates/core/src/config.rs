@@ -63,17 +63,6 @@ impl MoodConfig {
         }
         Ok(())
     }
-
-    /// Validates the configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics when [`MoodConfig::check`] fails.
-    pub fn validate(&self) {
-        if let Err(message) = self.check() {
-            panic!("{message}");
-        }
-    }
 }
 
 impl Default for MoodConfig {
@@ -91,23 +80,24 @@ mod tests {
         let c = MoodConfig::paper_default();
         assert_eq!(c.delta, TimeDelta::from_hours(4));
         assert_eq!(c.initial_window, Some(TimeDelta::from_hours(24)));
-        c.validate();
+        assert_eq!(c.check(), Ok(()));
     }
 
     #[test]
-    #[should_panic(expected = "delta must be positive")]
     fn rejects_zero_delta() {
         let mut c = MoodConfig::paper_default();
         c.delta = TimeDelta::from_secs(0);
-        c.validate();
+        assert_eq!(c.check(), Err("delta must be positive".to_string()));
     }
 
     #[test]
-    #[should_panic(expected = "initial window")]
     fn rejects_zero_window() {
         let mut c = MoodConfig::paper_default();
         c.initial_window = Some(TimeDelta::from_secs(0));
-        c.validate();
+        assert_eq!(
+            c.check(),
+            Err("initial window must be positive".to_string())
+        );
     }
 
     #[test]

@@ -569,16 +569,15 @@ impl MoodEngine {
     ///
     /// # Panics
     ///
-    /// Panics when `base` is empty or the configuration is invalid. The
-    /// non-panicking equivalent is [`EngineBuilder::build`].
+    /// Panics with the [`EngineError`] of [`EngineBuilder::build`], the
+    /// non-panicking equivalent, when `base` is empty or the
+    /// configuration is invalid.
     pub fn new(suite: Arc<AttackSuite>, base: Vec<Arc<dyn Lppm>>, config: MoodConfig) -> Self {
-        assert!(!base.is_empty(), "MooD needs at least one LPPM");
-        config.validate();
         EngineBuilder::new(suite)
             .lppms(base)
             .config(config)
             .build()
-            .expect("inputs validated above")
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// The paper's full setup: POI/PIT/AP attacks trained on

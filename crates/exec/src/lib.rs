@@ -49,7 +49,7 @@ pub mod service;
 
 pub use persistent::PersistentPoolExecutor;
 pub use sequential::SequentialExecutor;
-pub use service::{QueueStats, ServicePool, SubmitError, SubmitGate};
+pub use service::{QueueStats, ServicePool, SubmitError};
 
 use std::sync::{Arc, Mutex};
 

@@ -67,14 +67,6 @@ pub struct QueueStats {
     pub waited: Duration,
 }
 
-/// A fault-injection hook consulted by [`ServicePool::try_submit`]:
-/// returning `true` for a job forces a [`SubmitError::Full`] rejection
-/// as if the queue were at capacity. Built for deterministic chaos
-/// testing of the shedding path (the serve layer wires a seeded fault
-/// plan through it); pools built with [`ServicePool::new`] carry no
-/// gate and pay nothing for the feature.
-pub type SubmitGate<T> = Box<dyn Fn(&T) -> bool + Send + Sync>;
-
 /// A fixed pool of service workers fed through a bounded FIFO queue.
 ///
 /// Each worker runs `handler(slot, job)` for one job at a time; `slot`
@@ -93,8 +85,6 @@ pub struct ServicePool<T: Send + 'static> {
     /// trigger a join-free signal path.
     workers: Mutex<Vec<JoinHandle<()>>>,
     threads: usize,
-    /// Optional forced-shedding hook (see [`SubmitGate`]).
-    gate: Option<SubmitGate<T>>,
 }
 
 impl<T: Send + 'static> ServicePool<T> {
@@ -102,22 +92,6 @@ impl<T: Send + 'static> ServicePool<T> {
     /// with room for `capacity` queued jobs (at least 1) beyond the
     /// ones being handled.
     pub fn new<F>(name: &str, threads: usize, capacity: usize, handler: F) -> Self
-    where
-        F: Fn(usize, T) + Send + Sync + 'static,
-    {
-        Self::with_submit_gate(name, threads, capacity, handler, None)
-    }
-
-    /// [`ServicePool::new`] with an optional [`SubmitGate`]: jobs the
-    /// gate flags are rejected as [`SubmitError::Full`] before touching
-    /// the queue — the chaos layer's forced queue-full shedding.
-    pub fn with_submit_gate<F>(
-        name: &str,
-        threads: usize,
-        capacity: usize,
-        handler: F,
-        gate: Option<SubmitGate<T>>,
-    ) -> Self
     where
         F: Fn(usize, T) + Send + Sync + 'static,
     {
@@ -149,7 +123,6 @@ impl<T: Send + 'static> ServicePool<T> {
             shared,
             workers: Mutex::new(workers),
             threads,
-            gate,
         }
     }
 
@@ -158,14 +131,9 @@ impl<T: Send + 'static> ServicePool<T> {
     /// # Errors
     ///
     /// Returns the job back as [`SubmitError::Full`] when the queue is
-    /// at capacity (or the submit gate flags the job) and
-    /// [`SubmitError::ShuttingDown`] after shutdown began.
+    /// at capacity and [`SubmitError::ShuttingDown`] after shutdown
+    /// began.
     pub fn try_submit(&self, job: T) -> Result<(), SubmitError<T>> {
-        if let Some(gate) = &self.gate {
-            if gate(&job) {
-                return Err(SubmitError::Full(job));
-            }
-        }
         let mut state = self.shared.state.lock().expect("service state lock");
         if state.shutdown {
             return Err(SubmitError::ShuttingDown(job));
@@ -360,27 +328,6 @@ mod tests {
         pool.shutdown();
         assert_eq!(done.load(Ordering::SeqCst), 3, "survivors keep running");
         assert_eq!(pool.handler_panics(), 1);
-    }
-
-    #[test]
-    fn submit_gate_forces_full_without_touching_the_queue() {
-        let done = Arc::new(AtomicUsize::new(0));
-        let counter = Arc::clone(&done);
-        let pool = ServicePool::with_submit_gate(
-            "svc-gate",
-            1,
-            32,
-            move |_slot, _job: u32| {
-                counter.fetch_add(1, Ordering::SeqCst);
-            },
-            Some(Box::new(|job: &u32| *job % 2 == 1)),
-        );
-        assert_eq!(pool.try_submit(1), Err(SubmitError::Full(1)));
-        assert_eq!(pool.try_submit(3), Err(SubmitError::Full(3)));
-        pool.try_submit(0).unwrap();
-        pool.try_submit(2).unwrap();
-        pool.shutdown();
-        assert_eq!(done.load(Ordering::SeqCst), 2, "gated jobs never ran");
     }
 
     #[test]

@@ -10,7 +10,7 @@ pub struct StageTotal {
     /// Total measured nanoseconds.
     pub ns: u64,
     /// Number of underlying operations covered (not number of
-    /// `record` calls — a batched `record_n` adds its batch size).
+    /// `record_n` calls — each adds its batch size).
     pub count: u64,
 }
 
@@ -37,16 +37,6 @@ impl StageAgg {
             ns: (0..stages.len()).map(|_| AtomicU64::new(0)).collect(),
             count: (0..stages.len()).map(|_| AtomicU64::new(0)).collect(),
         }
-    }
-
-    /// The stage-name table this aggregator was built over.
-    pub fn stages(&self) -> &'static [&'static str] {
-        self.stages
-    }
-
-    /// Adds one operation of `ns` nanoseconds to `stage`.
-    pub fn record(&self, stage: usize, ns: u64) {
-        self.record_n(stage, ns, 1);
     }
 
     /// Adds `count` operations totalling `ns` nanoseconds to `stage`.
@@ -92,7 +82,7 @@ mod tests {
     #[test]
     fn records_drain_and_reset() {
         let agg = StageAgg::new(&STAGES);
-        agg.record(0, 100);
+        agg.record_n(0, 100, 1);
         agg.record_n(2, 5_000, 64);
         let drained = agg.drain();
         assert_eq!(drained.len(), 2);
@@ -105,7 +95,7 @@ mod tests {
     #[test]
     fn out_of_range_stage_is_ignored() {
         let agg = StageAgg::new(&STAGES);
-        agg.record(17, 1);
+        agg.record_n(17, 1, 1);
         assert!(agg.snapshot().is_empty());
     }
 
@@ -117,7 +107,7 @@ mod tests {
                 let agg = Arc::clone(&agg);
                 scope.spawn(move || {
                     for _ in 0..1_000 {
-                        agg.record(1, 3);
+                        agg.record_n(1, 3, 1);
                     }
                 });
             }

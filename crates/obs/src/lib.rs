@@ -11,17 +11,15 @@
 //!
 //! Three layers:
 //!
-//! * [`TraceSpans`] — a per-request span collector with
-//!   [`span!`]-style guards. Zero-cost when disabled: a disabled
-//!   collector never calls `Instant::now` and never formats an
-//!   attribute.
+//! * [`TraceSpans`] — a per-request span collector. Zero-cost when
+//!   disabled: a disabled collector never calls `Instant::now` and
+//!   never formats an attribute.
 //! * [`StageAgg`] — lock-free per-stage duration totals for hot loops
 //!   (the engine records *aggregated* candidate-evaluation time here
 //!   rather than one span per candidate, keeping overhead bounded).
 //! * [`Recorder`] — the flight recorder: bounded rings of recent and
-//!   slow [`TraceRecord`]s plus per-stage latency histograms and
-//!   labeled counters, all snapshot-able for `/metrics` and the
-//!   `GET /v1/debug/trace` export.
+//!   slow [`TraceRecord`]s plus per-stage latency histograms, all
+//!   snapshot-able for `/metrics` and the `GET /v1/debug/trace` export.
 //!
 //! [`chrome_trace`] renders records as Chrome-trace-viewer JSON
 //! (`chrome://tracing` / Perfetto "trace event" format).
@@ -36,10 +34,8 @@ mod span;
 
 pub use agg::{StageAgg, StageTotal};
 pub use record::{chrome_trace, SpanAttr, SpanEvent, SpanRecord, TraceRecord};
-pub use recorder::{
-    CounterSample, Recorder, RecorderConfig, StageHistogram, STAGE_BUCKET_BOUNDS_US,
-};
-pub use span::{SpanGuard, SpanToken, TraceSpans};
+pub use recorder::{Recorder, RecorderConfig, StageHistogram, STAGE_BUCKET_BOUNDS_US};
+pub use span::{SpanToken, TraceSpans};
 
 /// SplitMix64 finalizer — the one mixer behind the engine's per-variant
 /// RNG streams, the serve layer's request seeds, chaos rolls and retry
@@ -74,31 +70,6 @@ pub fn span_id(trace_id: u64, stage: &str, index: u64) -> u64 {
     }
 }
 
-/// Opens a span guard on a [`TraceSpans`] collector, optionally tagging
-/// attributes, and ends the span when the guard drops:
-///
-/// ```
-/// use mood_obs::{span, TraceSpans};
-/// let spans = TraceSpans::new(42);
-/// {
-///     let _g = span!(spans, "protect", user = 7);
-///     // ... timed work ...
-/// }
-/// let record = spans.finish().unwrap();
-/// assert_eq!(record.spans[0].stage, "protect");
-/// ```
-///
-/// On a disabled collector the guard is inert: nothing is recorded and
-/// attribute values are never formatted.
-#[macro_export]
-macro_rules! span {
-    ($spans:expr, $stage:expr $(, $key:ident = $value:expr)* $(,)?) => {{
-        let guard = $spans.enter($stage);
-        $( $spans.attr(guard.token(), stringify!($key), &$value); )*
-        guard
-    }};
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -114,29 +85,12 @@ mod tests {
     }
 
     #[test]
-    fn macro_records_attrs_and_nesting() {
-        let spans = TraceSpans::new(1);
-        {
-            let outer = span!(spans, "request", endpoint = "protect");
-            let _inner = span!(spans, "engine", user = 42u64);
-            let _ = outer;
-        }
-        let record = spans.finish().expect("enabled collector yields a record");
-        assert_eq!(record.spans.len(), 2);
-        assert_eq!(record.spans[0].stage, "request");
-        assert_eq!(record.spans[0].attrs[0].key, "endpoint");
-        assert_eq!(record.spans[0].attrs[0].value, "protect");
-        assert_eq!(record.spans[1].parent_id, record.spans[0].id);
-        assert_eq!(record.spans[1].attrs[0].value, "42");
-    }
-
-    #[test]
     fn disabled_collector_is_inert() {
         let spans = TraceSpans::disabled();
-        let guard = spans.enter("request");
-        spans.attr(guard.token(), "k", "v");
-        spans.event(guard.token(), "boom");
-        drop(guard);
+        let root = spans.begin("request");
+        spans.attr(root, "k", "v");
+        spans.event(root, "boom");
+        spans.end(root);
         assert!(spans.finish().is_none());
     }
 }

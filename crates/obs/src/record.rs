@@ -11,10 +11,10 @@ pub struct SpanAttr {
     pub value: String,
 }
 
-/// An instantaneous event inside a span (chaos fault, client retry).
+/// An instantaneous event inside a span (chaos fault, degraded result).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SpanEvent {
-    /// Event name (e.g. `fault_delay`, `retry`).
+    /// Event name (e.g. `fault_delay`, `degraded`).
     pub name: String,
     /// Microseconds since the trace origin.
     pub at_us: u64,

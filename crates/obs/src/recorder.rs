@@ -1,5 +1,5 @@
-//! The flight recorder: bounded rings of recent/slow traces, per-stage
-//! latency histograms, and labeled counters.
+//! The flight recorder: bounded rings of recent/slow traces and
+//! per-stage latency histograms.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -52,19 +52,6 @@ pub struct StageHistogram {
     pub sum_us: u64,
 }
 
-/// One labeled counter sample from [`Recorder::counters`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CounterSample {
-    /// Metric name (e.g. `mood_serve_client_retries_total`).
-    pub metric: String,
-    /// Label key (e.g. `reason`).
-    pub label_key: String,
-    /// Label value (e.g. `status_503`).
-    pub label_value: String,
-    /// Current count.
-    pub value: u64,
-}
-
 #[derive(Default)]
 struct StageHisto {
     buckets: [u64; 9],
@@ -77,7 +64,6 @@ struct RecorderInner {
     recent: VecDeque<TraceRecord>,
     slow: VecDeque<TraceRecord>,
     stages: BTreeMap<String, StageHisto>,
-    counters: BTreeMap<(String, String, String), u64>,
 }
 
 /// The per-server flight recorder.
@@ -142,19 +128,6 @@ impl Recorder {
         self.recorded.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Bumps a labeled counter (e.g. client retries by reason).
-    pub fn bump(&self, metric: &str, label_key: &str, label_value: &str) {
-        let mut inner = self.inner.lock().expect("recorder lock");
-        *inner
-            .counters
-            .entry((
-                metric.to_string(),
-                label_key.to_string(),
-                label_value.to_string(),
-            ))
-            .or_insert(0) += 1;
-    }
-
     /// The newest `limit` recent traces, oldest first.
     pub fn export(&self, limit: usize) -> Vec<TraceRecord> {
         let inner = self.inner.lock().expect("recorder lock");
@@ -180,21 +153,6 @@ impl Recorder {
                 buckets: h.buckets,
                 count: h.count,
                 sum_us: h.sum_us,
-            })
-            .collect()
-    }
-
-    /// Labeled counter snapshots, sorted by `(metric, key, value)`.
-    pub fn counters(&self) -> Vec<CounterSample> {
-        let inner = self.inner.lock().expect("recorder lock");
-        inner
-            .counters
-            .iter()
-            .map(|((metric, label_key, label_value), value)| CounterSample {
-                metric: metric.clone(),
-                label_key: label_key.clone(),
-                label_value: label_value.clone(),
-                value: *value,
             })
             .collect()
     }
@@ -270,18 +228,5 @@ mod tests {
         assert_eq!(histos[1].stage, "parse");
         assert_eq!(histos[1].count, 2);
         assert_eq!(histos[1].buckets.iter().sum::<u64>(), 2);
-    }
-
-    #[test]
-    fn labeled_counters_accumulate() {
-        let recorder = Recorder::new(RecorderConfig::default());
-        recorder.bump("mood_serve_client_retries_total", "reason", "status_503");
-        recorder.bump("mood_serve_client_retries_total", "reason", "status_503");
-        recorder.bump("mood_serve_client_retries_total", "reason", "io_refused");
-        let counters = recorder.counters();
-        assert_eq!(counters.len(), 2);
-        assert_eq!(counters[0].label_value, "io_refused");
-        assert_eq!(counters[0].value, 1);
-        assert_eq!(counters[1].value, 2);
     }
 }

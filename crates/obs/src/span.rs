@@ -20,34 +20,8 @@ impl SpanToken {
     /// The null token: attached to no span, inert everywhere.
     pub const NONE: SpanToken = SpanToken(0);
 
-    /// Is this the null token?
-    pub fn is_none(self) -> bool {
-        self.0 == 0
-    }
-
     fn index(self) -> Option<usize> {
         (self.0 != 0).then(|| self.0 as usize - 1)
-    }
-}
-
-/// A guard returned by [`TraceSpans::enter`] / the [`crate::span!`]
-/// macro; ends its span when dropped.
-pub struct SpanGuard<'a> {
-    spans: &'a TraceSpans,
-    token: SpanToken,
-}
-
-impl SpanGuard<'_> {
-    /// The underlying token — for attaching attributes, events, or
-    /// synthetic children while the guard is live.
-    pub fn token(&self) -> SpanToken {
-        self.token
-    }
-}
-
-impl Drop for SpanGuard<'_> {
-    fn drop(&mut self) {
-        self.spans.end(self.token);
     }
 }
 
@@ -152,14 +126,6 @@ impl TraceSpans {
         SpanToken(idx as u32 + 1)
     }
 
-    /// Opens a span and returns a guard that ends it on drop.
-    pub fn enter(&self, stage: &str) -> SpanGuard<'_> {
-        SpanGuard {
-            spans: self,
-            token: self.begin(stage),
-        }
-    }
-
     /// Closes the span behind `token`, defensively closing any child
     /// spans still open above it.
     pub fn end(&self, token: SpanToken) {
@@ -198,8 +164,8 @@ impl TraceSpans {
         }
     }
 
-    /// Records an instantaneous event (e.g. an injected chaos fault or
-    /// a client retry) on the span behind `token`.
+    /// Records an instantaneous event (e.g. an injected chaos fault) on
+    /// the span behind `token`.
     pub fn event(&self, token: SpanToken, name: &str) {
         let Some(idx) = token.index() else { return };
         if !self.enabled {
@@ -351,6 +317,24 @@ mod tests {
         };
         assert_eq!(shape(99), shape(99));
         assert_ne!(shape(99), shape(100), "trace id must re-key every span id");
+    }
+
+    #[test]
+    fn attrs_and_nesting_record_through_begin() {
+        let spans = TraceSpans::new(1);
+        let outer = spans.begin("request");
+        spans.attr(outer, "endpoint", "protect");
+        let inner = spans.begin("engine");
+        spans.attr(inner, "user", 42u64);
+        spans.end(inner);
+        spans.end(outer);
+        let record = spans.finish().expect("enabled collector yields a record");
+        assert_eq!(record.spans.len(), 2);
+        assert_eq!(record.spans[0].stage, "request");
+        assert_eq!(record.spans[0].attrs[0].key, "endpoint");
+        assert_eq!(record.spans[0].attrs[0].value, "protect");
+        assert_eq!(record.spans[1].parent_id, record.spans[0].id);
+        assert_eq!(record.spans[1].attrs[0].value, "42");
     }
 
     #[test]

@@ -17,13 +17,13 @@
 //! ## Event layout
 //!
 //! Each connection consumes a fixed, documented event schedule so that
-//! any component (acceptor, pool gate, connection handler) can re-derive
-//! a decision statelessly:
+//! any component (acceptor, connection handler) can re-derive a
+//! decision statelessly:
 //!
 //! | event_idx        | fault kind   | decided by          |
 //! |------------------|--------------|---------------------|
 //! | 0                | accept drop  | acceptor thread     |
-//! | 1                | queue shed   | `ServicePool` gate  |
+//! | 1                | queue shed   | acceptor thread     |
 //! | 2 + 3·r          | delay        | connection handler  |
 //! | 3 + 3·r          | panic        | connection handler  |
 //! | 4 + 3·r          | truncate     | connection handler  |
@@ -40,7 +40,8 @@ use mood_obs::mix64;
 pub enum FaultKind {
     /// The acceptor drops the connection right after `accept`.
     AcceptDrop,
-    /// The pool's submit gate reports queue-full, shedding with 503.
+    /// The acceptor sheds the connection with 503, as if the accept
+    /// queue were full.
     Shed,
     /// The handler sleeps before serving the request.
     Delay,
@@ -179,8 +180,7 @@ impl ChaosConfig {
 /// Decisions are stateless re-derivations — `FaultPlan` only tracks the
 /// per-connection request counter for the keep-alive event layout — so
 /// holding a plan costs three words and cloning or re-deriving a
-/// decision elsewhere (e.g. the acceptor re-checking the pool gate's
-/// shed verdict to count it) always agrees.
+/// decision elsewhere always agrees.
 #[derive(Debug, Clone)]
 pub struct FaultPlan {
     chaos: ChaosConfig,
@@ -213,8 +213,7 @@ impl FaultPlan {
         self.fires(FaultKind::AcceptDrop, 0)
     }
 
-    /// Event 1: force queue-full shedding at submit time? Stateless, so
-    /// the pool's gate and the acceptor's fault counter agree for free.
+    /// Event 1: shed the connection in place of submitting it?
     pub fn shed(&self) -> bool {
         self.fires(FaultKind::Shed, 1)
     }

@@ -47,8 +47,8 @@
 //! ([`mood_obs::Recorder`]) served by `GET /v1/debug/trace`. Span ids
 //! and structure derive from `(server_seed, request_id)`, never from
 //! wall-clock; durations are observability-only, so served bytes are
-//! bit-identical with tracing on or off. Chaos faults and client
-//! retries surface as span events.
+//! bit-identical with tracing on or off. Chaos faults surface as span
+//! events.
 //!
 //! # Examples
 //!
@@ -96,7 +96,7 @@ pub use api::{
 pub use chaos::{ChaosConfig, FaultKind, FaultPlan};
 pub use client::{fetch, Client, ClientConfig, ClientResponse};
 pub use http::{reason_phrase, Conn, Request, RequestOutcome, Response, MAX_HEAD_BYTES};
-pub use metrics::{escape_label_value, Endpoint, RenderScope, ServerMetrics};
+pub use metrics::ServerMetrics;
 pub use mood_obs;
 pub use retry::{
     retry_reason, retryable_io, retryable_status, RetryClient, RetryPolicy, RetryStats,

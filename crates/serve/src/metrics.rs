@@ -2,11 +2,13 @@
 //! histogram and engine-level gauges, rendered as Prometheus text
 //! (`GET /metrics`).
 //!
-//! Counters are lock-free atomics on the request path; only the
-//! status-code map takes a (short, uncontended) lock. Rendering
-//! happens on scrape, not on update.
+//! Every counter series is one row of one atomic table ([`ROWS`]); only
+//! the status-code map takes a (short, uncontended) lock. Rendering
+//! happens on scrape, not on update, through one writer
+//! ([`Exposition`]).
 
 use std::collections::BTreeMap;
+use std::fmt::{Display, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
@@ -17,67 +19,61 @@ use mood_obs::{Recorder, STAGE_BUCKET_BOUNDS_US};
 
 use crate::chaos::FaultKind;
 
-/// The endpoints the service distinguishes in its metrics.
+/// The endpoints the service distinguishes in its metrics; a variant's
+/// discriminant is its `mood_serve_requests_total` row in [`ROWS`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Endpoint {
-    /// `GET /healthz`
+pub(crate) enum Endpoint {
     Healthz,
-    /// `GET /v1/config`
     Config,
-    /// `GET /metrics`
     Metrics,
-    /// `POST /v1/protect`
     Protect,
-    /// `POST /v1/protect/batch`
     ProtectBatch,
-    /// `GET /v1/debug/trace` (flight-recorder export)
     DebugTrace,
     /// Anything else (404/405 traffic).
     Other,
 }
 
-impl Endpoint {
-    /// Every endpoint, in rendering order.
-    pub const ALL: [Endpoint; 7] = [
-        Endpoint::Healthz,
-        Endpoint::Config,
-        Endpoint::Metrics,
-        Endpoint::Protect,
-        Endpoint::ProtectBatch,
-        Endpoint::DebugTrace,
-        Endpoint::Other,
-    ];
-
-    /// The metrics label for this endpoint.
-    pub fn label(self) -> &'static str {
-        match self {
-            Endpoint::Healthz => "healthz",
-            Endpoint::Config => "config",
-            Endpoint::Metrics => "metrics",
-            Endpoint::Protect => "protect",
-            Endpoint::ProtectBatch => "protect_batch",
-            Endpoint::DebugTrace => "debug_trace",
-            Endpoint::Other => "other",
-        }
-    }
-
-    fn index(self) -> usize {
-        match self {
-            Endpoint::Healthz => 0,
-            Endpoint::Config => 1,
-            Endpoint::Metrics => 2,
-            Endpoint::Protect => 3,
-            Endpoint::ProtectBatch => 4,
-            Endpoint::DebugTrace => 5,
-            Endpoint::Other => 6,
-        }
-    }
-}
+/// The counter table: one `(family, labels)` series per row, in
+/// exposition order. The endpoint rows follow [`Endpoint`]'s variants
+/// and the fault rows [`FaultKind::ALL`].
+const ROWS: [(&str, &str); 20] = [
+    ("mood_serve_requests_total", r#"endpoint="healthz""#),
+    ("mood_serve_requests_total", r#"endpoint="config""#),
+    ("mood_serve_requests_total", r#"endpoint="metrics""#),
+    ("mood_serve_requests_total", r#"endpoint="protect""#),
+    ("mood_serve_requests_total", r#"endpoint="protect_batch""#),
+    ("mood_serve_requests_total", r#"endpoint="debug_trace""#),
+    ("mood_serve_requests_total", r#"endpoint="other""#),
+    ("mood_serve_users_protected_total", ""),
+    ("mood_serve_scratch_reuses_total", ""),
+    ("mood_serve_attack_scratch_reuses_total", ""),
+    ("mood_serve_heatmap_cache_total", r#"result="hit""#),
+    ("mood_serve_heatmap_cache_total", r#"result="miss""#),
+    ("mood_serve_connections_total", ""),
+    ("mood_serve_overload_rejected_total", ""),
+    ("mood_serve_faults_injected_total", r#"kind="accept_drop""#),
+    ("mood_serve_faults_injected_total", r#"kind="shed""#),
+    ("mood_serve_faults_injected_total", r#"kind="delay""#),
+    ("mood_serve_faults_injected_total", r#"kind="panic""#),
+    ("mood_serve_faults_injected_total", r#"kind="truncate""#),
+    ("mood_serve_degraded_results_total", ""),
+];
+// The rows of `ROWS` that no `Endpoint` and no `FaultKind` picks; `FAULTS`
+// is the first fault row.
+const USERS: usize = 7;
+const SCRATCH_REUSES: usize = 8;
+const ATTACK_SCRATCH_REUSES: usize = 9;
+const HEATMAP_HITS: usize = 10;
+const HEATMAP_MISSES: usize = 11;
+const CONNECTIONS: usize = 12;
+const OVERLOADS: usize = 13;
+const FAULTS: usize = 14;
+const DEGRADED: usize = 19;
 
 /// Escapes a dynamic Prometheus label value per the text exposition
 /// rules: backslash, double quote and newline must be escaped; every
 /// other byte passes through.
-pub fn escape_label_value(value: &str) -> String {
+fn escape_label_value(value: &str) -> String {
     let mut out = String::with_capacity(value.len());
     for c in value.chars() {
         match c {
@@ -92,8 +88,8 @@ pub fn escape_label_value(value: &str) -> String {
 
 /// Everything the `/metrics` renderer needs beyond the counters
 /// themselves: the server's static shape, live queue gauges and the
-/// flight recorder's histograms/counters.
-pub struct RenderScope<'a> {
+/// flight recorder's histograms and counters.
+pub(crate) struct RenderScope<'a> {
     /// Executor backend name (`backend` label).
     pub backend: &'a str,
     /// Executor thread budget.
@@ -116,61 +112,39 @@ const BUCKET_BOUNDS_US: [u64; 8] = [
 ];
 
 /// Counters and gauges of one running server.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct ServerMetrics {
-    requests: [AtomicU64; 7],
+    /// One counter per [`ROWS`] series.
+    rows: [AtomicU64; ROWS.len()],
     statuses: Mutex<BTreeMap<u16, u64>>,
-    buckets: [AtomicU64; 9],
+    buckets: [AtomicU64; BUCKET_BOUNDS_US.len() + 1],
     latency_sum_us: AtomicU64,
-    responses: AtomicU64,
-    users_protected: AtomicU64,
-    scratch_reuses: AtomicU64,
-    attack_scratch_reuses: AtomicU64,
-    heatmap_cache_hits: AtomicU64,
-    heatmap_cache_misses: AtomicU64,
-    connections: AtomicU64,
-    overload_rejected: AtomicU64,
-    faults: [AtomicU64; FaultKind::ALL.len()],
-    degraded_results: AtomicU64,
-}
-
-impl Default for ServerMetrics {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl ServerMetrics {
     /// Fresh, all-zero metrics.
     pub fn new() -> Self {
-        Self {
-            requests: std::array::from_fn(|_| AtomicU64::new(0)),
-            statuses: Mutex::new(BTreeMap::new()),
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            latency_sum_us: AtomicU64::new(0),
-            responses: AtomicU64::new(0),
-            users_protected: AtomicU64::new(0),
-            scratch_reuses: AtomicU64::new(0),
-            attack_scratch_reuses: AtomicU64::new(0),
-            heatmap_cache_hits: AtomicU64::new(0),
-            heatmap_cache_misses: AtomicU64::new(0),
-            connections: AtomicU64::new(0),
-            overload_rejected: AtomicU64::new(0),
-            faults: std::array::from_fn(|_| AtomicU64::new(0)),
-            degraded_results: AtomicU64::new(0),
-        }
+        Self::default()
+    }
+
+    fn add(&self, row: usize, n: u64) {
+        self.rows[row].fetch_add(n, Ordering::Relaxed);
+    }
+
+    fn get(&self, row: usize) -> u64 {
+        self.rows[row].load(Ordering::Relaxed)
     }
 
     /// Counts one routed request.
-    pub fn record_request(&self, endpoint: Endpoint) {
-        self.requests[endpoint.index()].fetch_add(1, Ordering::Relaxed);
+    pub(crate) fn record_request(&self, endpoint: Endpoint) {
+        self.add(endpoint as usize, 1);
     }
 
     /// Counts one routed response with its handling latency (feeds the
     /// histogram — use [`ServerMetrics::record_error_status`] for
     /// responses with no meaningful handling time).
-    pub fn record_response(&self, status: u16, latency: Duration) {
-        self.record_status(status);
+    pub(crate) fn record_response(&self, status: u16, latency: Duration) {
+        self.record_error_status(status);
         let us = u64::try_from(latency.as_micros()).unwrap_or(u64::MAX);
         let bucket = BUCKET_BOUNDS_US
             .iter()
@@ -183,120 +157,101 @@ impl ServerMetrics {
     /// Counts a status-only response — load sheds (503) and protocol
     /// failures (4xx), whose "latency" is peer wait time, not handling
     /// time; they would poison the histogram's percentiles.
-    pub fn record_error_status(&self, status: u16) {
-        self.record_status(status);
-    }
-
-    fn record_status(&self, status: u16) {
+    pub(crate) fn record_error_status(&self, status: u16) {
         *self
             .statuses
             .lock()
             .expect("status map lock")
             .entry(status)
             .or_insert(0) += 1;
-        self.responses.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Adds protected users to the running total.
-    pub fn add_users(&self, n: u64) {
-        self.users_protected.fetch_add(n, Ordering::Relaxed);
+    pub(crate) fn add_users(&self, n: u64) {
+        self.add(USERS, n);
     }
 
     /// Adds a request engine's scratch reuses to the running total.
-    pub fn add_scratch_reuses(&self, n: u64) {
-        self.scratch_reuses.fetch_add(n, Ordering::Relaxed);
+    pub(crate) fn add_scratch_reuses(&self, n: u64) {
+        self.add(SCRATCH_REUSES, n);
     }
 
     /// Adds a request engine's attack-scratch reuses to the running
     /// total (warm-arena attack scoring; see
     /// `MoodEngine::attack_scratch_reuses`).
-    pub fn add_attack_scratch_reuses(&self, n: u64) {
-        self.attack_scratch_reuses.fetch_add(n, Ordering::Relaxed);
+    pub(crate) fn add_attack_scratch_reuses(&self, n: u64) {
+        self.add(ATTACK_SCRATCH_REUSES, n);
     }
 
     /// Adds a request engine's rasterization-cache (heatmap-scratch)
     /// hit/miss counts to the running totals.
-    pub fn add_heatmap_cache(&self, hits: u64, misses: u64) {
-        self.heatmap_cache_hits.fetch_add(hits, Ordering::Relaxed);
-        self.heatmap_cache_misses
-            .fetch_add(misses, Ordering::Relaxed);
+    pub(crate) fn add_heatmap_cache(&self, hits: u64, misses: u64) {
+        self.add(HEATMAP_HITS, hits);
+        self.add(HEATMAP_MISSES, misses);
     }
 
     /// Counts one accepted connection.
-    pub fn record_connection(&self) {
-        self.connections.fetch_add(1, Ordering::Relaxed);
+    pub(crate) fn record_connection(&self) {
+        self.add(CONNECTIONS, 1);
     }
 
     /// Counts one connection shed with 503 because the accept queue was
     /// full.
-    pub fn record_overload(&self) {
-        self.overload_rejected.fetch_add(1, Ordering::Relaxed);
+    pub(crate) fn record_overload(&self) {
+        self.add(OVERLOADS, 1);
     }
 
     /// Counts one injected chaos fault of `kind`.
-    pub fn record_fault(&self, kind: FaultKind) {
-        self.faults[kind.index()].fetch_add(1, Ordering::Relaxed);
+    pub(crate) fn record_fault(&self, kind: FaultKind) {
+        self.add(FAULTS + kind.index(), 1);
     }
 
     /// Counts degraded protection results (candidate budget exhausted)
     /// served so far.
-    pub fn add_degraded_results(&self, n: u64) {
-        self.degraded_results.fetch_add(n, Ordering::Relaxed);
+    pub(crate) fn add_degraded_results(&self, n: u64) {
+        self.add(DEGRADED, n);
     }
 
     /// Responses sent so far (any status).
     pub fn responses_total(&self) -> u64 {
-        self.responses.load(Ordering::Relaxed)
+        self.statuses
+            .lock()
+            .expect("status map lock")
+            .values()
+            .sum()
     }
 
     /// Connections accepted so far.
     pub fn connections_total(&self) -> u64 {
-        self.connections.load(Ordering::Relaxed)
+        self.get(CONNECTIONS)
     }
 
     /// Connections shed with 503 so far.
     pub fn overload_rejected_total(&self) -> u64 {
-        self.overload_rejected.load(Ordering::Relaxed)
+        self.get(OVERLOADS)
     }
 
     /// Chaos faults of `kind` injected so far.
     pub fn faults_injected_total(&self, kind: FaultKind) -> u64 {
-        self.faults[kind.index()].load(Ordering::Relaxed)
+        self.get(FAULTS + kind.index())
     }
 
     /// Chaos faults injected so far, all kinds together.
     pub fn faults_injected_all(&self) -> u64 {
-        self.faults.iter().map(|c| c.load(Ordering::Relaxed)).sum()
+        FaultKind::ALL
+            .into_iter()
+            .map(|kind| self.faults_injected_total(kind))
+            .sum()
     }
 
     /// Degraded protection results served so far.
     pub fn degraded_results_total(&self) -> u64 {
-        self.degraded_results.load(Ordering::Relaxed)
+        self.get(DEGRADED)
     }
 
     /// Users protected so far (single + batch).
     pub fn users_protected_total(&self) -> u64 {
-        self.users_protected.load(Ordering::Relaxed)
-    }
-
-    /// Renders the Prometheus text exposition for `GET /metrics` with
-    /// only the static server shape — no queue gauges, no flight
-    /// recorder. Convenience wrapper over [`ServerMetrics::render_with`].
-    pub fn render(
-        &self,
-        backend: &str,
-        executor_threads: usize,
-        connection_workers: usize,
-        profile_store: StoreCounters,
-    ) -> String {
-        self.render_with(&RenderScope {
-            backend,
-            executor_threads,
-            connection_workers,
-            profile_store,
-            queue: None,
-            recorder: None,
-        })
+        self.get(USERS)
     }
 
     /// Renders the Prometheus text exposition for `GET /metrics`.
@@ -305,198 +260,166 @@ impl ServerMetrics {
     /// rendered directly instead of being accumulated here); the queue
     /// and recorder sections are omitted entirely when absent from the
     /// scope.
-    pub fn render_with(&self, scope: &RenderScope<'_>) -> String {
-        let RenderScope {
-            backend,
-            executor_threads,
-            connection_workers,
-            profile_store,
-            ..
-        } = *scope;
-        let mut out = String::with_capacity(2048);
-        out.push_str("# TYPE mood_serve_requests_total counter\n");
-        for endpoint in Endpoint::ALL {
-            out.push_str(&format!(
-                "mood_serve_requests_total{{endpoint=\"{}\"}} {}\n",
-                endpoint.label(),
-                self.requests[endpoint.index()].load(Ordering::Relaxed)
-            ));
-        }
-        out.push_str("# TYPE mood_serve_responses_total counter\n");
+    pub(crate) fn render(&self, scope: &RenderScope<'_>) -> String {
+        let mut out = Exposition::default();
+        let rows = |out: &mut Exposition, rows: std::ops::Range<usize>| {
+            for row in rows {
+                let (family, labels) = ROWS[row];
+                out.counter(family, labels, self.get(row));
+            }
+        };
+        rows(&mut out, 0..USERS);
         for (status, count) in self.statuses.lock().expect("status map lock").iter() {
-            out.push_str(&format!(
-                "mood_serve_responses_total{{status=\"{status}\"}} {count}\n"
-            ));
+            let labels = format!("status=\"{status}\"");
+            out.counter("mood_serve_responses_total", &labels, count);
         }
-        out.push_str("# TYPE mood_serve_request_seconds histogram\n");
-        let mut cumulative = 0u64;
-        for (i, &bound) in BUCKET_BOUNDS_US.iter().enumerate() {
-            cumulative += self.buckets[i].load(Ordering::Relaxed);
-            out.push_str(&format!(
-                "mood_serve_request_seconds_bucket{{le=\"{}\"}} {cumulative}\n",
-                bound as f64 / 1e6
-            ));
-        }
-        cumulative += self.buckets[BUCKET_BOUNDS_US.len()].load(Ordering::Relaxed);
-        out.push_str(&format!(
-            "mood_serve_request_seconds_bucket{{le=\"+Inf\"}} {cumulative}\n"
-        ));
-        out.push_str(&format!(
-            "mood_serve_request_seconds_sum {}\n",
-            self.latency_sum_us.load(Ordering::Relaxed) as f64 / 1e6
-        ));
-        out.push_str(&format!("mood_serve_request_seconds_count {cumulative}\n"));
-        out.push_str("# TYPE mood_serve_users_protected_total counter\n");
-        out.push_str(&format!(
-            "mood_serve_users_protected_total {}\n",
-            self.users_protected.load(Ordering::Relaxed)
-        ));
-        out.push_str("# TYPE mood_serve_scratch_reuses_total counter\n");
-        out.push_str(&format!(
-            "mood_serve_scratch_reuses_total {}\n",
-            self.scratch_reuses.load(Ordering::Relaxed)
-        ));
-        out.push_str("# TYPE mood_serve_attack_scratch_reuses_total counter\n");
-        out.push_str(&format!(
-            "mood_serve_attack_scratch_reuses_total {}\n",
-            self.attack_scratch_reuses.load(Ordering::Relaxed)
-        ));
-        out.push_str("# TYPE mood_serve_heatmap_cache_total counter\n");
-        out.push_str(&format!(
-            "mood_serve_heatmap_cache_total{{result=\"hit\"}} {}\n",
-            self.heatmap_cache_hits.load(Ordering::Relaxed)
-        ));
-        out.push_str(&format!(
-            "mood_serve_heatmap_cache_total{{result=\"miss\"}} {}\n",
-            self.heatmap_cache_misses.load(Ordering::Relaxed)
-        ));
-        out.push_str("# TYPE mood_serve_profile_store_total counter\n");
-        out.push_str(&format!(
-            "mood_serve_profile_store_total{{result=\"hit\"}} {}\n",
-            profile_store.hits
-        ));
-        out.push_str(&format!(
-            "mood_serve_profile_store_total{{result=\"miss\"}} {}\n",
-            profile_store.misses
-        ));
-        out.push_str("# TYPE mood_serve_profile_builds_total counter\n");
-        out.push_str(&format!(
-            "mood_serve_profile_builds_total {}\n",
-            profile_store.profile_builds
-        ));
-        out.push_str("# TYPE mood_serve_connections_total counter\n");
-        out.push_str(&format!(
-            "mood_serve_connections_total {}\n",
-            self.connections.load(Ordering::Relaxed)
-        ));
-        out.push_str("# TYPE mood_serve_overload_rejected_total counter\n");
-        out.push_str(&format!(
-            "mood_serve_overload_rejected_total {}\n",
-            self.overload_rejected.load(Ordering::Relaxed)
-        ));
-        out.push_str("# TYPE mood_serve_faults_injected_total counter\n");
-        for kind in FaultKind::ALL {
-            out.push_str(&format!(
-                "mood_serve_faults_injected_total{{kind=\"{}\"}} {}\n",
-                kind.label(),
-                self.faults[kind.index()].load(Ordering::Relaxed)
-            ));
-        }
-        out.push_str("# TYPE mood_serve_degraded_results_total counter\n");
-        out.push_str(&format!(
-            "mood_serve_degraded_results_total {}\n",
-            self.degraded_results.load(Ordering::Relaxed)
-        ));
-        out.push_str("# TYPE mood_serve_executor_threads gauge\n");
-        out.push_str(&format!(
-            "mood_serve_executor_threads{{backend=\"{}\"}} {executor_threads}\n",
-            escape_label_value(backend)
-        ));
-        out.push_str("# TYPE mood_serve_connection_workers gauge\n");
-        out.push_str(&format!(
-            "mood_serve_connection_workers {connection_workers}\n"
-        ));
+        out.histogram(
+            "mood_serve_request_seconds",
+            "",
+            &BUCKET_BOUNDS_US,
+            &self.buckets.each_ref().map(|b| b.load(Ordering::Relaxed)),
+            self.latency_sum_us.load(Ordering::Relaxed),
+        );
+        rows(&mut out, USERS..CONNECTIONS);
+        let store = scope.profile_store;
+        out.counter(
+            "mood_serve_profile_store_total",
+            r#"result="hit""#,
+            store.hits,
+        );
+        out.counter(
+            "mood_serve_profile_store_total",
+            r#"result="miss""#,
+            store.misses,
+        );
+        out.counter("mood_serve_profile_builds_total", "", store.profile_builds);
+        rows(&mut out, CONNECTIONS..ROWS.len());
+        let backend = format!("backend=\"{}\"", escape_label_value(scope.backend));
+        out.gauge(
+            "mood_serve_executor_threads",
+            &backend,
+            scope.executor_threads,
+        );
+        out.gauge(
+            "mood_serve_connection_workers",
+            "",
+            scope.connection_workers,
+        );
         if let Some(queue) = &scope.queue {
-            out.push_str("# TYPE mood_serve_queue_depth gauge\n");
-            out.push_str(&format!("mood_serve_queue_depth {}\n", queue.pending));
-            out.push_str("# TYPE mood_serve_in_flight_connections gauge\n");
-            out.push_str(&format!(
-                "mood_serve_in_flight_connections {}\n",
-                queue.in_flight
-            ));
-            out.push_str("# TYPE mood_serve_queue_wait_seconds summary\n");
-            out.push_str(&format!(
-                "mood_serve_queue_wait_seconds_sum {}\n",
-                queue.waited.as_secs_f64()
-            ));
-            out.push_str(&format!(
-                "mood_serve_queue_wait_seconds_count {}\n",
-                queue.dequeued
-            ));
+            out.gauge("mood_serve_queue_depth", "", queue.pending);
+            out.gauge("mood_serve_in_flight_connections", "", queue.in_flight);
+            let family = "mood_serve_queue_wait_seconds";
+            out.sample(family, "summary", "_sum", "", queue.waited.as_secs_f64());
+            out.sample(family, "summary", "_count", "", queue.dequeued);
         }
         if let Some(recorder) = scope.recorder {
-            let histograms = recorder.stage_histograms();
-            if !histograms.is_empty() {
-                out.push_str("# TYPE mood_serve_stage_seconds histogram\n");
-                for histo in &histograms {
-                    let stage = escape_label_value(&histo.stage);
-                    let mut cumulative = 0u64;
-                    for (i, &bound) in STAGE_BUCKET_BOUNDS_US.iter().enumerate() {
-                        cumulative += histo.buckets[i];
-                        out.push_str(&format!(
-                            "mood_serve_stage_seconds_bucket{{stage=\"{stage}\",le=\"{}\"}} {cumulative}\n",
-                            bound as f64 / 1e6
-                        ));
-                    }
-                    cumulative += histo.buckets[STAGE_BUCKET_BOUNDS_US.len()];
-                    out.push_str(&format!(
-                        "mood_serve_stage_seconds_bucket{{stage=\"{stage}\",le=\"+Inf\"}} {cumulative}\n"
-                    ));
-                    out.push_str(&format!(
-                        "mood_serve_stage_seconds_sum{{stage=\"{stage}\"}} {}\n",
-                        histo.sum_us as f64 / 1e6
-                    ));
-                    out.push_str(&format!(
-                        "mood_serve_stage_seconds_count{{stage=\"{stage}\"}} {}\n",
-                        histo.count
-                    ));
-                }
+            for histo in recorder.stage_histograms() {
+                out.histogram(
+                    "mood_serve_stage_seconds",
+                    &format!("stage=\"{}\"", escape_label_value(&histo.stage)),
+                    &STAGE_BUCKET_BOUNDS_US,
+                    &histo.buckets,
+                    histo.sum_us,
+                );
             }
-            out.push_str("# TYPE mood_serve_traces_recorded_total counter\n");
-            out.push_str(&format!(
-                "mood_serve_traces_recorded_total {}\n",
-                recorder.recorded_total()
-            ));
-            out.push_str("# TYPE mood_serve_slow_requests_total counter\n");
-            out.push_str(&format!(
-                "mood_serve_slow_requests_total {}\n",
-                recorder.slow_total()
-            ));
-            // Labeled counters bumped through the recorder (e.g. retry
-            // reasons) arrive sorted by metric name, so one `# TYPE`
-            // line per distinct metric suffices.
-            let mut last_metric = String::new();
-            for counter in recorder.counters() {
-                if counter.metric != last_metric {
-                    out.push_str(&format!("# TYPE {} counter\n", counter.metric));
-                    last_metric = counter.metric.clone();
-                }
-                out.push_str(&format!(
-                    "{}{{{}=\"{}\"}} {}\n",
-                    counter.metric,
-                    counter.label_key,
-                    escape_label_value(&counter.label_value),
-                    counter.value
-                ));
-            }
+            out.counter(
+                "mood_serve_traces_recorded_total",
+                "",
+                recorder.recorded_total(),
+            );
+            out.counter("mood_serve_slow_requests_total", "", recorder.slow_total());
         }
-        out
+        out.text
+    }
+}
+
+/// The one exposition writer. A family's `# TYPE` line goes out with
+/// its first sample, so no family is declared without one; the samples
+/// of one family must be written one after another.
+#[derive(Default)]
+struct Exposition {
+    text: String,
+    family: &'static str,
+}
+
+impl Exposition {
+    /// Writes `{family}{suffix}{{labels}} value`, declaring `family` as
+    /// `kind` first when the previous sample belonged to another one.
+    fn sample(
+        &mut self,
+        family: &'static str,
+        kind: &str,
+        suffix: &str,
+        labels: &str,
+        value: impl Display,
+    ) {
+        if family != self.family {
+            self.family = family;
+            let _ = writeln!(self.text, "# TYPE {family} {kind}");
+        }
+        let _ = if labels.is_empty() {
+            writeln!(self.text, "{family}{suffix} {value}")
+        } else {
+            writeln!(self.text, "{family}{suffix}{{{labels}}} {value}")
+        };
+    }
+
+    fn counter(&mut self, family: &'static str, labels: &str, value: impl Display) {
+        self.sample(family, "counter", "", labels, value);
+    }
+
+    fn gauge(&mut self, family: &'static str, labels: &str, value: impl Display) {
+        self.sample(family, "gauge", "", labels, value);
+    }
+
+    /// Writes one histogram series: the cumulative `_bucket` samples
+    /// of the raw per-bucket `counts` (one per bound in `bounds_us`,
+    /// then `+Inf`), `_sum` in seconds and `_count`. `labels` is the
+    /// series' label set without `le`.
+    fn histogram(
+        &mut self,
+        family: &'static str,
+        labels: &str,
+        bounds_us: &[u64],
+        counts: &[u64],
+        sum_us: u64,
+    ) {
+        let sep = if labels.is_empty() { "" } else { "," };
+        let mut cumulative = 0;
+        for (i, count) in counts.iter().enumerate() {
+            cumulative += count;
+            let le = bounds_us
+                .get(i)
+                .map_or_else(|| "+Inf".to_string(), |&us| (us as f64 / 1e6).to_string());
+            let bucket = format!("{labels}{sep}le=\"{le}\"");
+            self.sample(family, "histogram", "_bucket", &bucket, cumulative);
+        }
+        self.sample(family, "histogram", "_sum", labels, sum_us as f64 / 1e6);
+        self.sample(family, "histogram", "_count", labels, cumulative);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mood_obs::{RecorderConfig, SpanRecord, TraceRecord};
+
+    fn render(
+        m: &ServerMetrics,
+        backend: &str,
+        executor_threads: usize,
+        connection_workers: usize,
+        profile_store: StoreCounters,
+    ) -> String {
+        m.render(&RenderScope {
+            backend,
+            executor_threads,
+            connection_workers,
+            profile_store,
+            queue: None,
+            recorder: None,
+        })
+    }
 
     #[test]
     fn counters_accumulate_and_render() {
@@ -516,7 +439,8 @@ mod tests {
 
         assert_eq!(m.responses_total(), 3);
 
-        let text = m.render(
+        let text = render(
+            &m,
             "persistent",
             4,
             2,
@@ -607,7 +531,7 @@ mod tests {
         assert_eq!(m.faults_injected_total(FaultKind::AcceptDrop), 0);
         assert_eq!(m.faults_injected_all(), 3);
         assert_eq!(m.degraded_results_total(), 3);
-        let text = m.render("sequential", 1, 1, StoreCounters::default());
+        let text = render(&m, "sequential", 1, 1, StoreCounters::default());
         assert!(
             text.contains("mood_serve_faults_injected_total{kind=\"delay\"} 2"),
             "{text}"
@@ -633,7 +557,7 @@ mod tests {
         m.record_error_status(503);
         m.record_error_status(408);
         assert_eq!(m.responses_total(), 3);
-        let text = m.render("persistent", 1, 1, StoreCounters::default());
+        let text = render(&m, "persistent", 1, 1, StoreCounters::default());
         assert!(
             text.contains("mood_serve_responses_total{status=\"503\"} 1"),
             "{text}"
@@ -653,7 +577,7 @@ mod tests {
         ] {
             m.record_response(200, Duration::from_micros(us));
         }
-        let text = m.render("sequential", 1, 1, StoreCounters::default());
+        let text = render(&m, "sequential", 1, 1, StoreCounters::default());
         assert!(text.contains("{le=\"0.0005\"} 1"), "{text}");
         assert!(text.contains("{le=\"0.001\"} 2"), "{text}");
         assert!(text.contains("{le=\"5\"} 8"), "{text}");
@@ -672,8 +596,6 @@ mod tests {
         m.add_attack_scratch_reuses(11);
         m.add_heatmap_cache(3, 4);
         let recorder = Recorder::new(mood_obs::RecorderConfig::default());
-        recorder.bump("mood_serve_client_retries_total", "reason", "status_503");
-        recorder.bump("mood_serve_client_retries_total", "reason", "status_503");
         let scope = RenderScope {
             backend: "persistent",
             executor_threads: 4,
@@ -687,7 +609,7 @@ mod tests {
             }),
             recorder: Some(&recorder),
         };
-        let text = m.render_with(&scope);
+        let text = m.render(&scope);
         assert!(text.contains("mood_serve_queue_depth 3"), "{text}");
         assert!(
             text.contains("mood_serve_in_flight_connections 2"),
@@ -702,14 +624,6 @@ mod tests {
             "{text}"
         );
         assert!(
-            text.contains("mood_serve_client_retries_total{reason=\"status_503\"} 2"),
-            "{text}"
-        );
-        assert!(
-            text.contains("# TYPE mood_serve_client_retries_total counter"),
-            "{text}"
-        );
-        assert!(
             text.contains("mood_serve_traces_recorded_total 0"),
             "{text}"
         );
@@ -717,5 +631,180 @@ mod tests {
             text.contains("mood_serve_attack_scratch_reuses_total 11"),
             "{text}"
         );
+    }
+
+    /// The whole exposition of a server whose every counter and gauge
+    /// is non-zero, byte for byte. Each counter row holds a different
+    /// value, so a row that moves shows here.
+    const GOLDEN: &str = r#"# TYPE mood_serve_requests_total counter
+mood_serve_requests_total{endpoint="healthz"} 1
+mood_serve_requests_total{endpoint="config"} 2
+mood_serve_requests_total{endpoint="metrics"} 3
+mood_serve_requests_total{endpoint="protect"} 4
+mood_serve_requests_total{endpoint="protect_batch"} 5
+mood_serve_requests_total{endpoint="debug_trace"} 6
+mood_serve_requests_total{endpoint="other"} 7
+# TYPE mood_serve_responses_total counter
+mood_serve_responses_total{status="200"} 6
+mood_serve_responses_total{status="404"} 1
+mood_serve_responses_total{status="503"} 2
+# TYPE mood_serve_request_seconds histogram
+mood_serve_request_seconds_bucket{le="0.0005"} 1
+mood_serve_request_seconds_bucket{le="0.001"} 2
+mood_serve_request_seconds_bucket{le="0.005"} 4
+mood_serve_request_seconds_bucket{le="0.025"} 4
+mood_serve_request_seconds_bucket{le="0.1"} 5
+mood_serve_request_seconds_bucket{le="0.25"} 5
+mood_serve_request_seconds_bucket{le="1"} 6
+mood_serve_request_seconds_bucket{le="5"} 6
+mood_serve_request_seconds_bucket{le="+Inf"} 7
+mood_serve_request_seconds_sum 6.435
+mood_serve_request_seconds_count 7
+# TYPE mood_serve_users_protected_total counter
+mood_serve_users_protected_total 8
+# TYPE mood_serve_scratch_reuses_total counter
+mood_serve_scratch_reuses_total 9
+# TYPE mood_serve_attack_scratch_reuses_total counter
+mood_serve_attack_scratch_reuses_total 10
+# TYPE mood_serve_heatmap_cache_total counter
+mood_serve_heatmap_cache_total{result="hit"} 11
+mood_serve_heatmap_cache_total{result="miss"} 12
+# TYPE mood_serve_profile_store_total counter
+mood_serve_profile_store_total{result="hit"} 6
+mood_serve_profile_store_total{result="miss"} 3
+# TYPE mood_serve_profile_builds_total counter
+mood_serve_profile_builds_total 40
+# TYPE mood_serve_connections_total counter
+mood_serve_connections_total 13
+# TYPE mood_serve_overload_rejected_total counter
+mood_serve_overload_rejected_total 14
+# TYPE mood_serve_faults_injected_total counter
+mood_serve_faults_injected_total{kind="accept_drop"} 1
+mood_serve_faults_injected_total{kind="shed"} 2
+mood_serve_faults_injected_total{kind="delay"} 3
+mood_serve_faults_injected_total{kind="panic"} 4
+mood_serve_faults_injected_total{kind="truncate"} 5
+# TYPE mood_serve_degraded_results_total counter
+mood_serve_degraded_results_total 15
+# TYPE mood_serve_executor_threads gauge
+mood_serve_executor_threads{backend="persistent"} 4
+# TYPE mood_serve_connection_workers gauge
+mood_serve_connection_workers 2
+# TYPE mood_serve_queue_depth gauge
+mood_serve_queue_depth 3
+# TYPE mood_serve_in_flight_connections gauge
+mood_serve_in_flight_connections 2
+# TYPE mood_serve_queue_wait_seconds summary
+mood_serve_queue_wait_seconds_sum 1.5
+mood_serve_queue_wait_seconds_count 9
+# TYPE mood_serve_stage_seconds histogram
+mood_serve_stage_seconds_bucket{stage="engine",le="0.00005"} 0
+mood_serve_stage_seconds_bucket{stage="engine",le="0.00025"} 0
+mood_serve_stage_seconds_bucket{stage="engine",le="0.001"} 0
+mood_serve_stage_seconds_bucket{stage="engine",le="0.005"} 1
+mood_serve_stage_seconds_bucket{stage="engine",le="0.025"} 1
+mood_serve_stage_seconds_bucket{stage="engine",le="0.1"} 1
+mood_serve_stage_seconds_bucket{stage="engine",le="0.25"} 1
+mood_serve_stage_seconds_bucket{stage="engine",le="1"} 2
+mood_serve_stage_seconds_bucket{stage="engine",le="+Inf"} 2
+mood_serve_stage_seconds_sum{stage="engine"} 0.3011
+mood_serve_stage_seconds_count{stage="engine"} 2
+mood_serve_stage_seconds_bucket{stage="parse",le="0.00005"} 1
+mood_serve_stage_seconds_bucket{stage="parse",le="0.00025"} 1
+mood_serve_stage_seconds_bucket{stage="parse",le="0.001"} 2
+mood_serve_stage_seconds_bucket{stage="parse",le="0.005"} 2
+mood_serve_stage_seconds_bucket{stage="parse",le="0.025"} 2
+mood_serve_stage_seconds_bucket{stage="parse",le="0.1"} 2
+mood_serve_stage_seconds_bucket{stage="parse",le="0.25"} 2
+mood_serve_stage_seconds_bucket{stage="parse",le="1"} 2
+mood_serve_stage_seconds_bucket{stage="parse",le="+Inf"} 2
+mood_serve_stage_seconds_sum{stage="parse"} 0.00034
+mood_serve_stage_seconds_count{stage="parse"} 2
+# TYPE mood_serve_traces_recorded_total counter
+mood_serve_traces_recorded_total 2
+# TYPE mood_serve_slow_requests_total counter
+mood_serve_slow_requests_total 1
+"#;
+
+    fn span(id: u64, stage: &str, dur_us: u64) -> SpanRecord {
+        SpanRecord {
+            id,
+            parent_id: 0,
+            stage: stage.to_string(),
+            index: 0,
+            start_us: 0,
+            dur_us,
+            count: 1,
+            attrs: Vec::new(),
+            events: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn exposition_matches_the_golden_text() {
+        let m = ServerMetrics::new();
+        for (endpoint, n) in [
+            (Endpoint::Healthz, 1),
+            (Endpoint::Config, 2),
+            (Endpoint::Metrics, 3),
+            (Endpoint::Protect, 4),
+            (Endpoint::ProtectBatch, 5),
+            (Endpoint::DebugTrace, 6),
+            (Endpoint::Other, 7),
+        ] {
+            for _ in 0..n {
+                m.record_request(endpoint);
+            }
+        }
+        for us in [300, 2_000, 2_000, 30_000, 400_000, 6_000_000] {
+            m.record_response(200, Duration::from_micros(us));
+        }
+        m.record_response(404, Duration::from_micros(700));
+        m.record_error_status(503);
+        m.record_error_status(503);
+        m.add_users(8);
+        m.add_scratch_reuses(9);
+        m.add_attack_scratch_reuses(10);
+        m.add_heatmap_cache(11, 12);
+        for _ in 0..13 {
+            m.record_connection();
+        }
+        for _ in 0..14 {
+            m.record_overload();
+        }
+        for (n, kind) in FaultKind::ALL.into_iter().enumerate() {
+            for _ in 0..=n {
+                m.record_fault(kind);
+            }
+        }
+        m.add_degraded_results(15);
+        // Two traces over two stages; the second is slow (≥ 250 ms).
+        let recorder = Recorder::new(RecorderConfig::default());
+        for (trace_id, parse_us, engine_us) in [(1, 40, 1_100), (2, 300, 300_000)] {
+            recorder.record(TraceRecord {
+                trace_id,
+                total_us: parse_us + engine_us,
+                slow: false,
+                spans: vec![span(1, "parse", parse_us), span(2, "engine", engine_us)],
+            });
+        }
+        let text = m.render(&RenderScope {
+            backend: "persistent",
+            executor_threads: 4,
+            connection_workers: 2,
+            profile_store: StoreCounters {
+                hits: 6,
+                misses: 3,
+                profile_builds: 40,
+            },
+            queue: Some(QueueStats {
+                pending: 3,
+                in_flight: 2,
+                dequeued: 9,
+                waited: Duration::from_millis(1500),
+            }),
+            recorder: Some(&recorder),
+        });
+        assert_eq!(text, GOLDEN);
     }
 }

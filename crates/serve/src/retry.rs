@@ -19,13 +19,12 @@
 
 use std::collections::HashMap;
 use std::io;
-use std::sync::Arc;
 use std::time::Duration;
 
-use mood_obs::{mix64, Recorder, SpanToken, TraceSpans};
+use mood_obs::mix64;
 use serde::Serialize;
 
-use crate::client::{Client, ClientConfig, ClientResponse};
+use crate::client::{Client, ClientResponse};
 
 /// Retry/backoff policy of a [`RetryClient`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -111,8 +110,7 @@ pub fn retryable_io(err: &io::Error) -> bool {
     )
 }
 
-/// Stable `reason` label of a retryable failure, as emitted on
-/// `mood_serve_client_retries_total{reason=...}`.
+/// Stable short name of a retryable transport failure's kind.
 pub fn retry_reason(err: &io::Error) -> &'static str {
     match err.kind() {
         io::ErrorKind::ConnectionRefused => "io_refused",
@@ -129,12 +127,10 @@ pub fn retry_reason(err: &io::Error) -> &'static str {
 pub struct RetryClient {
     addr: String,
     policy: RetryPolicy,
-    config: ClientConfig,
     conn: Option<Client>,
     stats: RetryStats,
     verify: bool,
     seen: HashMap<(String, String, Vec<u8>), Vec<u8>>,
-    recorder: Option<Arc<Recorder>>,
 }
 
 impl std::fmt::Debug for RetryClient {
@@ -153,33 +149,17 @@ impl RetryClient {
     /// transport timeouts. No connection is opened until the first
     /// request.
     pub fn new(addr: impl Into<String>, policy: RetryPolicy) -> Self {
-        Self::with_config(addr, policy, ClientConfig::default())
-    }
-
-    /// [`RetryClient::new`] with explicit transport timeouts.
-    pub fn with_config(addr: impl Into<String>, policy: RetryPolicy, config: ClientConfig) -> Self {
         Self {
             addr: addr.into(),
             policy: RetryPolicy {
                 max_attempts: policy.max_attempts.max(1),
                 ..policy
             },
-            config,
             conn: None,
             stats: RetryStats::default(),
             verify: false,
             seen: HashMap::new(),
-            recorder: None,
         }
-    }
-
-    /// Attaches a flight recorder: every retry bumps
-    /// `mood_serve_client_retries_total{reason=...}` and a request that
-    /// needed retries leaves a `client_request` trace carrying one
-    /// `retry_<reason>` event per retry.
-    pub fn observed(mut self, recorder: Arc<Recorder>) -> Self {
-        self.recorder = Some(recorder);
-        self
     }
 
     /// Turns on the idempotency verifier: the first successful (2xx)
@@ -212,38 +192,6 @@ impl RetryClient {
     ) -> io::Result<ClientResponse> {
         let request_no = self.stats.requests;
         self.stats.requests += 1;
-        // Client-side trace, keyed deterministically off the jitter
-        // stream's identity; only requests that actually retried are
-        // handed to the flight recorder.
-        let spans = match &self.recorder {
-            Some(_) => TraceSpans::new(mix64(self.policy.jitter_seed ^ mix64(request_no))),
-            None => TraceSpans::disabled(),
-        };
-        let root = spans.begin("client_request");
-        spans.attr(root, "target", format_args!("{method} {path}"));
-        let mut retried = false;
-        let result = self.run_attempts(method, path, body, request_no, &spans, root, &mut retried);
-        if retried {
-            spans.attr(root, "outcome", if result.is_ok() { "ok" } else { "error" });
-            spans.end(root);
-            if let (Some(recorder), Some(record)) = (&self.recorder, spans.finish()) {
-                recorder.record(record);
-            }
-        }
-        result
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn run_attempts(
-        &mut self,
-        method: &str,
-        path: &str,
-        body: Option<&[u8]>,
-        request_no: u64,
-        spans: &TraceSpans,
-        root: SpanToken,
-        retried: &mut bool,
-    ) -> io::Result<ClientResponse> {
         let mut last: Option<io::Error> = None;
         for attempt in 1..=self.policy.max_attempts {
             if attempt > 1 {
@@ -251,15 +199,10 @@ impl RetryClient {
                 std::thread::sleep(self.policy.backoff(request_no, attempt - 1));
             }
             self.stats.attempts += 1;
-            let will_retry = attempt < self.policy.max_attempts;
             match self.attempt(method, path, body) {
                 Ok(response) if retryable_status(response.status) => {
                     // A shed (503 + connection: close): reconnect.
                     self.conn = None;
-                    if will_retry {
-                        *retried = true;
-                        self.note_retry(spans, root, "status_503");
-                    }
                     last = Some(io::Error::new(
                         io::ErrorKind::ConnectionRefused,
                         format!("server shed the request with {}", response.status),
@@ -273,10 +216,6 @@ impl RetryClient {
                 }
                 Err(e) if retryable_io(&e) => {
                     self.conn = None;
-                    if will_retry {
-                        *retried = true;
-                        self.note_retry(spans, root, retry_reason(&e));
-                    }
                     last = Some(e);
                 }
                 Err(e) => {
@@ -295,15 +234,6 @@ impl RetryClient {
                 )
             },
         ))
-    }
-
-    /// One retry is about to happen: bump the labeled counter and leave
-    /// an event on the client span.
-    fn note_retry(&self, spans: &TraceSpans, root: SpanToken, reason: &str) {
-        if let Some(recorder) = &self.recorder {
-            recorder.bump("mood_serve_client_retries_total", "reason", reason);
-        }
-        spans.event(root, &format!("retry_{reason}"));
     }
 
     /// `GET path` with retries.
@@ -336,7 +266,7 @@ impl RetryClient {
         body: Option<&[u8]>,
     ) -> io::Result<ClientResponse> {
         if self.conn.is_none() {
-            self.conn = Some(Client::connect_with(&self.addr, self.config)?);
+            self.conn = Some(Client::connect(&self.addr)?);
         }
         let conn = self.conn.as_mut().expect("connection was just ensured");
         let response = conn.request(method, path, body)?;
@@ -473,43 +403,6 @@ mod tests {
         assert_eq!(
             retry_reason(&io::Error::new(io::ErrorKind::TimedOut, "x")),
             "io_timeout"
-        );
-    }
-
-    #[test]
-    fn observed_retries_reach_the_flight_recorder() {
-        let port = {
-            let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-            listener.local_addr().unwrap().port()
-        };
-        let policy = RetryPolicy {
-            max_attempts: 3,
-            base_backoff: Duration::from_millis(1),
-            max_backoff: Duration::from_millis(2),
-            jitter_seed: 42,
-        };
-        let recorder = Arc::new(Recorder::new(mood_obs::RecorderConfig::default()));
-        let mut client =
-            RetryClient::new(format!("127.0.0.1:{port}"), policy).observed(Arc::clone(&recorder));
-        client.get("/healthz").expect_err("nothing listens there");
-        // 3 attempts, 2 of which were preceded by a counted retry.
-        let counters = recorder.counters();
-        assert_eq!(counters.len(), 1, "{counters:?}");
-        assert_eq!(counters[0].metric, "mood_serve_client_retries_total");
-        assert_eq!(counters[0].label_value, "io_refused");
-        assert_eq!(counters[0].value, 2);
-        // The retried request left one client trace with both events.
-        let traces = recorder.export(8);
-        assert_eq!(traces.len(), 1);
-        let root = &traces[0].spans[0];
-        assert_eq!(root.stage, "client_request");
-        assert_eq!(
-            root.events
-                .iter()
-                .filter(|e| e.name == "retry_io_refused")
-                .count(),
-            2,
-            "{root:?}"
         );
     }
 }

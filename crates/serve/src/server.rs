@@ -25,7 +25,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use mood_core::{protect_stream, Executor, ExecutorKind, MoodConfig, ENGINE_STAGES};
-use mood_exec::{ServicePool, SubmitError, SubmitGate};
+use mood_exec::{ServicePool, SubmitError};
 use mood_obs::{mix64, Recorder, RecorderConfig, SpanToken, StageAgg, TraceSpans};
 use mood_trace::Dataset;
 
@@ -175,23 +175,13 @@ impl MoodServer {
         });
 
         let worker_shared = Arc::clone(&shared);
-        // The forced-shedding injection point: chaos-flagged jobs are
-        // rejected by the pool itself as `Full`, exercising the real
-        // shed path. Fault decisions are stateless re-derivations, so
-        // the gate needs no shared state — and without chaos no gate is
-        // installed at all.
-        let gate: Option<SubmitGate<ConnJob>> = shared.config.chaos.map(|_| {
-            Box::new(|job: &ConnJob| job.plan.as_ref().is_some_and(|plan| plan.shed()))
-                as SubmitGate<ConnJob>
-        });
-        let pool = Arc::new(ServicePool::with_submit_gate(
+        let pool = Arc::new(ServicePool::new(
             "mood-serve",
             shared.config.connection_workers,
             shared.config.max_pending,
             move |_slot, job: ConnJob| {
                 handle_connection(&worker_shared, job);
             },
-            gate,
         ));
         let _ = shared.pool.set(Arc::downgrade(&pool));
 
@@ -293,39 +283,37 @@ fn acceptor_loop(listener: &TcpListener, shared: &ServerShared, pool: &ServicePo
                 continue;
             }
         }
-        let accepted = shared.recorder.as_ref().map(|_| Instant::now());
-        match pool.try_submit(ConnJob {
-            stream,
-            plan,
-            connection_id,
-            accepted,
-        }) {
-            Ok(()) => {}
-            Err(SubmitError::Full(mut job) | SubmitError::ShuttingDown(mut job)) => {
-                // Shed load inline; never block the accept loop. Sheds
-                // count as status-only responses — they carry no
-                // handling latency for the histogram. Injection point
-                // 2 lands here too: a chaos-gated job surfaces as
-                // `Full` (the decision is stateless, so re-deriving it
-                // for the counter agrees with the pool's gate).
-                if let Some(plan) = &job.plan {
-                    if plan.shed() {
-                        shared.metrics.record_fault(FaultKind::Shed);
-                        record_fault_trace(shared, connection_id, FaultKind::Shed);
-                    }
-                }
-                shared.metrics.record_overload();
-                shared.metrics.record_error_status(503);
-                let resp = Response::json(
-                    503,
-                    &ErrorBody {
-                        error: "server overloaded: accept queue full".to_string(),
-                    },
-                )
-                .closing();
-                let _ = resp.write_to(&mut job.stream);
+        // Injection point 2: forced shedding, answered like a full
+        // queue without touching it.
+        let mut stream = if plan.as_ref().is_some_and(FaultPlan::shed) {
+            shared.metrics.record_fault(FaultKind::Shed);
+            record_fault_trace(shared, connection_id, FaultKind::Shed);
+            stream
+        } else {
+            let accepted = shared.recorder.as_ref().map(|_| Instant::now());
+            match pool.try_submit(ConnJob {
+                stream,
+                plan,
+                connection_id,
+                accepted,
+            }) {
+                Ok(()) => continue,
+                Err(SubmitError::Full(job) | SubmitError::ShuttingDown(job)) => job.stream,
             }
-        }
+        };
+        // Shed load inline; never block the accept loop. Sheds count as
+        // status-only responses — they carry no handling latency for
+        // the histogram.
+        shared.metrics.record_overload();
+        shared.metrics.record_error_status(503);
+        let resp = Response::json(
+            503,
+            &ErrorBody {
+                error: "server overloaded: accept queue full".to_string(),
+            },
+        )
+        .closing();
+        let _ = resp.write_to(&mut stream);
     }
 }
 
@@ -509,7 +497,7 @@ fn route(shared: &ServerShared, request: &Request, spans: &TraceSpans) -> Respon
                 .map(|pool| pool.queue_stats());
             Response::text(
                 200,
-                &shared.metrics.render_with(&RenderScope {
+                &shared.metrics.render(&RenderScope {
                     backend: shared.executor.name(),
                     executor_threads: shared.executor.max_threads(),
                     connection_workers: shared.config.connection_workers,

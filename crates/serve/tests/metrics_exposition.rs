@@ -1,9 +1,11 @@
 //! Prometheus text-exposition conformance for `/metrics`: every sample
 //! belongs to a family declared with `# TYPE`, no series (name +
-//! label set) appears twice, label values use only valid escapes, and
-//! every value parses. Run against a live server with tracing enabled,
-//! after traffic on several endpoints, so the scrape covers every
-//! section the renderer can emit.
+//! label set) appears twice, label values use only valid escapes, every
+//! value parses, and every declared family has a sample. Run against a
+//! live server with tracing enabled: after traffic on several
+//! endpoints, so the scrape covers every section the renderer can
+//! emit, and on the first scrape of a fresh server, when most counters
+//! are still zero and the status map is empty.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::OnceLock;
@@ -130,46 +132,10 @@ fn family_of<'a>(name: &'a str, types: &BTreeMap<String, String>) -> Option<&'a 
     None
 }
 
-#[test]
-fn metrics_exposition_is_well_formed() {
-    let (_, test, template) = world();
-    let config = ServeConfig {
-        connection_workers: 4,
-        executor_threads: 2,
-        server_seed: 0x005C_249E,
-        keep_alive: Duration::from_secs(30),
-        request_timeout: Duration::from_millis(600),
-        ..ServeConfig::default()
-    };
-    let server = MoodServer::start(config, template.clone()).expect("bind loopback server");
-    let mut client = Client::connect(server.local_addr()).expect("connect");
-
-    // Touch every endpoint family so every renderer section has data:
-    // protect (engine stages + histograms), an error (4xx counter),
-    // healthz/config, the flight recorder, and a first metrics scrape.
-    let trace = test.iter().next().expect("non-empty test set").clone();
-    for request_id in 0..3u64 {
-        let request = ProtectRequest {
-            request_id,
-            trace: trace.clone(),
-            budget: None,
-        };
-        let resp = client.post_json("/v1/protect", &request).expect("protect");
-        assert_eq!(resp.status, 200);
-    }
-    assert_eq!(client.get("/nope").expect("404 route").status, 404);
-    assert_eq!(client.get("/healthz").expect("healthz").status, 200);
-    assert_eq!(client.get("/v1/config").expect("config").status, 200);
-    assert_eq!(
-        client.get("/v1/debug/trace?limit=4").expect("trace").status,
-        200
-    );
-    assert_eq!(client.get("/metrics").expect("warmup scrape").status, 200);
-
-    let resp = client.get("/metrics").expect("metrics");
-    assert_eq!(resp.status, 200);
-    let text = resp.text().expect("utf8 metrics");
-
+/// Checks the structure of one scrape and returns its declared
+/// families (name → type): `# TYPE` before every sample, no duplicate
+/// series, valid escapes and values, and a sample for every family.
+fn assert_well_formed(text: &str) -> BTreeMap<String, String> {
     let mut types: BTreeMap<String, String> = BTreeMap::new();
     let mut seen: BTreeSet<Series> = BTreeSet::new();
     for line in text.lines() {
@@ -208,6 +174,61 @@ fn metrics_exposition_is_well_formed() {
         );
         seen.insert(sample);
     }
+    // Every declared family must also have at least one sample.
+    for family in types.keys() {
+        assert!(
+            seen.iter()
+                .any(|s| family_of(&s.name, &types) == Some(family.as_str())),
+            "family {family} declared but has no samples"
+        );
+    }
+    types
+}
+
+fn start_server() -> MoodServer {
+    let (_, _, template) = world();
+    let config = ServeConfig {
+        connection_workers: 4,
+        executor_threads: 2,
+        server_seed: 0x005C_249E,
+        keep_alive: Duration::from_secs(30),
+        request_timeout: Duration::from_millis(600),
+        ..ServeConfig::default()
+    };
+    MoodServer::start(config, template.clone()).expect("bind loopback server")
+}
+
+#[test]
+fn metrics_exposition_is_well_formed() {
+    let (_, test, _) = world();
+    let server = start_server();
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+
+    // Touch every endpoint family so every renderer section has data:
+    // protect (engine stages + histograms), an error (4xx counter),
+    // healthz/config, the flight recorder, and a first metrics scrape.
+    let trace = test.iter().next().expect("non-empty test set").clone();
+    for request_id in 0..3u64 {
+        let request = ProtectRequest {
+            request_id,
+            trace: trace.clone(),
+            budget: None,
+        };
+        let resp = client.post_json("/v1/protect", &request).expect("protect");
+        assert_eq!(resp.status, 200);
+    }
+    assert_eq!(client.get("/nope").expect("404 route").status, 404);
+    assert_eq!(client.get("/healthz").expect("healthz").status, 200);
+    assert_eq!(client.get("/v1/config").expect("config").status, 200);
+    assert_eq!(
+        client.get("/v1/debug/trace?limit=4").expect("trace").status,
+        200
+    );
+    assert_eq!(client.get("/metrics").expect("warmup scrape").status, 200);
+
+    let resp = client.get("/metrics").expect("metrics");
+    assert_eq!(resp.status, 200);
+    let types = assert_well_formed(resp.text().expect("utf8 metrics"));
 
     // The scrape actually covered the interesting sections.
     for family in [
@@ -222,13 +243,15 @@ fn metrics_exposition_is_well_formed() {
     ] {
         assert!(types.contains_key(family), "family {family} not rendered");
     }
-    // Every declared family must also have at least one sample.
-    for family in types.keys() {
-        assert!(
-            seen.iter()
-                .any(|s| family_of(&s.name, &types) == Some(family.as_str())),
-            "family {family} declared but has no samples"
-        );
-    }
+    server.shutdown();
+}
+
+#[test]
+fn first_scrape_of_a_fresh_server_is_well_formed() {
+    let server = start_server();
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let resp = client.get("/metrics").expect("metrics");
+    assert_eq!(resp.status, 200);
+    assert_well_formed(resp.text().expect("utf8 metrics"));
     server.shutdown();
 }

@@ -61,16 +61,6 @@ impl Attack for ApAttack {
         "AP-Attack"
     }
 
-    fn train(&self, background: &Dataset) -> Box<dyn TrainedAttack> {
-        assert!(!background.is_empty(), "background knowledge is empty");
-        // One-shot build of the same set a ProfileStore would intern
-        // (grid widened 2 km so obfuscated traces land in real cells
-        // instead of piling up on the border — see `background_grid`).
-        Box::new(TrainedApAttack {
-            profiles: Arc::new(HeatmapSet::build(background, self.cell_size_m)),
-        })
-    }
-
     fn train_with(&self, background: &Dataset, store: &ProfileStore) -> Box<dyn TrainedAttack> {
         assert!(!background.is_empty(), "background knowledge is empty");
         Box::new(TrainedApAttack {

@@ -1,8 +1,10 @@
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 use serde::{Deserialize, Serialize};
 
-use mood_exec::{for_each_index_with, Executor, SequentialExecutor};
+use mood_exec::{map_indexed, Executor, SequentialExecutor};
 use mood_trace::{Dataset, Trace, TraceStore, UserId};
 
 use crate::{Attack, AttackScratch, ProfileStore, TrainedAttack};
@@ -108,7 +110,7 @@ impl AttackSuite {
     /// success (matching Algorithm 1's `while Ak(T') != U` loop). This
     /// allocating form goes through [`TrainedAttack::re_identifies`]
     /// (full `predict` arg-min) and is the reference the scratch path
-    /// ([`AttackSuite::first_reidentifying_with`]) is tested against.
+    /// ([`AttackSuite::protects_with`]) is tested against.
     pub fn first_reidentifying(&self, trace: &Trace, true_user: UserId) -> Option<&'static str> {
         self.attacks
             .iter()
@@ -121,37 +123,24 @@ impl AttackSuite {
         self.first_reidentifying(trace, true_user).is_none()
     }
 
-    /// [`AttackSuite::first_reidentifying`] on a per-worker scratch
-    /// arena: every attack runs its scratch-aware inference
+    /// [`AttackSuite::protects`] on a leased scratch — the candidate hot
+    /// path's verdict. Every attack runs its scratch-aware inference
     /// ([`TrainedAttack::reidentify_with`]), sharing the scratch's
     /// rasterization cache and feature buffers. Same order, same
     /// short-circuit, and — by the `reidentify_with` contract — exactly
     /// the same verdict as the allocating form.
-    pub fn first_reidentifying_with(
-        &self,
-        trace: &Trace,
-        true_user: UserId,
-        scratch: &mut AttackScratch,
-    ) -> Option<&'static str> {
-        let verdict = self
-            .attacks
-            .iter()
-            .find(|a| a.reidentify_with(trace, true_user, scratch))
-            .map(|a| a.name());
-        scratch.mark_used();
-        verdict
-    }
-
-    /// [`AttackSuite::protects`] on a per-worker scratch arena — the
-    /// candidate hot path's verdict.
     pub fn protects_with(
         &self,
         trace: &Trace,
         true_user: UserId,
         scratch: &mut AttackScratch,
     ) -> bool {
-        self.first_reidentifying_with(trace, true_user, scratch)
-            .is_none()
+        let protects = !self
+            .attacks
+            .iter()
+            .any(|a| a.reidentify_with(trace, true_user, scratch));
+        scratch.mark_used();
+        protects
     }
 
     /// Evaluates a whole (possibly obfuscated) dataset: each trace is
@@ -168,11 +157,8 @@ impl AttackSuite {
     /// `executor` — the inner loop of every benchmark figure, made
     /// index-parallel.
     ///
-    /// Each worker slot keeps a private accumulator (per-attack hit
-    /// counts plus the submission indices of re-identified traces), so
-    /// the hot loop takes no locks and allocates nothing per trace;
-    /// accumulators are merged afterwards **by submission index**,
-    /// which makes the result — including the order of
+    /// Verdicts come back **by submission index**, which makes the
+    /// result — including the order of
     /// [`DatasetEvaluation::non_protected_users`] — byte-identical to
     /// the sequential reference for every backend and thread count.
     pub fn evaluate_with(&self, dataset: &Dataset, executor: &dyn Executor) -> DatasetEvaluation {
@@ -213,7 +199,13 @@ impl AttackSuite {
 
     /// The shared evaluation core: `n` traces fetched by `get` (either
     /// borrowed from a dataset or `Arc`s from a store's decode cache),
-    /// fanned out over `executor`, merged by submission index.
+    /// fanned out over `executor`, one verdict per trace in submission
+    /// order.
+    ///
+    /// Each task leases an [`AttackScratch`] from a free list local to
+    /// the call, so per-trace features build into reusable buffers
+    /// across the whole evaluation, and counts per-attack hits in
+    /// atomics, whose sums do not depend on scheduling.
     fn evaluate_indexed<H, G>(
         &self,
         users_total: usize,
@@ -225,59 +217,30 @@ impl AttackSuite {
         H: std::ops::Deref<Target = Trace>,
         G: Fn(usize) -> H + Sync,
     {
-        /// One worker's private tallies — per-attack hit counts and
-        /// `(submission index, user, records)` of re-identified traces —
-        /// plus its attack scratch, so per-trace features build into
-        /// reusable buffers across the whole evaluation.
-        struct WorkerAcc {
-            per_attack: Vec<usize>,
-            hits: Vec<(usize, UserId, usize)>,
-            scratch: AttackScratch,
-        }
-
-        let n = users_total;
-        // Per-worker capacity covers a balanced share; a worker that
-        // ends up with more (stealing) grows amortized. The merged
-        // vectors below are the ones preallocated for the full count.
-        let worker_capacity = n.div_ceil(executor.max_threads().max(1));
-        let accs = for_each_index_with(
-            executor,
-            n,
-            || WorkerAcc {
-                per_attack: vec![0; self.attacks.len()],
-                hits: Vec::with_capacity(worker_capacity),
-                scratch: AttackScratch::new(),
-            },
-            |acc, i| {
-                let trace = get(i);
-                let mut hit = false;
-                for (k, a) in self.attacks.iter().enumerate() {
-                    if a.reidentify_with(&trace, trace.user(), &mut acc.scratch) {
-                        acc.per_attack[k] += 1;
-                        hit = true;
-                    }
+        let free: Mutex<Vec<AttackScratch>> = Mutex::new(Vec::new());
+        let per_attack_hits: Vec<AtomicUsize> =
+            self.attacks.iter().map(|_| AtomicUsize::new(0)).collect();
+        let verdicts = map_indexed(executor, users_total, |i| {
+            let trace = get(i);
+            let mut scratch = free
+                .lock()
+                .expect("scratch free list")
+                .pop()
+                .unwrap_or_default();
+            let mut hit = false;
+            for (a, hits) in self.attacks.iter().zip(&per_attack_hits) {
+                if a.reidentify_with(&trace, trace.user(), &mut scratch) {
+                    hits.fetch_add(1, Ordering::Relaxed);
+                    hit = true;
                 }
-                if hit {
-                    acc.hits.push((i, trace.user(), trace.len()));
-                }
-            },
-        );
-
-        // Deterministic merge: counts are order-free sums; hits are
-        // re-ordered by submission index, i.e. dataset iteration order.
-        let mut per_attack_counts = vec![0usize; self.attacks.len()];
-        let mut hits: Vec<(usize, UserId, usize)> = Vec::with_capacity(n);
-        for acc in accs {
-            for (total, count) in per_attack_counts.iter_mut().zip(&acc.per_attack) {
-                *total += count;
             }
-            hits.extend(acc.hits);
-        }
-        hits.sort_unstable_by_key(|&(i, _, _)| i);
+            free.lock().expect("scratch free list").push(scratch);
+            hit.then(|| (trace.user(), trace.len()))
+        });
 
-        let mut non_protected = Vec::with_capacity(hits.len());
+        let mut non_protected = Vec::new();
         let mut lost_records = 0usize;
-        for &(_, user, records) in &hits {
+        for (user, records) in verdicts.into_iter().flatten() {
             non_protected.push(user);
             lost_records += records;
         }
@@ -287,8 +250,8 @@ impl AttackSuite {
         for a in &self.attacks {
             per_attack.insert(a.name().to_string(), 0);
         }
-        for (a, count) in self.attacks.iter().zip(per_attack_counts) {
-            *per_attack.get_mut(a.name()).expect("pre-seeded") += count;
+        for (a, hits) in self.attacks.iter().zip(per_attack_hits) {
+            *per_attack.get_mut(a.name()).expect("pre-seeded") += hits.into_inner();
         }
         DatasetEvaluation {
             users_total,
@@ -537,8 +500,8 @@ mod tests {
                 }
             }
             assert_eq!(
-                suite.first_reidentifying_with(trace, trace.user(), &mut scratch),
-                suite.first_reidentifying(trace, trace.user()),
+                suite.protects_with(trace, trace.user(), &mut scratch),
+                suite.protects(trace, trace.user()),
             );
         }
         assert!(scratch.is_warm());

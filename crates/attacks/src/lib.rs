@@ -71,27 +71,29 @@ pub trait Attack {
     fn name(&self) -> &'static str;
 
     /// Trains the attack on background knowledge (the adversary's
-    /// non-obfuscated past traces, one per known user).
+    /// non-obfuscated past traces, one per known user) through a shared
+    /// [`ProfileStore`]: profile sets already interned for
+    /// `(background, this attack's parameters)` are reused instead of
+    /// rebuilt, so suites, tenants and engine templates over the same
+    /// background knowledge train once.
+    ///
+    /// A store hit is byte-identical (verdicts *and* profiles) to a
+    /// fresh build: hits are full-compare verified, never
+    /// fingerprint-trusted.
     ///
     /// # Panics
     ///
     /// Implementations panic when `background` is empty — an attack with
     /// no candidates is a configuration error.
-    fn train(&self, background: &Dataset) -> Box<dyn TrainedAttack>;
+    fn train_with(&self, background: &Dataset, store: &ProfileStore) -> Box<dyn TrainedAttack>;
 
-    /// [`Attack::train`] through a shared [`ProfileStore`]: profile sets
-    /// already interned for `(background, this attack's parameters)` are
-    /// reused instead of rebuilt, so suites, tenants and engine
-    /// templates over the same background knowledge train once.
+    /// [`Attack::train_with`] through a fresh [`ProfileStore`].
     ///
-    /// The contract is strict training equivalence: the trained attack
-    /// must be byte-identical (verdicts *and* profiles) to what
-    /// [`Attack::train`] produces — store hits are full-compare verified,
-    /// never fingerprint-trusted. The default implementation ignores the
-    /// store, so third-party attacks stay correct without opting in.
-    fn train_with(&self, background: &Dataset, store: &ProfileStore) -> Box<dyn TrainedAttack> {
-        let _ = store;
-        self.train(background)
+    /// # Panics
+    ///
+    /// Panics when `background` is empty.
+    fn train(&self, background: &Dataset) -> Box<dyn TrainedAttack> {
+        self.train_with(background, &ProfileStore::new())
     }
 }
 
@@ -115,7 +117,7 @@ pub trait TrainedAttack: Send + Sync {
 
     /// Scratch-aware [`TrainedAttack::re_identifies`]: the only verdict
     /// route in production, building per-trace features into the
-    /// caller's reusable per-worker buffers instead of fresh
+    /// caller's reusable scratch buffers instead of fresh
     /// allocations. It answers the yes/no question directly instead of
     /// computing the full arg-min: the native attacks score the true
     /// user's profile first and prune every other profile under that

@@ -3,9 +3,7 @@ use std::sync::Arc;
 use mood_models::{kernels, CentroidSoa, MarkovChain, PoiExtractor};
 use mood_trace::{Dataset, Trace, UserId};
 
-use crate::{
-    Attack, AttackScratch, ChainSet, PoiProfileSet, Prediction, ProfileStore, TrainedAttack,
-};
+use crate::{Attack, AttackScratch, ChainSet, Prediction, ProfileStore, TrainedAttack};
 
 /// PIT-Attack (Gambs et al. 2014, the paper's \[16\]): profiles are
 /// Mobility Markov Chains; chains are compared with the **stats-prox**
@@ -52,18 +50,6 @@ impl PitAttack {
 impl Attack for PitAttack {
     fn name(&self) -> &'static str {
         "PIT-Attack"
-    }
-
-    fn train(&self, background: &Dataset) -> Box<dyn TrainedAttack> {
-        assert!(!background.is_empty(), "background knowledge is empty");
-        // One-shot build of the same sets a ProfileStore would intern:
-        // profiles extracted once, chains derived from them.
-        let profiles = PoiProfileSet::build(background, &self.extractor);
-        Box::new(TrainedPitAttack {
-            extractor: self.extractor,
-            top_k: self.top_k,
-            profiles: Arc::new(ChainSet::derive(&profiles)),
-        })
     }
 
     fn train_with(&self, background: &Dataset, store: &ProfileStore) -> Box<dyn TrainedAttack> {

@@ -43,15 +43,6 @@ impl Attack for PoiAttack {
         "POI-Attack"
     }
 
-    fn train(&self, background: &Dataset) -> Box<dyn TrainedAttack> {
-        assert!(!background.is_empty(), "background knowledge is empty");
-        // One-shot build of the same set a ProfileStore would intern.
-        Box::new(TrainedPoiAttack {
-            extractor: self.extractor,
-            profiles: Arc::new(PoiProfileSet::build(background, &self.extractor)),
-        })
-    }
-
     fn train_with(&self, background: &Dataset, store: &ProfileStore) -> Box<dyn TrainedAttack> {
         assert!(!background.is_empty(), "background knowledge is empty");
         Box::new(TrainedPoiAttack {

@@ -1,11 +1,11 @@
-//! Per-worker scratch state for attack inference — the allocation-free
+//! Reusable scratch state for attack inference — the allocation-free
 //! counterpart of [`crate::TrainedAttack::predict`].
 //!
 //! Candidate search scores every LPPM candidate against the full attack
 //! suite (K × m inference calls per user), and each call re-derives the
 //! same kind of per-trace features: a heatmap for AP-Attack, POI
 //! clusters for POI-Attack, a Mobility Markov Chain for PIT-Attack.
-//! [`AttackScratch`] owns one reusable buffer per feature so a worker
+//! [`AttackScratch`] owns one reusable buffer per feature so a task
 //! builds them in place instead of allocating per candidate, plus a
 //! shared [`TraceRaster`] so a trace's grid cell-sequence is computed
 //! once and reused by every grid-based consumer (AP-Attack today, HMC's
@@ -13,9 +13,10 @@
 //!
 //! # Contract (for attack implementors)
 //!
-//! * **Per-worker exclusivity** — a scratch is handed `&mut` to exactly
-//!   one worker at a time (the executor's worker-slot guarantee); it is
-//!   never shared concurrently and needs no synchronization.
+//! * **Exclusive leases** — a scratch is handed `&mut` to exactly one
+//!   task at a time: each task leases it from a pool its caller owns
+//!   and hands it back when it ends, so it is never shared concurrently
+//!   and needs no synchronization.
 //! * **Determinism** — `reidentify_with` must return exactly what
 //!   `re_identifies` would: the scratch may change *how* the verdict is
 //!   reached (buffer reuse, verified caches, deciding against the true
@@ -143,7 +144,8 @@ impl ProfileCache {
     }
 }
 
-/// Reusable per-worker buffers for scratch-aware attack inference.
+/// Reusable buffers for scratch-aware attack inference, leased by one
+/// task at a time.
 ///
 /// Constructed empty ([`AttackScratch::new`]) and warmed up by the first
 /// inference call; engines recycle scratches across candidates, batches

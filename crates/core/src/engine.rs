@@ -20,7 +20,7 @@ use crate::{
 };
 
 /// What a search stage does with each candidate it applies: called with
-/// the worker's scratch, the candidate's variant index and the
+/// the task's scratch, the candidate's variant index and the
 /// candidate, which stays with the caller. Returns whether the stage
 /// holds a resilient candidate by now.
 ///
@@ -29,7 +29,8 @@ use crate::{
 /// candidate evaluation schedulable in any order.
 type Visit<'a> = dyn Fn(&mut CandidateScratch, usize, &Trace) -> bool + Sync + 'a;
 
-/// Reusable per-worker state for candidate evaluation: the derived RNG
+/// Reusable state for candidate evaluation, leased by one task at a time
+/// from the engine's [`ScratchPool`]: the derived RNG
 /// (stack-only, reassigned per candidate), spare buffers the LPPMs
 /// write candidate records into, and the attack scratch the suite
 /// scores on — per-trace features (heatmap, POI clusters, Markov chain)
@@ -43,7 +44,7 @@ struct CandidateScratch {
 
 /// Spare record buffers one scratch keeps: the singles plus one prefix
 /// per composition depth fit, and buffers handed back from other
-/// workers cannot pile up in one scratch.
+/// tasks cannot pile up in one scratch.
 const SPARE_BUFFERS: usize = 8;
 
 impl CandidateScratch {
@@ -64,13 +65,13 @@ impl CandidateScratch {
 }
 
 /// A recycling pool of [`CandidateScratch`] values, shared by every
-/// candidate batch the engine runs.
+/// candidate task the engine runs.
 ///
-/// Worker-slot scratch from [`exec::map_indexed_with`] lives only for
-/// one batch; this pool is what carries the warmed-up buffers *across*
-/// batches (and across users, when many pipeline workers drive the same
-/// engine). Peak pool size is bounded by the peak number of concurrent
-/// workers touching the engine. The reuse counters are the observable
+/// Each candidate task takes one lease for its own length, so the pool
+/// is what carries the warmed-up buffers across tasks, batches and
+/// users (also when many pipeline workers drive the same engine). Peak
+/// pool size is bounded by the peak number of tasks running at once
+/// on the engine. The reuse counters are the observable
 /// half of the zero-allocation claim: they count candidate evaluations
 /// that started from an already-warm protection buffer
 /// (`reuses`) / attack scratch (`attack_reuses`) instead of fresh
@@ -132,7 +133,7 @@ impl ScratchLease<'_> {
 impl Drop for ScratchLease<'_> {
     fn drop(&mut self) {
         if let Some(mut scratch) = self.scratch.take() {
-            // Surface the worker-local raster-cache counters before the
+            // Surface the scratch-local raster-cache counters before the
             // scratch goes back to sleep in the pool.
             let (hits, misses) = scratch.attack.take_raster_counters();
             self.pool.raster_hits.fetch_add(hits, Ordering::Relaxed);
@@ -525,7 +526,7 @@ impl BudgetState {
 }
 
 /// The resilient candidate a bound-first search holds so far, with its
-/// variant index: one lock shared by the candidate workers of one
+/// variant index: one lock shared by the candidate tasks of one
 /// [`MoodEngine::best_resilient`] call. Its key only ever falls.
 type BestSoFar = Mutex<Option<(usize, ProtectedTrace)>>;
 
@@ -640,10 +641,10 @@ impl MoodEngine {
     /// How many candidate evaluations started from a recycled, already
     /// warmed-up scratch buffer instead of a fresh allocation — the
     /// observable evidence that the candidate hot path stops allocating
-    /// once the per-worker arenas have warmed up. (A resilient candidate
+    /// once the pooled scratches have warmed up. (A resilient candidate
     /// that becomes the best is copied, so its buffer stays with the
-    /// worker; a scratch runs short only when another worker's scratch
-    /// got the single stage's buffers back.)
+    /// scratch; a scratch runs short only when another scratch got the
+    /// single stage's buffers back.)
     pub fn scratch_reuses(&self) -> u64 {
         self.scratch.reuses.load(Ordering::Relaxed)
     }
@@ -651,17 +652,18 @@ impl MoodEngine {
     /// How many candidate evaluations scored the attack suite on an
     /// already warmed-up [`AttackScratch`] — the attack-side counterpart
     /// of [`MoodEngine::scratch_reuses`]: per-trace features (heatmaps,
-    /// POI clusters, Markov chains) built into recycled per-worker
-    /// buffers instead of fresh allocations.
+    /// POI clusters, Markov chains) built into recycled pooled buffers
+    /// instead of fresh allocations.
     pub fn attack_scratch_reuses(&self) -> u64 {
         self.scratch.attack_reuses.load(Ordering::Relaxed)
     }
 
     /// Rasterization-cache hits across all attack scratches: trace
-    /// cell-sequences served from the per-worker `(grid, trace)` cache
+    /// cell-sequences served from each scratch's `(grid, trace)` cache
     /// (exact, comparison-verified) instead of recomputed. Counters are
-    /// drained from scratches as leases return to the pool, so in-flight
-    /// work surfaces at the next candidate-batch boundary.
+    /// drained from a scratch as its lease returns to the pool at the end
+    /// of each candidate task, so in-flight work surfaces once that task
+    /// finishes.
     pub fn raster_cache_hits(&self) -> u64 {
         self.scratch.raster_hits.load(Ordering::Relaxed)
     }
@@ -680,11 +682,6 @@ impl MoodEngine {
     /// The engine configuration.
     pub fn config(&self) -> &MoodConfig {
         &self.config
-    }
-
-    /// The executor candidate evaluations run on.
-    pub fn executor(&self) -> &dyn Executor {
-        self.executor.as_ref()
     }
 
     /// Deterministic RNG for one (trace, variant) application: derived
@@ -819,12 +816,9 @@ impl MoodEngine {
         // candidates), never a per-candidate span: overhead stays
         // bounded by batch count, not candidate count.
         self.observe(STAGE_CANDIDATE_EVAL, n as u64, || {
-            exec::map_indexed_with(
-                self.executor.as_ref(),
-                n,
-                || self.scratch.take(),
-                |lease, i| self.score_candidate(trace, i, lease.scratch_mut()),
-            )
+            exec::map_indexed(self.executor.as_ref(), n, |i| {
+                self.score_candidate(trace, i, self.scratch.take().scratch_mut())
+            })
         })
     }
 
@@ -927,27 +921,24 @@ impl MoodEngine {
     /// them when no visit found a resilient one, which is the only case
     /// in which compositions run.
     fn apply_singles(&self, trace: &Trace, end: usize, visit: &Visit<'_>) -> Vec<Option<Trace>> {
-        exec::map_indexed_with(
-            self.executor.as_ref(),
-            end,
-            || self.scratch.take(),
-            |lease, i| {
-                let scratch = lease.scratch_mut();
-                let candidate = self.apply_candidate(trace, trace, i, scratch);
-                if visit(scratch, i, &candidate) {
-                    scratch.recycle(candidate);
-                    return None;
-                }
-                Some(candidate)
-            },
-        )
+        exec::map_indexed(self.executor.as_ref(), end, |i| {
+            let mut lease = self.scratch.take();
+            let scratch = lease.scratch_mut();
+            let candidate = self.apply_candidate(trace, trace, i, scratch);
+            if visit(scratch, i, &candidate) {
+                scratch.recycle(candidate);
+                return None;
+            }
+            Some(candidate)
+        })
     }
 
     /// Applies and visits every composition below variant `end`, each as
     /// one stage on its prefix's candidate; `singles` holds the single
     /// stage's candidates in base order. Each pair's subtree is one job,
     /// run depth first (the pair, then its extensions on the pair's
-    /// output), so a worker holds one prefix per depth.
+    /// output) on one leased scratch, so a job holds one prefix per
+    /// depth.
     fn apply_compositions(
         &self,
         trace: &Trace,
@@ -957,17 +948,13 @@ impl MoodEngine {
     ) {
         let n = self.base.len();
         let pairs: Vec<usize> = (n..end).filter(|&c| self.links[c - n].0 < n).collect();
-        exec::for_each_index_with(
-            self.executor.as_ref(),
-            pairs.len(),
-            || self.scratch.take(),
-            |lease, k| {
-                let single = singles[self.links[pairs[k] - n].0]
-                    .as_ref()
-                    .expect("compositions run only when no single is resilient");
-                self.extend(trace, single, pairs[k], end, lease.scratch_mut(), visit);
-            },
-        );
+        self.executor.for_each_index(pairs.len(), &|k| {
+            let single = singles[self.links[pairs[k] - n].0]
+                .as_ref()
+                .expect("compositions run only when no single is resilient");
+            let mut lease = self.scratch.take();
+            self.extend(trace, single, pairs[k], end, lease.scratch_mut(), visit);
+        });
     }
 
     /// Applies composition `idx` to its prefix's candidate `prefix` and
@@ -1588,8 +1575,8 @@ mod tests {
             .unwrap();
         assert_eq!(engine.config().seed, 99);
         assert!(engine.compositions().is_empty());
-        assert_eq!(engine.executor().name(), "persistent");
-        assert_eq!(engine.executor().max_threads(), 4);
+        assert_eq!(engine.executor.name(), "persistent");
+        assert_eq!(engine.executor.max_threads(), 4);
     }
 
     #[test]
@@ -1760,11 +1747,11 @@ mod tests {
         let (bg, test) = mini_world();
         let engine = MoodEngine::paper_default(&bg);
         let trace = test.iter().next().unwrap();
-        // The first search warms the arena: a worker allocates one
-        // buffer per candidate it holds at once, and the single stage
-        // holds its candidates until one is resilient, since the
-        // composition stage extends them. Every later search on the
-        // same worker starts from recycled buffers.
+        // The first search warms the pool: it allocates one buffer per
+        // candidate held at once, and the single stage holds its
+        // candidates until one is resilient, since the composition
+        // stage extends them. Every later search starts from recycled
+        // buffers.
         let _ = engine.protect_user(trace);
         let cold = engine.scratch_reuses();
         let _ = engine.protect_user(trace);
@@ -2063,6 +2050,7 @@ mod tests {
             crate::ExecutorKind::Persistent.build(2),
             crate::ExecutorKind::Persistent.build(4),
         ] {
+            let threads = executor.max_threads();
             // `twin-a` and `twin-b` publish identical traces at an
             // identical distortion; `far` makes the twins race against
             // a bound under a parallel executor.
@@ -2077,7 +2065,7 @@ mod tests {
             for _ in 0..5 {
                 for trace in test.iter() {
                     let p = engine.search_single(trace).unwrap();
-                    assert_eq!(p.lppm, "twin-a", "{}", engine.executor().max_threads());
+                    assert_eq!(p.lppm, "twin-a", "{threads}");
                     let r = engine.protect_user(trace);
                     assert_eq!(r.outcome.published()[0].lppm, "twin-a");
                 }

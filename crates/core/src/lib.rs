@@ -20,8 +20,9 @@
 //! * [`exec`] — the execution layer (the `mood-exec` crate re-exported):
 //!   two backends (sequential, and a persistent parked-worker pool)
 //!   running candidate evaluations and per-user protection with
-//!   bit-for-bit identical results, plus per-worker scratch arenas for
-//!   allocation-free hot loops;
+//!   bit-for-bit identical results; each candidate task leases its
+//!   scratch from the engine's pool, which keeps the hot loops
+//!   allocation-free;
 //! * [`protect_dataset`] — the parallel dataset pipeline, producing a
 //!   [`ProtectionReport`] and a publishable pseudonymized dataset
 //!   ([`protect_stream`] yields per-user results as they complete);

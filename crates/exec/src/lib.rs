@@ -16,21 +16,17 @@
 //!   fed through a shared injector, created once and reused by every
 //!   subsequent call. It amortizes thread spawn across a whole run,
 //!   which is what online, many-small-requests deployments need, and
-//!   idle workers claim the next chunk of indices, which balances
-//!   skewed workloads, where one orphan user can cost orders of
-//!   magnitude more than a naturally protected one.
+//!   idle workers claim the next index, which balances skewed
+//!   workloads, where one orphan user can cost orders of magnitude more
+//!   than a naturally protected one.
 //!
-//! # Worker slots and scratch reuse
+//! # Per-task state
 //!
-//! Beyond plain [`Executor::for_each_index`], every backend reports a
-//! **worker slot** for each task invocation via
-//! [`Executor::for_each_index_slot`]: a small integer `< max_threads()`
-//! identifying the worker running the task, exclusive to one thread at
-//! any instant. [`for_each_index_with`] and [`map_indexed_with`] build
-//! per-worker **scratch arenas** on top of that guarantee: one lazily
-//! initialized scratch value per slot, handed `&mut` to every task the
-//! slot runs — so hot loops can reuse buffers and RNG state instead of
-//! allocating per task, without any synchronization on the hot path.
+//! An executor hands a task nothing but its index. A task that wants
+//! reusable buffers leases them from a pool the caller owns for the
+//! length of the task (the engine's scratch pool, the free list of an
+//! attack evaluation), so no backend needs to know which thread runs
+//! what.
 //!
 //! # Determinism contract
 //!
@@ -55,13 +51,10 @@ use std::sync::{Arc, Mutex};
 
 /// An index-parallel execution backend.
 ///
-/// The core primitive — [`Executor::for_each_index_slot`] — runs a task
-/// for every index in `0..n`, in any order, on any number of threads,
-/// reporting for each invocation the **worker slot** executing it.
-/// Callers that need results use [`map_indexed`], which stores each
-/// task's output in its own slot so the outcome is independent of
-/// scheduling; callers with reusable per-worker state use
-/// [`for_each_index_with`] / [`map_indexed_with`].
+/// [`Executor::for_each_index`] runs a task for every index in `0..n`,
+/// in any order, on any number of threads. Callers that need results
+/// use [`map_indexed`], which stores each task's output under its own
+/// index so the outcome is independent of scheduling.
 ///
 /// Implementations must invoke the task **exactly once per index** and
 /// must not return before every invocation has finished.
@@ -69,23 +62,12 @@ pub trait Executor: Send + Sync {
     /// Human-readable backend name (CLI/report labels).
     fn name(&self) -> &'static str;
 
-    /// Upper bound on worker threads this backend will use. Worker
-    /// slots passed to [`Executor::for_each_index_slot`] are always
-    /// strictly below this bound.
+    /// Upper bound on worker threads this backend will use.
     fn max_threads(&self) -> usize;
-
-    /// Runs `task(i, slot)` for every `i` in `0..n`, returning when all
-    /// invocations are complete. `slot < max_threads()` identifies the
-    /// worker executing the invocation; at any instant a slot is used
-    /// by at most one thread, so slot-indexed state needs no locking
-    /// beyond what lazy initialization requires.
-    fn for_each_index_slot(&self, n: usize, task: &(dyn Fn(usize, usize) + Sync));
 
     /// Runs `task(i)` for every `i` in `0..n`, returning when all
     /// invocations are complete.
-    fn for_each_index(&self, n: usize, task: &(dyn Fn(usize) + Sync)) {
-        self.for_each_index_slot(n, &|i, _slot| task(i));
-    }
+    fn for_each_index(&self, n: usize, task: &(dyn Fn(usize) + Sync));
 }
 
 /// Runs `f` over `0..n` on `executor` and collects the results in index
@@ -95,52 +77,9 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    map_indexed_with(executor, n, || (), |(), i| f(i))
-}
-
-/// Runs `task(&mut scratch, i)` over `0..n` on `executor`, with one
-/// scratch value per worker slot, lazily created by `init` the first
-/// time the slot runs a task. Returns the scratch values that were
-/// actually created (in slot order), so callers can merge per-worker
-/// accumulators — deterministically, if they key accumulated entries by
-/// submission index.
-pub fn for_each_index_with<S, I, T>(executor: &dyn Executor, n: usize, init: I, task: T) -> Vec<S>
-where
-    S: Send,
-    I: Fn() -> S + Sync,
-    T: Fn(&mut S, usize) + Sync,
-{
-    let slots: Vec<Mutex<Option<S>>> = (0..executor.max_threads().max(1))
-        .map(|_| Mutex::new(None))
-        .collect();
-    executor.for_each_index_slot(n, &|i, slot| {
-        // Slots are exclusive to one worker at a time, so this lock is
-        // uncontended; it only exists to make lazy init and the final
-        // collection safe.
-        let mut guard = slots[slot].lock().expect("scratch slot lock");
-        let scratch = guard.get_or_insert_with(&init);
-        task(scratch, i);
-    });
-    slots
-        .into_iter()
-        .filter_map(|slot| slot.into_inner().expect("scratch slot lock"))
-        .collect()
-}
-
-/// [`map_indexed`] with a per-worker scratch value: runs
-/// `f(&mut scratch, i)` over `0..n` and collects the results in index
-/// order. The scratch values are dropped when the call returns (their
-/// `Drop` impls can recycle buffers into a caller-owned pool).
-pub fn map_indexed_with<S, T, I, F>(executor: &dyn Executor, n: usize, init: I, f: F) -> Vec<T>
-where
-    S: Send,
-    T: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize) -> T + Sync,
-{
     let out: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    for_each_index_with(executor, n, init, |scratch, i| {
-        let value = f(scratch, i);
+    executor.for_each_index(n, &|i| {
+        let value = f(i);
         let prev = out[i].lock().expect("result slot lock").replace(value);
         assert!(prev.is_none(), "executor ran index {i} twice");
     });
@@ -238,53 +177,6 @@ mod tests {
             assert!(empty.is_empty());
             let one = map_indexed(exec.as_ref(), 1, |i| i + 41);
             assert_eq!(one, vec![41]);
-        }
-    }
-
-    #[test]
-    fn slots_stay_below_max_threads() {
-        for exec in backends() {
-            let bound = exec.max_threads();
-            let seen = AtomicUsize::new(0);
-            exec.for_each_index_slot(200, &|_, slot| {
-                assert!(slot < bound, "slot {slot} >= {bound} on {}", exec.name());
-                seen.fetch_max(slot + 1, Ordering::SeqCst);
-            });
-            assert!(seen.load(Ordering::SeqCst) >= 1);
-        }
-    }
-
-    #[test]
-    fn scratch_reused_within_a_call() {
-        for exec in backends() {
-            let inits = AtomicUsize::new(0);
-            let tasks = AtomicUsize::new(0);
-            let scratches = for_each_index_with(
-                exec.as_ref(),
-                500,
-                || {
-                    inits.fetch_add(1, Ordering::SeqCst);
-                    0usize
-                },
-                |scratch, _i| {
-                    *scratch += 1;
-                    tasks.fetch_add(1, Ordering::SeqCst);
-                },
-            );
-            assert_eq!(tasks.load(Ordering::SeqCst), 500, "{}", exec.name());
-            // One scratch per slot that ran tasks — never one per task.
-            assert_eq!(inits.load(Ordering::SeqCst), scratches.len());
-            assert!(scratches.len() <= exec.max_threads(), "{}", exec.name());
-            assert_eq!(scratches.iter().sum::<usize>(), 500, "{}", exec.name());
-        }
-    }
-
-    #[test]
-    fn map_indexed_with_matches_map_indexed() {
-        for exec in backends() {
-            let plain = map_indexed(exec.as_ref(), 100, |i| i * 3);
-            let scratched = map_indexed_with(exec.as_ref(), 100, || (), |(), i| i * 3);
-            assert_eq!(plain, scratched, "{}", exec.name());
         }
     }
 

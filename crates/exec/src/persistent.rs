@@ -5,9 +5,9 @@
 //! sub-trace, a handful of candidates each), where spawning threads
 //! inside every `for_each_index` call would dominate the work itself.
 //! This backend creates its workers once, parks them on a condvar, and
-//! feeds every subsequent call through a shared chunked injector — idle
-//! workers pull the next chunk of indices as they run dry, so skewed
-//! workloads balance without per-call setup.
+//! feeds every subsequent call through a shared injector — idle workers
+//! claim the next index as they run dry, so skewed workloads balance
+//! without per-call setup.
 
 #[allow(unsafe_code)]
 mod task_ref {
@@ -19,7 +19,7 @@ mod task_ref {
     ///
     /// # Soundness
     ///
-    /// `for_each_index_slot` blocks until `finished == n`, and
+    /// `for_each_index` blocks until `finished == n`, and
     /// `finished` only reaches `n` after every claimed index's task
     /// invocation has returned. Workers call the task only for indices
     /// claimed from the injector (`next < n`), and claiming stops once
@@ -30,7 +30,7 @@ mod task_ref {
     /// clones), but after exhaustion they only touch the batch's own
     /// atomics, never the pointer.
     #[derive(Clone, Copy)]
-    pub(super) struct TaskRef(*const (dyn Fn(usize, usize) + Sync + 'static));
+    pub(super) struct TaskRef(*const (dyn Fn(usize) + Sync + 'static));
 
     // SAFETY: the pointee is `Sync` (shared access from any thread is
     // fine) and the pointer itself is only dereferenced while the
@@ -42,23 +42,23 @@ mod task_ref {
         /// Erases the borrow. The caller must keep the referent alive —
         /// and the submitting call does, by blocking until the batch is
         /// fully finished — for as long as `call` may run.
-        pub(super) fn erase(task: &(dyn Fn(usize, usize) + Sync)) -> Self {
-            let short: *const (dyn Fn(usize, usize) + Sync) = std::ptr::from_ref(task);
+        pub(super) fn erase(task: &(dyn Fn(usize) + Sync)) -> Self {
+            let short: *const (dyn Fn(usize) + Sync) = std::ptr::from_ref(task);
             // SAFETY: pure lifetime erasure on a raw pointer — layout is
             // identical; validity is argued at the type level above.
             Self(unsafe {
                 std::mem::transmute::<
-                    *const (dyn Fn(usize, usize) + Sync),
-                    *const (dyn Fn(usize, usize) + Sync + 'static),
+                    *const (dyn Fn(usize) + Sync),
+                    *const (dyn Fn(usize) + Sync + 'static),
                 >(short)
             })
         }
 
         /// Runs the task. Only called for injector-claimed indices of a
         /// batch whose submitter is still blocked (see type docs).
-        pub(super) fn call(&self, i: usize, slot: usize) {
+        pub(super) fn call(&self, i: usize) {
             // SAFETY: see the type-level soundness argument.
-            (unsafe { &*self.0 })(i, slot)
+            (unsafe { &*self.0 })(i)
         }
     }
 }
@@ -75,20 +75,17 @@ use task_ref::TaskRef;
 use super::Executor;
 
 thread_local! {
-    /// Set once per pool worker: (address of the owning pool's shared
-    /// state, worker slot). Lets a nested submission from inside a task
-    /// detect "this is my own pool" and run inline instead of
-    /// deadlocking on itself.
-    static WORKER_CONTEXT: Cell<Option<(usize, usize)>> = const { Cell::new(None) };
+    /// Set once per pool worker: the address of the owning pool's shared
+    /// state. Lets a nested submission from inside a task detect "this
+    /// is my own pool" and run inline instead of deadlocking on itself.
+    static WORKER_POOL: Cell<Option<usize>> = const { Cell::new(None) };
 }
 
-/// One submitted `for_each_index_slot` call.
+/// One submitted `for_each_index` call.
 struct Batch {
     task: TaskRef,
     n: usize,
-    /// Indices are handed out in chunks of this size.
-    chunk: usize,
-    /// The shared injector cursor: workers claim `[next, next + chunk)`.
+    /// The shared injector cursor: the next index to claim.
     next: AtomicUsize,
     /// Invocations that have returned; the batch is complete at `n`.
     finished: AtomicUsize,
@@ -99,14 +96,11 @@ struct Batch {
 }
 
 impl Batch {
-    /// Claims the next chunk of unexecuted indices, or `None` when the
-    /// injector is dry.
-    fn claim(&self) -> Option<std::ops::Range<usize>> {
-        let start = self.next.fetch_add(self.chunk, Ordering::Relaxed);
-        if start >= self.n {
-            return None;
-        }
-        Some(start..(start + self.chunk).min(self.n))
+    /// Claims the next unexecuted index, or `None` when the injector is
+    /// dry.
+    fn claim(&self) -> Option<usize> {
+        let i = self.next.fetch_add(1, Ordering::Relaxed);
+        (i < self.n).then_some(i)
     }
 }
 
@@ -130,16 +124,15 @@ struct Shared {
 /// A persistent worker pool: threads are spawned once at construction,
 /// parked between calls, and joined on drop.
 ///
-/// Work distribution is a shared injector with chunked claiming: every
-/// call becomes a batch with an atomic cursor, and workers grab the
-/// next chunk whenever they run dry, which balances skewed workloads
-/// without spawning a thread per call. Multiple threads may submit
+/// Work distribution is a shared injector: every call becomes a batch
+/// with an atomic cursor, and workers claim the next index whenever
+/// they run dry, which balances skewed workloads without spawning a
+/// thread per call. Multiple threads may submit
 /// batches concurrently; batches queue and workers drain them
 /// oldest-first.
 ///
 /// A task that (transitively) calls back into **its own** pool runs the
-/// nested batch inline on the same worker — no deadlock, and the nested
-/// tasks report the worker's own slot, preserving slot exclusivity.
+/// nested batch inline on the same worker — no deadlock.
 ///
 /// Dropping the pool wakes and joins every worker: no leaked threads.
 /// A task panic is caught and its payload re-raised on the submitting
@@ -164,11 +157,11 @@ impl PersistentPoolExecutor {
             done: Condvar::new(),
         });
         let workers = (0..threads)
-            .map(|slot| {
+            .map(|i| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
-                    .name(format!("mood-exec-{slot}"))
-                    .spawn(move || worker_loop(&shared, slot))
+                    .name(format!("mood-exec-{i}"))
+                    .spawn(move || worker_loop(&shared))
                     .expect("spawn pool worker")
             })
             .collect();
@@ -193,8 +186,8 @@ impl std::fmt::Debug for PersistentPoolExecutor {
     }
 }
 
-fn worker_loop(shared: &Shared, slot: usize) {
-    WORKER_CONTEXT.with(|ctx| ctx.set(Some((std::ptr::from_ref(shared) as usize, slot))));
+fn worker_loop(shared: &Shared) {
+    WORKER_POOL.with(|pool| pool.set(Some(std::ptr::from_ref(shared) as usize)));
     loop {
         let batch = {
             let mut state = shared.state.lock().expect("pool state lock");
@@ -214,25 +207,23 @@ fn worker_loop(shared: &Shared, slot: usize) {
                 state = shared.work.wait(state).expect("pool state lock");
             }
         };
-        run_batch(shared, &batch, slot);
+        run_batch(shared, &batch);
     }
 }
 
-/// Drains the injector of `batch` from worker `slot`, signalling the
-/// submitter when the last invocation lands.
-fn run_batch(shared: &Shared, batch: &Arc<Batch>, slot: usize) {
-    while let Some(range) = batch.claim() {
-        for i in range {
-            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| batch.task.call(i, slot))) {
-                let mut first = batch.panic.lock().expect("batch panic slot");
-                first.get_or_insert(payload);
-            }
-            let done = batch.finished.fetch_add(1, Ordering::AcqRel) + 1;
-            if done == batch.n {
-                let mut state = shared.state.lock().expect("pool state lock");
-                state.queue.retain(|b| !Arc::ptr_eq(b, batch));
-                shared.done.notify_all();
-            }
+/// Drains the injector of `batch`, signalling the submitter when the
+/// last invocation lands.
+fn run_batch(shared: &Shared, batch: &Arc<Batch>) {
+    while let Some(i) = batch.claim() {
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| batch.task.call(i))) {
+            let mut first = batch.panic.lock().expect("batch panic slot");
+            first.get_or_insert(payload);
+        }
+        let done = batch.finished.fetch_add(1, Ordering::AcqRel) + 1;
+        if done == batch.n {
+            let mut state = shared.state.lock().expect("pool state lock");
+            state.queue.retain(|b| !Arc::ptr_eq(b, batch));
+            shared.done.notify_all();
         }
     }
 }
@@ -246,34 +237,24 @@ impl Executor for PersistentPoolExecutor {
         self.threads
     }
 
-    fn for_each_index_slot(&self, n: usize, task: &(dyn Fn(usize, usize) + Sync)) {
+    fn for_each_index(&self, n: usize, task: &(dyn Fn(usize) + Sync)) {
         if n == 0 {
             return;
         }
         // Nested submission from one of this pool's own workers: the
         // worker would otherwise wait for peers that may all be blocked
-        // the same way. Run inline on this worker's slot — exclusive by
-        // construction, since the slot belongs to this very thread.
-        let own_slot = WORKER_CONTEXT.with(|ctx| match ctx.get() {
-            Some((pool, slot)) if pool == Arc::as_ptr(&self.shared) as usize => Some(slot),
-            _ => None,
-        });
-        if let Some(slot) = own_slot {
+        // the same way. Run inline on this worker instead.
+        let own_pool = Arc::as_ptr(&self.shared) as usize;
+        if WORKER_POOL.with(|pool| pool.get() == Some(own_pool)) {
             for i in 0..n {
-                task(i, slot);
+                task(i);
             }
             return;
         }
 
-        // Chunked claiming: small enough for balance on skewed work,
-        // large enough that the atomic cursor isn't contended. Small
-        // batches (MooD candidate sets are 3–12 jobs) degrade to
-        // chunk = 1, i.e. pure dynamic scheduling.
-        let chunk = (n / (self.threads * 4)).max(1);
         let batch = Arc::new(Batch {
             task: TaskRef::erase(task),
             n,
-            chunk,
             next: AtomicUsize::new(0),
             finished: AtomicUsize::new(0),
             panic: Mutex::new(None),

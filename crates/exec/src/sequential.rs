@@ -1,7 +1,7 @@
 use super::Executor;
 
 /// The reference backend: every task runs inline on the calling thread,
-/// in index order, always on worker slot 0.
+/// in index order.
 ///
 /// This is the executor of record for determinism checks — the parallel
 /// backend is correct exactly when it reproduces its output — and the
@@ -18,9 +18,9 @@ impl Executor for SequentialExecutor {
         1
     }
 
-    fn for_each_index_slot(&self, n: usize, task: &(dyn Fn(usize, usize) + Sync)) {
+    fn for_each_index(&self, n: usize, task: &(dyn Fn(usize) + Sync)) {
         for i in 0..n {
-            task(i, 0);
+            task(i);
         }
     }
 }

@@ -69,10 +69,9 @@ pub struct QueueStats {
 
 /// A fixed pool of service workers fed through a bounded FIFO queue.
 ///
-/// Each worker runs `handler(slot, job)` for one job at a time; `slot`
-/// is the worker's stable index (`0..threads`), exclusive to that
-/// worker for its lifetime. A handler panic is caught and counted
-/// ([`ServicePool::handler_panics`]); the worker keeps serving.
+/// Each worker runs `handler(job)` for one job at a time. A handler
+/// panic is caught and counted ([`ServicePool::handler_panics`]); the
+/// worker keeps serving.
 ///
 /// Shutdown semantics: [`ServicePool::shutdown`] (also run on drop)
 /// stops admissions, lets workers drain the jobs already queued, then
@@ -88,12 +87,12 @@ pub struct ServicePool<T: Send + 'static> {
 }
 
 impl<T: Send + 'static> ServicePool<T> {
-    /// Spawns `threads` workers (at least 1) named `{name}-{slot}`,
+    /// Spawns `threads` workers (at least 1) named `{name}-{i}`,
     /// with room for `capacity` queued jobs (at least 1) beyond the
     /// ones being handled.
     pub fn new<F>(name: &str, threads: usize, capacity: usize, handler: F) -> Self
     where
-        F: Fn(usize, T) + Send + Sync + 'static,
+        F: Fn(T) + Send + Sync + 'static,
     {
         let threads = threads.max(1);
         let shared = Arc::new(ServiceShared {
@@ -110,12 +109,12 @@ impl<T: Send + 'static> ServicePool<T> {
         });
         let handler = Arc::new(handler);
         let workers = (0..threads)
-            .map(|slot| {
+            .map(|i| {
                 let shared = Arc::clone(&shared);
                 let handler = Arc::clone(&handler);
                 std::thread::Builder::new()
-                    .name(format!("{name}-{slot}"))
-                    .spawn(move || service_loop(&shared, slot, handler.as_ref()))
+                    .name(format!("{name}-{i}"))
+                    .spawn(move || service_loop(&shared, handler.as_ref()))
                     .expect("spawn service worker")
             })
             .collect();
@@ -209,7 +208,7 @@ impl<T: Send + 'static> std::fmt::Debug for ServicePool<T> {
     }
 }
 
-fn service_loop<T: Send>(shared: &ServiceShared<T>, slot: usize, handler: &dyn Fn(usize, T)) {
+fn service_loop<T: Send>(shared: &ServiceShared<T>, handler: &dyn Fn(T)) {
     loop {
         let (job, enqueued) = {
             let mut state = shared.state.lock().expect("service state lock");
@@ -228,7 +227,7 @@ fn service_loop<T: Send>(shared: &ServiceShared<T>, slot: usize, handler: &dyn F
             .fetch_add(enqueued.elapsed().as_nanos() as u64, Ordering::Relaxed);
         shared.dequeued.fetch_add(1, Ordering::Relaxed);
         shared.in_flight.fetch_add(1, Ordering::Relaxed);
-        if catch_unwind(AssertUnwindSafe(|| handler(slot, job))).is_err() {
+        if catch_unwind(AssertUnwindSafe(|| handler(job))).is_err() {
             shared.panics.fetch_add(1, Ordering::Relaxed);
         }
         shared.in_flight.fetch_sub(1, Ordering::Relaxed);
@@ -242,11 +241,10 @@ mod tests {
     use std::time::Duration;
 
     #[test]
-    fn jobs_run_and_slots_stay_in_bounds() {
+    fn every_submitted_job_runs_once() {
         let seen = Arc::new(Mutex::new(Vec::new()));
         let sink = Arc::clone(&seen);
-        let pool = ServicePool::new("svc-test", 3, 64, move |slot, job: usize| {
-            assert!(slot < 3);
+        let pool = ServicePool::new("svc-test", 3, 64, move |job: usize| {
             sink.lock().unwrap().push(job);
         });
         for i in 0..50 {
@@ -265,7 +263,7 @@ mod tests {
         let gate = Arc::clone(&release);
         let started = Arc::new((Mutex::new(false), Condvar::new()));
         let started_tx = Arc::clone(&started);
-        let pool = ServicePool::new("svc-full", 1, 2, move |_slot, _job: u32| {
+        let pool = ServicePool::new("svc-full", 1, 2, move |_job: u32| {
             let (lock, cv) = &*started_tx;
             *lock.lock().unwrap() = true;
             cv.notify_all();
@@ -298,7 +296,7 @@ mod tests {
     fn shutdown_drains_queued_jobs_then_rejects() {
         let done = Arc::new(AtomicUsize::new(0));
         let counter = Arc::clone(&done);
-        let pool = ServicePool::new("svc-drain", 2, 32, move |_slot, _job: u8| {
+        let pool = ServicePool::new("svc-drain", 2, 32, move |_job: u8| {
             std::thread::sleep(Duration::from_millis(2));
             counter.fetch_add(1, Ordering::SeqCst);
         });
@@ -316,7 +314,7 @@ mod tests {
     fn handler_panics_are_caught_and_counted() {
         let done = Arc::new(AtomicUsize::new(0));
         let counter = Arc::clone(&done);
-        let pool = ServicePool::new("svc-panic", 1, 32, move |_slot, job: u32| {
+        let pool = ServicePool::new("svc-panic", 1, 32, move |job: u32| {
             if job == 1 {
                 panic!("handler blew up");
             }
@@ -338,7 +336,7 @@ mod tests {
         let gate = Arc::clone(&release);
         let started = Arc::new((Mutex::new(false), Condvar::new()));
         let started_tx = Arc::clone(&started);
-        let pool = ServicePool::new("svc-stats", 1, 8, move |_slot, _job: u32| {
+        let pool = ServicePool::new("svc-stats", 1, 8, move |_job: u32| {
             let (lock, cv) = &*started_tx;
             *lock.lock().unwrap() = true;
             cv.notify_all();
@@ -382,7 +380,7 @@ mod tests {
         }
         let before = thread_count();
         for _ in 0..8 {
-            let pool = ServicePool::new("svc-leak", 4, 8, |_slot, _job: usize| {});
+            let pool = ServicePool::new("svc-leak", 4, 8, |_job: usize| {});
             for i in 0..16 {
                 let _ = pool.try_submit(i);
             }

@@ -4,7 +4,7 @@
 //! crate in the workspace builds on:
 //!
 //! * [`GeoPoint`] — a validated WGS-84 latitude/longitude pair with
-//!   haversine and equirectangular distances and destination points;
+//!   haversine and equirectangular distances and linear interpolation;
 //! * [`BoundingBox`] — axis-aligned lat/lng boxes with containment,
 //!   expansion and sampling helpers;
 //! * [`LocalProjection`] — a local east-north (ENU-style) tangent-plane

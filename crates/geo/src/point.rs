@@ -123,48 +123,6 @@ impl GeoPoint {
         EARTH_RADIUS_M * (dx * dx + dy * dy).sqrt()
     }
 
-    /// The point reached by travelling `distance_m` meters from `self` on
-    /// the great circle with initial `bearing_deg` degrees.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GeoError::InvalidDistance`] when `distance_m` is negative
-    /// or not finite. The resulting point is re-normalized so it is always
-    /// valid.
-    pub fn destination(&self, bearing_deg: f64, distance_m: f64) -> Result<GeoPoint> {
-        if !distance_m.is_finite() || distance_m < 0.0 {
-            return Err(GeoError::InvalidDistance(distance_m));
-        }
-        let delta = distance_m / EARTH_RADIUS_M;
-        let theta = bearing_deg.to_radians();
-        let lat1 = self.lat.to_radians();
-        let lng1 = self.lng.to_radians();
-        let lat2 = (lat1.sin() * delta.cos() + lat1.cos() * delta.sin() * theta.cos()).asin();
-        let lng2 = lng1
-            + (theta.sin() * delta.sin() * lat1.cos()).atan2(delta.cos() - lat1.sin() * lat2.sin());
-        let lat_deg = lat2.to_degrees().clamp(-90.0, 90.0);
-        GeoPoint::new(lat_deg, wrap_longitude(lng2.to_degrees()))
-    }
-
-    /// Midpoint between `self` and `other` along the great circle.
-    pub fn midpoint(&self, other: &GeoPoint) -> GeoPoint {
-        let lat1 = self.lat.to_radians();
-        let lng1 = self.lng.to_radians();
-        let lat2 = other.lat.to_radians();
-        let dlng = (other.lng - self.lng).to_radians();
-        let bx = lat2.cos() * dlng.cos();
-        let by = lat2.cos() * dlng.sin();
-        let lat3 = (lat1.sin() + lat2.sin()).atan2(((lat1.cos() + bx).powi(2) + by * by).sqrt());
-        let lng3 = lng1 + by.atan2(lat1.cos() + bx);
-        // The midpoint of two valid points is always valid after
-        // normalization, so this cannot fail.
-        GeoPoint::new(
-            lat3.to_degrees().clamp(-90.0, 90.0),
-            wrap_longitude(lng3.to_degrees()),
-        )
-        .expect("midpoint of valid points is valid")
-    }
-
     /// Linear interpolation between `self` (at `f = 0`) and `other`
     /// (at `f = 1`) in coordinate space; adequate for the short segments
     /// that occur between consecutive GPS records.
@@ -294,42 +252,6 @@ mod tests {
         let h = a.haversine_distance(&b);
         let e = a.approx_distance(&b);
         assert!((h - e).abs() / h < 1e-3, "haversine {h} vs approx {e}");
-    }
-
-    #[test]
-    fn destination_roundtrip_distance() {
-        let start = p(46.2044, 6.1432);
-        for bearing in [0.0, 45.0, 133.7, 270.0] {
-            let end = start.destination(bearing, 5_000.0).unwrap();
-            let d = start.haversine_distance(&end);
-            assert!((d - 5_000.0).abs() < 1.0, "bearing {bearing}: {d}");
-        }
-    }
-
-    #[test]
-    fn destination_rejects_negative_distance() {
-        let start = p(46.0, 6.0);
-        assert!(matches!(
-            start.destination(0.0, -10.0),
-            Err(GeoError::InvalidDistance(_))
-        ));
-    }
-
-    #[test]
-    fn destination_zero_distance_is_identity() {
-        let start = p(46.0, 6.0);
-        let end = start.destination(123.0, 0.0).unwrap();
-        assert!(start.haversine_distance(&end) < 1e-6);
-    }
-
-    #[test]
-    fn midpoint_is_equidistant() {
-        let a = p(45.0, 4.0);
-        let b = p(46.0, 5.0);
-        let m = a.midpoint(&b);
-        let da = a.haversine_distance(&m);
-        let db = b.haversine_distance(&m);
-        assert!((da - db).abs() < 1.0, "da={da} db={db}");
     }
 
     #[test]
@@ -474,18 +396,6 @@ mod proptests {
             let bc = b.haversine_distance(&c);
             let ac = a.haversine_distance(&c);
             prop_assert!(ac <= ab + bc + 1e-6);
-        }
-
-        #[test]
-        fn destination_travels_requested_distance(
-            start in arb_point(),
-            bearing in 0.0f64..360.0,
-            dist in 0.0f64..50_000.0,
-        ) {
-            let end = start.destination(bearing, dist).unwrap();
-            let measured = start.haversine_distance(&end);
-            prop_assert!((measured - dist).abs() < 1.0 + dist * 1e-6,
-                "asked {dist} got {measured}");
         }
 
         #[test]

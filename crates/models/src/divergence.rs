@@ -2,7 +2,7 @@
 //!
 //! AP-Attack compares heatmaps with the **Topsoe divergence** (Endres &
 //! Schindelin 2003, the paper's \[13\]), twice the Jensen–Shannon
-//! divergence; KL is provided for completeness.
+//! divergence.
 //!
 //! Distributions are sparse maps from an ordered key to a non-negative
 //! mass; they do not need to be normalized — every function normalizes
@@ -15,32 +15,6 @@ pub const LN_2: f64 = std::f64::consts::LN_2;
 
 fn total<K: Ord>(d: &BTreeMap<K, f64>) -> f64 {
     d.values().sum()
-}
-
-/// Kullback–Leibler divergence `KL(P ‖ Q)` in nats.
-///
-/// Returns `f64::INFINITY` when `P` has mass on a key where `Q` has none
-/// (the standard convention), and `None` when either distribution is
-/// empty or has non-positive total mass.
-pub fn kl<K: Ord + Copy>(p: &BTreeMap<K, f64>, q: &BTreeMap<K, f64>) -> Option<f64> {
-    let (tp, tq) = (total(p), total(q));
-    if tp <= 0.0 || tq <= 0.0 {
-        return None;
-    }
-    let mut sum = 0.0;
-    for (k, &pv) in p {
-        if pv <= 0.0 {
-            continue;
-        }
-        let pv = pv / tp;
-        match q.get(k) {
-            Some(&qv) if qv > 0.0 => {
-                sum += pv * (pv / (qv / tq)).ln();
-            }
-            _ => return Some(f64::INFINITY),
-        }
-    }
-    Some(sum)
 }
 
 /// Topsoe divergence (the paper's heatmap distance, ref. \[13\]):
@@ -418,28 +392,6 @@ mod tests {
         let q = dist(&[(0, 1.0)]);
         assert!(topsoe(&p, &q).is_none());
         assert!(topsoe(&q, &p).is_none());
-    }
-
-    #[test]
-    fn kl_zero_for_identical() {
-        let p = dist(&[(0, 0.4), (1, 0.6)]);
-        assert!(kl(&p, &p).unwrap().abs() < 1e-12);
-    }
-
-    #[test]
-    fn kl_infinite_when_q_missing_support() {
-        let p = dist(&[(0, 0.5), (1, 0.5)]);
-        let q = dist(&[(0, 1.0)]);
-        assert_eq!(kl(&p, &q).unwrap(), f64::INFINITY);
-    }
-
-    #[test]
-    fn kl_known_value() {
-        // KL between Bernoulli(0.5) and Bernoulli(0.25)
-        let p = dist(&[(0, 0.5), (1, 0.5)]);
-        let q = dist(&[(0, 0.25), (1, 0.75)]);
-        let expected = 0.5 * (0.5f64 / 0.25).ln() + 0.5 * (0.5f64 / 0.75).ln();
-        assert!((kl(&p, &q).unwrap() - expected).abs() < 1e-12);
     }
 
     #[test]

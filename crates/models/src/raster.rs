@@ -7,7 +7,7 @@
 //! is rasterized by the attack suite's raw check *and* by the HMC single,
 //! and a candidate that HMC extends may still be cached from the suite's
 //! verdict on it, all on the paper's shared 800 m grid. [`TraceRaster`] keeps
-//! the last few `(grid, trace) → cells` results in per-worker scratch so
+//! the last few `(grid, trace) → cells` results in leased scratch so
 //! those repeats become slice reuse.
 //!
 //! **Exactness.** A cache hit is only taken after comparing the stored
@@ -30,10 +30,10 @@ struct RasterEntry {
 }
 
 /// An exact, fixed-capacity `(grid, trace) → cell-sequence` cache for
-/// per-worker scratch arenas (see the module docs).
+/// reusable scratch (see the module docs).
 ///
-/// Not synchronized: each worker owns its own `TraceRaster`, per the
-/// scratch-arena exclusivity contract (`AttackScratch` embeds one).
+/// Not synchronized: one task at a time holds a `TraceRaster`, per the
+/// scratch lease contract (`AttackScratch` embeds one).
 ///
 /// # Examples
 ///

@@ -98,7 +98,5 @@ pub use client::{fetch, Client, ClientConfig, ClientResponse};
 pub use http::{reason_phrase, Conn, Request, RequestOutcome, Response, MAX_HEAD_BYTES};
 pub use metrics::ServerMetrics;
 pub use mood_obs;
-pub use retry::{
-    retry_reason, retryable_io, retryable_status, RetryClient, RetryPolicy, RetryStats,
-};
+pub use retry::{retryable_io, retryable_status, RetryClient, RetryPolicy, RetryStats};
 pub use server::{MoodServer, ServeConfig};

@@ -110,19 +110,6 @@ pub fn retryable_io(err: &io::Error) -> bool {
     )
 }
 
-/// Stable short name of a retryable transport failure's kind.
-pub fn retry_reason(err: &io::Error) -> &'static str {
-    match err.kind() {
-        io::ErrorKind::ConnectionRefused => "io_refused",
-        io::ErrorKind::ConnectionReset
-        | io::ErrorKind::ConnectionAborted
-        | io::ErrorKind::BrokenPipe => "io_reset",
-        io::ErrorKind::UnexpectedEof => "io_eof",
-        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => "io_timeout",
-        _ => "io_other",
-    }
-}
-
 /// A retrying wrapper over [`Client`] (see the module docs).
 pub struct RetryClient {
     addr: String,
@@ -384,25 +371,5 @@ mod tests {
         );
         assert_eq!(client.stats().attempts, 3);
         assert_eq!(client.stats().retries, 2);
-    }
-
-    #[test]
-    fn reason_labels_are_stable() {
-        assert_eq!(
-            retry_reason(&io::Error::new(io::ErrorKind::ConnectionRefused, "x")),
-            "io_refused"
-        );
-        assert_eq!(
-            retry_reason(&io::Error::new(io::ErrorKind::BrokenPipe, "x")),
-            "io_reset"
-        );
-        assert_eq!(
-            retry_reason(&io::Error::new(io::ErrorKind::UnexpectedEof, "x")),
-            "io_eof"
-        );
-        assert_eq!(
-            retry_reason(&io::Error::new(io::ErrorKind::TimedOut, "x")),
-            "io_timeout"
-        );
     }
 }

@@ -179,9 +179,7 @@ impl MoodServer {
             "mood-serve",
             shared.config.connection_workers,
             shared.config.max_pending,
-            move |_slot, job: ConnJob| {
-                handle_connection(&worker_shared, job);
-            },
+            move |job: ConnJob| handle_connection(&worker_shared, job),
         ));
         let _ = shared.pool.set(Arc::downgrade(&pool));
 

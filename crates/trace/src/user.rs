@@ -81,11 +81,6 @@ impl PseudonymFactory {
         self.next += 1;
         id
     }
-
-    /// Number of pseudonyms handed out so far.
-    pub fn issued(&self) -> u64 {
-        self.next - PSEUDONYM_BASE
-    }
 }
 
 impl Default for PseudonymFactory {
@@ -113,7 +108,6 @@ mod tests {
             assert!(id.is_pseudonym());
             assert!(seen.insert(id), "duplicate pseudonym");
         }
-        assert_eq!(f.issued(), 1000);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! This facade crate re-exports the whole workspace under one roof so
 //! downstream users can depend on a single crate:
 //!
-//! * [`trace`] — traces, datasets, CSV/JSON I/O;
+//! * [`trace`] — traces, datasets, the compressed trace store, CSV I/O;
 //! * [`geo`] — geodesy, grids, projections;
 //! * [`metrics`] — distortion, data loss, count queries;
 //! * [`models`] — POI, Markov-chain and heatmap mobility profiles;

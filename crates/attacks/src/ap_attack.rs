@@ -98,7 +98,7 @@ impl TrainedAttack for TrainedApAttack {
     /// cache, the heatmap is rebuilt into the worker's buffer, and every
     /// other profile is matched under the true user's own Topsoe score
     /// as a fixed bound (Topsoe partial sums are monotone — see
-    /// [`mood_models::divergence::topsoe_soa_bounded`] — so exceeding it
+    /// [`Heatmap::topsoe_bounded`] — so exceeding it
     /// proves the full score would too; verdict equivalence with
     /// `predict` is [`crate::scratch::true_user_wins`]' contract).
     fn reidentify_with(

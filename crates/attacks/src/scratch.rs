@@ -1,4 +1,4 @@
-//! Reusable scratch state for attack inference — the allocation-free
+//! Reusable scratch state for attack inference — the buffer-reusing
 //! counterpart of [`crate::TrainedAttack::predict`].
 //!
 //! Candidate search scores every LPPM candidate against the full attack
@@ -6,7 +6,8 @@
 //! same kind of per-trace features: a heatmap for AP-Attack, POI
 //! clusters for POI-Attack, a Mobility Markov Chain for PIT-Attack.
 //! [`AttackScratch`] owns one reusable buffer per feature so a task
-//! builds them in place instead of allocating per candidate, plus a
+//! builds them in place instead of allocating per candidate (AP's
+//! heatmap rebuild still builds its count table afresh), plus a
 //! shared [`TraceRaster`] so a trace's grid cell-sequence is computed
 //! once and reused by every grid-based consumer (AP-Attack today, HMC's
 //! `apply` upstream, future grid attacks).
@@ -210,12 +211,14 @@ impl AttackScratch {
 
     /// POI-profile-cache hits so far (PIT reusing POI's extraction of
     /// the same trace, verified exactly).
-    pub fn profile_cache_hits(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn profile_cache_hits(&self) -> u64 {
         self.poi.hits
     }
 
     /// POI-profile-cache misses so far (fresh extractions).
-    pub fn profile_cache_misses(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn profile_cache_misses(&self) -> u64 {
         self.poi.misses
     }
 }

@@ -192,7 +192,7 @@ impl std::error::Error for EngineError {}
 /// ```
 pub struct EngineBuilder {
     suite: Arc<AttackSuite>,
-    lppms: LppmSet,
+    lppms: Arc<[Arc<dyn Lppm>]>,
     config: MoodConfig,
     executor: Arc<dyn Executor>,
     store: Option<Arc<ProfileStore>>,
@@ -219,43 +219,13 @@ const STAGE_SEARCH_COMPOSITION: usize = 2;
 const STAGE_FINE_GRAINED: usize = 3;
 const STAGE_CANDIDATE_EVAL: usize = 4;
 
-/// The builder's LPPM set: either composed piecewise (`Owned`) or taken
-/// wholesale from another engine without copying (`Shared`).
-enum LppmSet {
-    Owned(Vec<Arc<dyn Lppm>>),
-    Shared(Arc<[Arc<dyn Lppm>]>),
-}
-
-impl LppmSet {
-    fn is_empty(&self) -> bool {
-        match self {
-            LppmSet::Owned(v) => v.is_empty(),
-            LppmSet::Shared(s) => s.is_empty(),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            LppmSet::Owned(v) => v.len(),
-            LppmSet::Shared(s) => s.len(),
-        }
-    }
-
-    fn into_shared(self) -> Arc<[Arc<dyn Lppm>]> {
-        match self {
-            LppmSet::Owned(v) => v.into(),
-            LppmSet::Shared(s) => s,
-        }
-    }
-}
-
 impl EngineBuilder {
     /// Starts a builder from a trained attack suite, with an empty LPPM
     /// set, the paper configuration and the sequential executor.
     pub fn new(suite: Arc<AttackSuite>) -> Self {
         Self {
             suite,
-            lppms: LppmSet::Owned(Vec::new()),
+            lppms: Arc::new([]),
             config: MoodConfig::paper_default(),
             executor: Arc::new(SequentialExecutor),
             store: None,
@@ -316,7 +286,7 @@ impl EngineBuilder {
 
     /// Replaces the base LPPM set.
     pub fn lppms(mut self, lppms: Vec<Arc<dyn Lppm>>) -> Self {
-        self.lppms = LppmSet::Owned(lppms);
+        self.lppms = lppms.into();
         self
     }
 
@@ -325,19 +295,7 @@ impl EngineBuilder {
     /// shared by handle; no per-mechanism clones are made, so building
     /// config/ablation variants of an engine costs one `Arc` bump.
     pub fn lppms_shared(mut self, lppms: Arc<[Arc<dyn Lppm>]>) -> Self {
-        self.lppms = LppmSet::Shared(lppms);
-        self
-    }
-
-    /// Appends one LPPM to the base set. Appending to a shared set
-    /// copies the handles first (copy-on-write).
-    pub fn lppm(mut self, lppm: Arc<dyn Lppm>) -> Self {
-        let mut owned = match self.lppms {
-            LppmSet::Owned(v) => v,
-            LppmSet::Shared(s) => s.to_vec(),
-        };
-        owned.push(lppm);
-        self.lppms = LppmSet::Owned(owned);
+        self.lppms = lppms;
         self
     }
 
@@ -407,7 +365,7 @@ impl EngineBuilder {
         }
         self.config.check().map_err(EngineError::InvalidConfig)?;
         let max_len = self.config.max_composition_len.min(self.lppms.len());
-        let base = self.lppms.into_shared();
+        let base = self.lppms;
         let n = base.len();
         let chains = if max_len >= 2 {
             arrangements(n, 2, max_len)
@@ -511,6 +469,7 @@ impl BudgetState {
         }
     }
 
+    #[cfg(test)]
     fn unlimited() -> Self {
         Self::new(usize::MAX)
     }
@@ -806,7 +765,7 @@ impl MoodEngine {
     /// thread count, since each job's randomness is a pure function of
     /// its variant index.
     ///
-    /// These are the very draws [`MoodEngine::search_single`] ranks, so
+    /// These are the very draws MooD's single stage ranks, so
     /// a per-LPPM baseline read from here shares MooD's noise: without a
     /// candidate budget, a user any single LPPM protects is protected by
     /// MooD's single stage, at no more distortion.
@@ -979,7 +938,8 @@ impl MoodEngine {
 
     /// Single-LPPM stage (Algorithm 1 lines 4–14): the resilient single
     /// LPPM with the lowest distortion, if any.
-    pub fn search_single(&self, trace: &Trace) -> Option<ProtectedTrace> {
+    #[cfg(test)]
+    pub(crate) fn search_single(&self, trace: &Trace) -> Option<ProtectedTrace> {
         let (found, singles) = self.search_single_in(trace, &mut BudgetState::unlimited());
         self.scratch.recycle(singles);
         found
@@ -1012,7 +972,8 @@ impl MoodEngine {
     /// Note: the paper's line 26 reads `argmax M`; we interpret `M`
     /// uniformly as a distortion to minimize (the paper's own §3.5:
     /// "the lower the distortion the better").
-    pub fn search_composition(&self, trace: &Trace) -> Option<ProtectedTrace> {
+    #[cfg(test)]
+    pub(crate) fn search_composition(&self, trace: &Trace) -> Option<ProtectedTrace> {
         let singles = self.apply_singles(trace, self.base.len(), &|_, _, _| false);
         let found = self.search_composition_in(trace, &singles, &mut BudgetState::unlimited());
         self.scratch.recycle(singles);
@@ -1039,7 +1000,8 @@ impl MoodEngine {
     /// The whole-trace Multi-LPPM Composition Search: singles first,
     /// compositions only when no single works (Algorithm 1's ordering).
     /// The boolean reports whether a composition was needed.
-    pub fn search_whole(&self, trace: &Trace) -> Option<(ProtectedTrace, bool)> {
+    #[cfg(test)]
+    pub(crate) fn search_whole(&self, trace: &Trace) -> Option<(ProtectedTrace, bool)> {
         self.search_whole_in(trace, &mut BudgetState::unlimited())
     }
 
@@ -1520,11 +1482,12 @@ mod tests {
         // extension hook) grows |C| to Σ 4!/(4-i)! = 64
         let (bg, test) = mini_world();
         let base = MoodEngine::paper_default(&bg);
+        let mut lppms = base.lppms().to_vec();
+        lppms.push(Arc::new(mood_lppm::SpatialCloaking::from_background(
+            &bg, 800.0,
+        )));
         let engine = EngineBuilder::new(base.shared_suite())
-            .lppms_shared(base.shared_lppms())
-            .lppm(Arc::new(mood_lppm::SpatialCloaking::from_background(
-                &bg, 800.0,
-            )))
+            .lppms(lppms)
             .build()
             .unwrap();
         assert_eq!(engine.lppms().len(), 4);

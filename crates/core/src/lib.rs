@@ -21,8 +21,8 @@
 //!   two backends (sequential, and a persistent parked-worker pool)
 //!   running candidate evaluations and per-user protection with
 //!   bit-for-bit identical results; each candidate task leases its
-//!   scratch from the engine's pool, which keeps the hot loops
-//!   allocation-free;
+//!   scratch from the engine's pool, so the hot loops reuse warm
+//!   buffers;
 //! * [`protect_dataset`] — the parallel dataset pipeline, producing a
 //!   [`ProtectionReport`] and a publishable pseudonymized dataset
 //!   ([`protect_stream`] yields per-user results as they complete);

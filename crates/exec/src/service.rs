@@ -70,8 +70,7 @@ pub struct QueueStats {
 /// A fixed pool of service workers fed through a bounded FIFO queue.
 ///
 /// Each worker runs `handler(job)` for one job at a time. A handler
-/// panic is caught and counted ([`ServicePool::handler_panics`]); the
-/// worker keeps serving.
+/// panic is caught and counted; the worker keeps serving.
 ///
 /// Shutdown semantics: [`ServicePool::shutdown`] (also run on drop)
 /// stops admissions, lets workers drain the jobs already queued, then
@@ -162,7 +161,8 @@ impl<T: Send + 'static> ServicePool<T> {
     }
 
     /// Handler invocations that panicked since construction.
-    pub fn handler_panics(&self) -> u64 {
+    #[cfg(test)]
+    fn handler_panics(&self) -> u64 {
         self.shared.panics.load(Ordering::Relaxed)
     }
 

@@ -76,7 +76,8 @@ impl DataLoss {
     }
 
     /// Merges another account into this one.
-    pub fn merge(&mut self, other: &DataLoss) {
+    #[cfg(test)]
+    fn merge(&mut self, other: &DataLoss) {
         self.kept += other.kept;
         self.lost += other.lost;
     }

@@ -1,56 +1,19 @@
-//! Divergences between sparse probability distributions.
+//! The Topsoe divergence kernel behind [`Heatmap::topsoe`] and
+//! [`Heatmap::topsoe_bounded`].
 //!
 //! AP-Attack compares heatmaps with the **Topsoe divergence** (Endres &
 //! Schindelin 2003, the paper's \[13\]), twice the Jensen–Shannon
-//! divergence.
+//! divergence; HMC picks its decoy by it.
 //!
-//! Distributions are sparse maps from an ordered key to a non-negative
-//! mass; they do not need to be normalized — every function normalizes
-//! internally (empty or zero-mass distributions are rejected).
-
-use std::collections::BTreeMap;
+//! Distributions are sparse, in structure-of-arrays form: strictly
+//! ascending keys beside each key's normalized mass, which the owner
+//! computes once (`Heatmap` keeps them beside its raw counts).
+//!
+//! [`Heatmap::topsoe`]: crate::Heatmap::topsoe
+//! [`Heatmap::topsoe_bounded`]: crate::Heatmap::topsoe_bounded
 
 /// Natural log of 2; the maximum of the Topsoe divergence is `2 ln 2`.
-pub const LN_2: f64 = std::f64::consts::LN_2;
-
-fn total<K: Ord>(d: &BTreeMap<K, f64>) -> f64 {
-    d.values().sum()
-}
-
-/// Topsoe divergence (the paper's heatmap distance, ref. \[13\]):
-///
-/// ```text
-/// T(P, Q) = Σ_k [ p ln(2p/(p+q)) + q ln(2q/(p+q)) ]
-/// ```
-///
-/// Symmetric, non-negative, zero iff `P = Q`, bounded by `2 ln 2`
-/// (reached when the supports are disjoint). Equal to `2·JS(P, Q)`.
-///
-/// Returns `None` when either distribution is empty or has non-positive
-/// total mass.
-///
-/// # Examples
-///
-/// ```
-/// use std::collections::BTreeMap;
-/// use mood_models::divergence::{topsoe, LN_2};
-///
-/// let p: BTreeMap<u32, f64> = [(0, 1.0)].into();
-/// let q: BTreeMap<u32, f64> = [(1, 1.0)].into();
-/// // disjoint supports -> maximum divergence 2 ln 2
-/// assert!((topsoe(&p, &q).unwrap() - 2.0 * LN_2).abs() < 1e-12);
-/// assert_eq!(topsoe(&p, &p).unwrap(), 0.0);
-/// ```
-pub fn topsoe<K: Ord + Copy>(p: &BTreeMap<K, f64>, q: &BTreeMap<K, f64>) -> Option<f64> {
-    // Delegate to the one kernel: split keys, sum the totals in key
-    // order, and normalize each mass the way `Heatmap` does.
-    let (tp, tq) = (total(p), total(q));
-    let pk: Vec<K> = p.keys().copied().collect();
-    let pn: Vec<f64> = p.values().map(|&w| (w / tp).max(0.0)).collect();
-    let qk: Vec<K> = q.keys().copied().collect();
-    let qn: Vec<f64> = q.values().map(|&w| (w / tq).max(0.0)).collect();
-    topsoe_soa_bounded(&pk, &pn, tp, &qk, &qn, tq, f64::INFINITY)
-}
+pub(crate) const LN_2: f64 = std::f64::consts::LN_2;
 
 /// How many one-sided keys are accumulated between best-bound checks in
 /// [`topsoe_soa_bounded`]. Per-chunk checks are exactly as selective as
@@ -60,14 +23,11 @@ pub fn topsoe<K: Ord + Copy>(p: &BTreeMap<K, f64>, q: &BTreeMap<K, f64>) -> Opti
 const ONE_SIDED_CHUNK: usize = 32;
 
 /// Topsoe divergence with **best-bound pruning** over sparse
-/// distributions in **structure-of-arrays** form — the production kernel
-/// every other Topsoe entry point delegates to.
+/// distributions in **structure-of-arrays** form: one exact merge walk.
 ///
 /// `pk`/`qk` are strictly ascending keys; `pn`/`qn` hold each key's
-/// *normalized* mass `(w / total).max(0.0)`, computed once by the owner
-/// (`Heatmap` keeps them beside its raw counts) instead of once per
-/// comparison. The totals `tp`/`tq` only gate validity: `None` when
-/// either is non-positive or non-finite.
+/// *normalized* mass `(w / total).max(0.0)`. The totals `tp`/`tq` only
+/// gate validity: `None` when either is non-positive or non-finite.
 ///
 /// Returns `None` as soon as the partial sum exceeds `bound`. The
 /// pruning is exact, not approximate: per-key terms are clamped
@@ -75,23 +35,19 @@ const ONE_SIDED_CHUNK: usize = 32;
 /// final score would exceed `bound` too. A `Some(score)` is
 /// **bit-identical** to the unbounded score and to the scalar pair walk
 /// (the proptests below gate both), so replacing a full arg-min with a
-/// bounded scan changes no verdict.
+/// bounded scan changes no verdict. Profile scans bound every profile's
+/// score from below first ([`crate::HeatmapIndex`]) and call this walk
+/// only on the profiles that bound leaves open.
 ///
-/// The walk merges both supports in key order. A one-sided key with
-/// mass `v > 0` contributes `v·ln((2v)/(v+0)) = v·ln 2`, and `(2v)/v`
-/// is **exactly** `2.0` whenever `2v` is finite (doubling is exact), so
-/// one-sided runs accumulate against the `LN_2` constant with no `ln`
-/// call; the logarithm only survives on matched keys.
-///
-/// Under a finite `bound` a **logarithm-free lower-bound pass** runs
-/// first over the same merge, adding Pinsker's lower bound
-/// `(p − q)²/(2(p + q))`, less a rounding margin, instead of the exact
-/// term on matched keys. Each of its terms is at most the
-/// exact walk's term and floating-point addition is monotone, so its
-/// partial sums never exceed the exact walk's in the same order: when
-/// it prunes, the exact walk would have too. Only the calls it cannot
-/// prune pay for the exact walk.
-pub fn topsoe_soa_bounded<K: Ord + Copy>(
+/// The walk merges both supports in key order, in two phases per step.
+/// The *align* phase is the only branchy part: it carves the union into
+/// one-sided runs (keys present in exactly one distribution) and
+/// matched keys. The *accumulate* phase is branch-light. A one-sided key
+/// with mass `v > 0` contributes `v·ln((2v)/(v+0)) = v·ln 2`, and
+/// `(2v)/v` is **exactly** `2.0` whenever `2v` is finite (doubling is
+/// exact), so one-sided runs accumulate against the `LN_2` constant with
+/// no `ln` call; the logarithm only survives on matched keys.
+pub(crate) fn topsoe_soa_bounded<K: Ord + Copy>(
     pk: &[K],
     pn: &[f64],
     tp: f64,
@@ -105,28 +61,6 @@ pub fn topsoe_soa_bounded<K: Ord + Copy>(
     if tp <= 0.0 || tq <= 0.0 || !tp.is_finite() || !tq.is_finite() {
         return None;
     }
-    if bound < f64::INFINITY {
-        merge_walk::<K, false>(pk, pn, qk, qn, bound)?;
-    }
-    merge_walk::<K, true>(pk, pn, qk, qn, bound)
-}
-
-/// The merge both passes of [`topsoe_soa_bounded`] share: `EXACT`
-/// selects the matched-key term ([`matched_term`] or
-/// [`matched_lower_bound`]); one-sided runs and bound checks are the
-/// same in both.
-///
-/// Two phases per merge step. The *align* phase is the only branchy
-/// part: it walks both key slices and carves the union into one-sided
-/// runs (keys present in exactly one distribution) and matched keys.
-/// The *accumulate* phase is branch-light.
-fn merge_walk<K: Ord + Copy, const EXACT: bool>(
-    pk: &[K],
-    pn: &[f64],
-    qk: &[K],
-    qn: &[f64],
-    bound: f64,
-) -> Option<f64> {
     let mut sum = 0.0f64;
     let (mut i, mut j) = (0usize, 0usize);
     while i < pk.len() && j < qk.len() {
@@ -153,11 +87,7 @@ fn merge_walk<K: Ord + Copy, const EXACT: bool>(
                 }
             }
             std::cmp::Ordering::Equal => {
-                sum += if EXACT {
-                    matched_term(pn[i], qn[j])
-                } else {
-                    matched_lower_bound(pn[i], qn[j])
-                };
+                sum += matched_term(pn[i], qn[j]);
                 if sum > bound {
                     return None;
                 }
@@ -191,38 +121,11 @@ fn matched_term(pv: f64, qv: f64) -> f64 {
     term.max(0.0)
 }
 
-/// Relative and absolute safety margin of [`matched_lower_bound`]:
-/// `m = 2⁻⁴⁰`, some 2¹² times the rounding error of either formula.
-/// [`crate::HeatmapIndex`] scales it by the number of terms it sums.
+/// The rounding margin `m = 2⁻⁴⁰` of Pinsker's lower bound on a matched
+/// term, some 2¹² times the rounding error of either formula.
+/// [`crate::HeatmapIndex`] scales it by the number of terms it sums; the
+/// per-term lemma and its sweep are in this module's tests.
 pub(crate) const BOUND_MARGIN: f64 = 1.0 / (1u64 << 40) as f64;
-
-/// Range of `p + q` in which [`matched_lower_bound`] computes its
-/// bound: inside it no intermediate overflows and the absolute margin
-/// `s·m` stays far above the subnormal spacing; outside it the bound is
-/// the trivial 0. Normalized masses are at most 1, so real profiles
-/// never leave it.
-const MATCHED_BOUND_RANGE: std::ops::RangeInclusive<f64> = 1e-150..=1e150;
-
-/// A logarithm-free lower bound on [`matched_term`]`(p, q)`, as
-/// computed, for normalized masses `p, q ≥ 0`.
-///
-/// With `s = p + q` and `x = p/s`, the exact term is `s·KL(x ‖ ½)`, and
-/// Pinsker's inequality `KL(x ‖ ½) ≥ 2(x − ½)²` makes it at least
-/// `(p − q)²/(2s)`. The bound returned is
-/// `(p − q)²/(2s)·(1 − m) − s·m` (clamped at 0) with
-/// `m =` [`BOUND_MARGIN`]: the relative margin covers this formula's
-/// rounding, and the absolute one `s·m` covers the exact term's
-/// cancellation when `p ≈ q` (its error is a few ulps of `s`), so the
-/// computed bound never exceeds the computed exact term.
-#[inline]
-fn matched_lower_bound(p: f64, q: f64) -> f64 {
-    let s = p + q;
-    if !MATCHED_BOUND_RANGE.contains(&s) {
-        return 0.0;
-    }
-    let d = p - q;
-    (d * d / (2.0 * s) * (1.0 - BOUND_MARGIN) - s * BOUND_MARGIN).max(0.0)
-}
 
 /// Accumulates a one-sided run of normalized masses into `sum`, chunked
 /// bound checks included; returns `false` when the partial sum exceeds
@@ -260,12 +163,103 @@ fn accumulate_one_sided(vs: &[f64], bound: f64, sum: &mut f64) -> bool {
     true
 }
 
+/// Range of `p + q` in which [`matched_lower_bound`] computes its
+/// bound: inside it no intermediate overflows and the absolute margin
+/// `s·m` stays far above the subnormal spacing; outside it the bound is
+/// the trivial 0. Normalized masses are at most 1, so real profiles
+/// never leave it.
+#[cfg(test)]
+const MATCHED_BOUND_RANGE: std::ops::RangeInclusive<f64> = 1e-150..=1e150;
+
+/// A logarithm-free lower bound on [`matched_term`]`(p, q)`, as
+/// computed, for normalized masses `p, q ≥ 0`: the per-term lemma of
+/// [`crate::HeatmapIndex`]'s margin proof.
+///
+/// With `s = p + q` and `x = p/s`, the exact term is `s·KL(x ‖ ½)`, and
+/// Pinsker's inequality `KL(x ‖ ½) ≥ 2(x − ½)²` makes it at least
+/// `(p − q)²/(2s)`. The bound returned is
+/// `(p − q)²/(2s)·(1 − m) − s·m` (clamped at 0) with
+/// `m =` [`BOUND_MARGIN`]: the relative margin covers this formula's
+/// rounding, and the absolute one `s·m` covers the exact term's
+/// cancellation when `p ≈ q` (its error is a few ulps of `s`), so the
+/// computed bound never exceeds the computed exact term
+/// (`matched_lower_bound_never_exceeds_exact_term` sweeps it).
+#[cfg(test)]
+#[inline]
+fn matched_lower_bound(p: f64, q: f64) -> f64 {
+    let s = p + q;
+    if !MATCHED_BOUND_RANGE.contains(&s) {
+        return 0.0;
+    }
+    let d = p - q;
+    (d * d / (2.0 * s) * (1.0 - BOUND_MARGIN) - s * BOUND_MARGIN).max(0.0)
+}
+
+/// The logarithm-free lower-bound pass [`topsoe_soa_bounded`] once ran
+/// before its exact walk under a finite bound, kept verbatim as the
+/// oracle of `one_walk_prunes_wherever_the_lower_bound_pass_did`: the
+/// same merge, with [`matched_lower_bound`] in place of the exact term
+/// on matched keys. Each of its terms is at most the exact walk's and
+/// floating-point addition is monotone, so wherever it prunes, the
+/// exact walk prunes too.
+#[cfg(test)]
+fn lower_bound_walk<K: Ord + Copy>(
+    pk: &[K],
+    pn: &[f64],
+    qk: &[K],
+    qn: &[f64],
+    bound: f64,
+) -> Option<f64> {
+    let mut sum = 0.0f64;
+    let (mut i, mut j) = (0usize, 0usize);
+    while i < pk.len() && j < qk.len() {
+        match pk[i].cmp(&qk[j]) {
+            std::cmp::Ordering::Less => {
+                // Align: extend the p-only run as far as it goes.
+                let start = i;
+                i += 1;
+                while i < pk.len() && pk[i] < qk[j] {
+                    i += 1;
+                }
+                if !accumulate_one_sided(&pn[start..i], bound, &mut sum) {
+                    return None;
+                }
+            }
+            std::cmp::Ordering::Greater => {
+                let start = j;
+                j += 1;
+                while j < qk.len() && qk[j] < pk[i] {
+                    j += 1;
+                }
+                if !accumulate_one_sided(&qn[start..j], bound, &mut sum) {
+                    return None;
+                }
+            }
+            std::cmp::Ordering::Equal => {
+                sum += matched_lower_bound(pn[i], qn[j]);
+                if sum > bound {
+                    return None;
+                }
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    if !accumulate_one_sided(&pn[i..], bound, &mut sum) {
+        return None;
+    }
+    if !accumulate_one_sided(&qn[j..], bound, &mut sum) {
+        return None;
+    }
+    Some(sum)
+}
+
 /// The scalar pair-walk the SoA kernel replaced, kept verbatim as the
 /// bit-identity reference: `topsoe_soa_bounded` must reproduce its
 /// result **to the bit** for every input, pruned or not (the proptests
 /// below gate this).
 #[cfg(test)]
-fn topsoe_pairs_reference<K: Ord + Copy>(
+pub(crate) fn topsoe_pairs_reference<K: Ord + Copy>(
     p: &[(K, f64)],
     tp: f64,
     q: &[(K, f64)],
@@ -333,11 +327,15 @@ fn kernel_over_pairs(
     tq: f64,
     bound: f64,
 ) -> Option<f64> {
-    let split = |d: &[(u32, f64)], t: f64| -> (Vec<u32>, Vec<f64>) {
-        d.iter().map(|&(k, w)| (k, (w / t).max(0.0))).unzip()
-    };
     let ((pk, pn), (qk, qn)) = (split(p, tp), split(q, tq));
     topsoe_soa_bounded(&pk, &pn, tp, &qk, &qn, tq, bound)
+}
+
+/// A pair slice as the kernel's columns: keys, and each mass normalized
+/// by `total` the way `Heatmap` normalizes it.
+#[cfg(test)]
+fn split(d: &[(u32, f64)], total: f64) -> (Vec<u32>, Vec<f64>) {
+    d.iter().map(|&(k, w)| (k, (w / total).max(0.0))).unzip()
 }
 
 /// Total mass of a pair slice, summed in key order.
@@ -346,63 +344,65 @@ fn pair_total(d: &[(u32, f64)]) -> f64 {
     d.iter().map(|e| e.1).sum()
 }
 
+/// The kernel over pairs, totals summed in key order.
+#[cfg(test)]
+fn soa(p: &[(u32, f64)], q: &[(u32, f64)], bound: f64) -> Option<f64> {
+    kernel_over_pairs(p, pair_total(p), q, pair_total(q), bound)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn dist(pairs: &[(u32, f64)]) -> BTreeMap<u32, f64> {
-        pairs.iter().copied().collect()
-    }
+    const INF: f64 = f64::INFINITY;
 
     #[test]
     fn topsoe_identity_is_zero() {
-        let p = dist(&[(0, 0.3), (1, 0.7)]);
-        assert_eq!(topsoe(&p, &p).unwrap(), 0.0);
+        let p = [(0, 0.3), (1, 0.7)];
+        assert_eq!(soa(&p, &p, INF).unwrap(), 0.0);
     }
 
     #[test]
     fn topsoe_symmetric() {
-        let p = dist(&[(0, 0.3), (1, 0.7)]);
-        let q = dist(&[(0, 0.6), (2, 0.4)]);
-        let d1 = topsoe(&p, &q).unwrap();
-        let d2 = topsoe(&q, &p).unwrap();
+        let p = [(0, 0.3), (1, 0.7)];
+        let q = [(0, 0.6), (2, 0.4)];
+        let d1 = soa(&p, &q, INF).unwrap();
+        let d2 = soa(&q, &p, INF).unwrap();
         assert!((d1 - d2).abs() < 1e-12);
     }
 
     #[test]
     fn topsoe_disjoint_supports_is_max() {
-        let p = dist(&[(0, 1.0)]);
-        let q = dist(&[(1, 1.0)]);
-        assert!((topsoe(&p, &q).unwrap() - 2.0 * LN_2).abs() < 1e-12);
+        let p = [(0, 1.0)];
+        let q = [(1, 1.0)];
+        assert!((soa(&p, &q, INF).unwrap() - 2.0 * LN_2).abs() < 1e-12);
     }
 
     #[test]
     fn topsoe_unnormalized_inputs_are_normalized() {
-        let p = dist(&[(0, 3.0), (1, 7.0)]);
-        let pn = dist(&[(0, 0.3), (1, 0.7)]);
-        let q = dist(&[(0, 5.0), (1, 5.0)]);
-        let d1 = topsoe(&p, &q).unwrap();
-        let d2 = topsoe(&pn, &q).unwrap();
+        let p = [(0, 3.0), (1, 7.0)];
+        let pn = [(0, 0.3), (1, 0.7)];
+        let q = [(0, 5.0), (1, 5.0)];
+        let d1 = soa(&p, &q, INF).unwrap();
+        let d2 = soa(&pn, &q, INF).unwrap();
         assert!((d1 - d2).abs() < 1e-12);
     }
 
     #[test]
     fn topsoe_rejects_empty() {
-        let p: BTreeMap<u32, f64> = BTreeMap::new();
-        let q = dist(&[(0, 1.0)]);
-        assert!(topsoe(&p, &q).is_none());
-        assert!(topsoe(&q, &p).is_none());
+        let q = [(0, 1.0)];
+        assert!(soa(&[], &q, INF).is_none());
+        assert!(soa(&q, &[], INF).is_none());
     }
 
     #[test]
     fn sorted_walk_matches_reference_implementation() {
-        // The BTreeMap entry point sums and normalizes on its own; it
-        // must still land on the oracle's bits.
+        // Totals summed and masses normalized from raw pairs, as a
+        // heatmap does: the walk must land on the oracle's bits.
         let p = [(0, 0.5), (1, 0.2), (2, 0.3)];
         let q = [(0, 0.1), (1, 0.8), (3, 0.1)];
-        let walk = topsoe(&dist(&p), &dist(&q));
-        let reference =
-            topsoe_pairs_reference(&p, pair_total(&p), &q, pair_total(&q), f64::INFINITY);
+        let walk = soa(&p, &q, INF);
+        let reference = topsoe_pairs_reference(&p, pair_total(&p), &q, pair_total(&q), INF);
         assert_eq!(walk.map(f64::to_bits), reference.map(f64::to_bits));
     }
 
@@ -410,7 +410,7 @@ mod tests {
     fn bounded_returns_identical_score_or_prunes() {
         let p = [(0, 0.5), (1, 0.2), (2, 0.3)];
         let q = [(0, 0.1), (1, 0.8), (3, 0.1)];
-        let at = |bound| kernel_over_pairs(&p, pair_total(&p), &q, pair_total(&q), bound);
+        let at = |bound| soa(&p, &q, bound);
         let full = at(f64::INFINITY).unwrap();
         assert_eq!(at(full), Some(full));
         // any bound below the score prunes
@@ -430,11 +430,11 @@ mod tests {
         // Masses large enough that 2v overflows: the scalar walk yields
         // an infinite term and so must the fast path's guard. A tiny
         // total drives v = huge/tiny to ∞, one-sided and matched, and
-        // both passes must agree with the oracle under any bound.
+        // the walk must agree with the oracle under any bound.
         let huge = f64::MAX / 2.0;
         let p = [(0, huge)];
         for q in [[(1, 1.0)], [(0, 1.0)]] {
-            for bound in [f64::INFINITY, 1.0, 0.5] {
+            for bound in [INF, 1.0, 0.5] {
                 let got = kernel_over_pairs(&p, 1e-300, &q, 1.0, bound);
                 let want = topsoe_pairs_reference(&p, 1e-300, &q, 1.0, bound);
                 assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits));
@@ -445,13 +445,12 @@ mod tests {
     #[test]
     fn sorted_rejects_empty() {
         let p = [(0, 1.0)];
-        let inf = f64::INFINITY;
-        assert!(kernel_over_pairs(&p, 1.0, &[], 0.0, inf).is_none());
-        assert!(kernel_over_pairs(&[], 0.0, &p, 1.0, inf).is_none());
-        assert!(kernel_over_pairs(&p, 1.0, &[(0, 0.0)], 0.0, inf).is_none());
+        assert!(kernel_over_pairs(&p, 1.0, &[], 0.0, INF).is_none());
+        assert!(kernel_over_pairs(&[], 0.0, &p, 1.0, INF).is_none());
+        assert!(kernel_over_pairs(&p, 1.0, &[(0, 0.0)], 0.0, INF).is_none());
     }
 
-    /// The lower-bound pass's premise, swept deterministically: the
+    /// The heatmap index's per-term lemma, swept deterministically: the
     /// matched-key bound never exceeds the exact term as computed —
     /// at `p = q`, at masses a few ulps apart, at ratios down to
     /// 1e-300, at ratios of small counts, and beyond the range in which
@@ -516,6 +515,7 @@ mod tests {
 mod proptests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     fn arb_dist() -> impl Strategy<Value = BTreeMap<u32, f64>> {
         proptest::collection::btree_map(0u32..20, 0.01f64..10.0, 1..15)
@@ -532,37 +532,34 @@ mod proptests {
         d.into_iter().collect()
     }
 
-    /// The kernel over pairs, totals summed in key order.
-    fn soa(p: &[(u32, f64)], q: &[(u32, f64)], bound: f64) -> Option<f64> {
-        kernel_over_pairs(p, pair_total(p), q, pair_total(q), bound)
-    }
-
     proptest! {
         #[test]
         fn topsoe_nonnegative_and_bounded(p in arb_dist(), q in arb_dist()) {
-            let t = topsoe(&p, &q).unwrap();
+            let t = soa(&pairs(p), &pairs(q), f64::INFINITY).unwrap();
             prop_assert!(t >= 0.0);
             prop_assert!(t <= 2.0 * LN_2 + 1e-9, "t = {t}");
         }
 
         #[test]
         fn topsoe_symmetry(p in arb_dist(), q in arb_dist()) {
-            let a = topsoe(&p, &q).unwrap();
-            let b = topsoe(&q, &p).unwrap();
+            let (p, q) = (pairs(p), pairs(q));
+            let a = soa(&p, &q, f64::INFINITY).unwrap();
+            let b = soa(&q, &p, f64::INFINITY).unwrap();
             prop_assert!((a - b).abs() < 1e-9);
         }
 
         #[test]
         fn topsoe_self_is_zero(p in arb_dist()) {
-            prop_assert!(topsoe(&p, &p).unwrap() < 1e-12);
+            let p = pairs(p);
+            prop_assert!(soa(&p, &p, f64::INFINITY).unwrap() < 1e-12);
         }
 
-        // The BTreeMap entry point (its own totals and normalization)
-        // reproduces the oracle bit for bit.
+        // Totals summed and masses normalized from raw pairs, as a
+        // heatmap does: the walk reproduces the oracle bit for bit.
         #[test]
         fn sorted_walk_agrees_with_reference(p in arb_dist(), q in arb_dist()) {
-            let walk = topsoe(&p, &q);
             let (p, q) = (pairs(p), pairs(q));
+            let walk = soa(&p, &q, f64::INFINITY);
             let reference =
                 topsoe_pairs_reference(&p, pair_total(&p), &q, pair_total(&q), f64::INFINITY);
             prop_assert_eq!(walk.map(f64::to_bits), reference.map(f64::to_bits));
@@ -596,13 +593,13 @@ mod proptests {
             );
         }
 
-        // The two-pass gate: on count-valued, heatmap-like maps the
-        // logarithm-free pass may prune only what the exact walk
-        // prunes. Bounds sit at the exact score and one ulp either side
-        // of it, where a lower bound that overshot the exact term by a
-        // rounding error would surface as a spurious `None`.
+        // The walk at its own score: on count-valued, heatmap-like maps,
+        // bounds at the exact score and one ulp either side of it give
+        // the oracle's outcome, where a partial sum that overshot the
+        // final score by a rounding error would surface as a spurious
+        // `None`.
         #[test]
-        fn two_pass_kernel_is_bit_identical_at_the_score(
+        fn one_walk_kernel_is_bit_identical_at_the_score(
             cells in collection::vec((0u32..40, 1u32..200), 1..30),
             shape in 0u8..4,
             nudges in collection::vec(0u32..3, 30..31),
@@ -637,7 +634,36 @@ mod proptests {
                 prop_assert_eq!(
                     got.map(f64::to_bits),
                     reference.map(f64::to_bits),
-                    "two-pass kernel diverged at bound {:e} (score {:e})", bound, score
+                    "kernel diverged at bound {:e} (score {:e})", bound, score
+                );
+            }
+        }
+
+        // The pre-pass the walk replaced pruned nothing the walk keeps:
+        // wherever the logarithm-free lower-bound walk returns `None`,
+        // so does the kernel, and every score the kernel returns is the
+        // oracle's to the bit. Bounds sit below the score, at it and one
+        // ulp either side of it.
+        #[test]
+        fn one_walk_prunes_wherever_the_lower_bound_pass_did(
+            p in arb_dist_edgy(),
+            q in arb_dist_edgy(),
+            below in 0.0f64..1.0,
+        ) {
+            let (p, q) = (pairs(p), pairs(q));
+            let (tp, tq) = (pair_total(&p), pair_total(&q));
+            let ((pk, pn), (qk, qn)) = (split(&p, tp), split(&q, tq));
+            let score = topsoe_pairs_reference(&p, tp, &q, tq, f64::INFINITY).unwrap_or(LN_2);
+            for bound in [0.0, score * below, score.next_down(), score, score.next_up()] {
+                let got = topsoe_soa_bounded(&pk, &pn, tp, &qk, &qn, tq, bound);
+                if lower_bound_walk(&pk, &pn, &qk, &qn, bound).is_none() {
+                    prop_assert_eq!(got, None, "the pre-pass pruned at bound {:e}", bound);
+                }
+                let reference = topsoe_pairs_reference(&p, tp, &q, tq, bound);
+                prop_assert_eq!(
+                    got.map(f64::to_bits),
+                    reference.map(f64::to_bits),
+                    "kernel diverged at bound {:e} (score {:e})", bound, score
                 );
             }
         }

@@ -1,6 +1,6 @@
 use serde::{Deserialize, Serialize};
 
-use mood_geo::{CellId, GeoPoint, Grid};
+use mood_geo::{CellId, Grid};
 use mood_trace::Trace;
 
 use crate::divergence;
@@ -15,14 +15,15 @@ use crate::divergence;
 /// Internally the counts live in **structure-of-arrays** form — a
 /// sorted slice of cells and a parallel slice of `f64` counts — rather
 /// than a `BTreeMap` or a pair vector: the candidate hot path rebuilds
-/// one heatmap per scored trace, and flat vectors can be cleared and
-/// refilled without a single node allocation
-/// ([`Heatmap::rebuild_from_cells`]), lookups stay `O(log n)` by binary
-/// search on the key slice alone, and the Topsoe comparison streams the
-/// normalized masses straight through the branch-light SoA kernel
-/// ([`divergence::topsoe_soa_bounded`]). Those masses are kept beside
-/// the counts, refreshed by every constructor and mutator, so a
-/// profile normalizes once when built rather than once per comparison.
+/// one heatmap per scored trace, and flat vectors are cleared and
+/// refilled in place ([`Heatmap::rebuild_from_cells`]), lookups stay
+/// `O(log n)` by binary search on the key slice alone, and the Topsoe
+/// comparison streams the normalized masses straight through one
+/// branch-light merge walk. Those masses are kept beside the counts,
+/// refreshed by every constructor and mutator, so a profile normalizes
+/// once when built rather than once per comparison. A heatmap holds its
+/// data and nothing else: the run list and count table a build uses
+/// are dropped when the build returns.
 ///
 /// # Examples
 ///
@@ -42,7 +43,7 @@ use crate::divergence;
 /// assert_eq!(hm.topsoe(&hm), Some(0.0));
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 #[serde(from = "HeatmapRepr", into = "HeatmapRepr")]
 pub struct Heatmap {
     /// Distinct cells, sorted ascending (row-major), each at most once.
@@ -51,31 +52,9 @@ pub struct Heatmap {
     weights: Vec<f64>,
     total: f64,
     /// Normalized mass `(weights[i] / total).max(0.0)` at index `i`, the
-    /// Topsoe kernel's input. Derived from `weights` and `total`, so
-    /// equality and serialization ignore it.
+    /// Topsoe kernel's input. A function of `weights` and `total`:
+    /// serialization skips it, and comparing it changes no equality.
     norm: Vec<f64>,
-    /// Reusable buffers for [`Heatmap::accumulate`]; never part of the
-    /// observable state (equality and serialization go through
-    /// [`HeatmapRepr`], which ignores it).
-    scratch: RebuildScratch,
-}
-
-/// Scratch buffers of the accumulate path: collapsed `(packed cell,
-/// count)` runs, plus a dense count table with its touched-bin list for
-/// the counting fast path.
-#[derive(Debug, Clone, Default)]
-struct RebuildScratch {
-    runs: Vec<(u64, f64)>,
-    bins: Vec<f64>,
-    touched: Vec<u32>,
-}
-
-/// Observable state only: two heatmaps compare equal iff their cells,
-/// counts and total match — scratch buffers are invisible.
-impl PartialEq for Heatmap {
-    fn eq(&self, other: &Self) -> bool {
-        self.keys == other.keys && self.weights == other.weights && self.total == other.total
-    }
 }
 
 /// Serialized form of [`Heatmap`]: cells as a list of pairs (JSON map keys
@@ -115,25 +94,18 @@ impl Heatmap {
     /// grid's bounding box are clamped to border cells (never dropped), so
     /// `total()` always equals the trace length.
     pub fn from_trace(grid: &Grid, trace: &Trace) -> Self {
-        Self::from_points(grid, trace.points())
-    }
-
-    /// Builds a heatmap from bare points.
-    pub fn from_points<I>(grid: &Grid, points: I) -> Self
-    where
-        I: IntoIterator<Item = GeoPoint>,
-    {
         let mut hm = Self::new();
-        hm.accumulate(points.into_iter().map(|p| grid.cell_of(&p)));
+        hm.accumulate(trace.records().iter().map(|r| grid.cell_of(&r.point())));
         hm.refresh_norm();
         hm
     }
 
     /// Clears the heatmap and refills it from a pre-rasterized cell
-    /// sequence, reusing the existing buffer — the zero-allocation twin
-    /// of [`Heatmap::from_trace`] for scratch-arena hot loops (the cell
+    /// sequence, reusing its cell buffers — the twin of
+    /// [`Heatmap::from_trace`] for scratch-arena hot loops (the cell
     /// sequence typically comes from a
-    /// [`TraceRaster`](crate::TraceRaster)).
+    /// [`TraceRaster`](crate::TraceRaster)). Only the build's run list
+    /// and count table are allocated afresh, and dropped on return.
     ///
     /// The result is identical to building a fresh heatmap from the same
     /// cells: counts are whole numbers, so accumulation order cannot
@@ -149,8 +121,8 @@ impl Heatmap {
     /// Largest dense count table [`Heatmap::accumulate`] will allocate
     /// (bins = grid extent actually touched). 64Ki bins cover a
     /// 256×256 grid — far beyond the paper's city-scale grids — at a
-    /// worst-case 512 KiB per scratch arena; larger extents fall back
-    /// to the sort path.
+    /// worst-case 512 KiB per build; larger extents fall back to the
+    /// sort path.
     const DENSE_BINS_MAX: u64 = 1 << 16;
 
     /// Accumulates a cell sequence into the empty map: collapse
@@ -163,10 +135,9 @@ impl Heatmap {
     /// collapse → stable-sort → merge produced: counts are whole
     /// numbers, so no regrouping of the additions can change a stored
     /// value, and both emit orders are ascending cell order.
-    fn accumulate<I: Iterator<Item = CellId>>(&mut self, cells: I) {
+    fn accumulate(&mut self, cells: impl ExactSizeIterator<Item = CellId>) {
         debug_assert!(self.keys.is_empty());
-        let runs = &mut self.scratch.runs;
-        runs.clear();
+        let mut runs: Vec<(u64, f64)> = Vec::with_capacity(cells.len());
         let (mut max_row, mut max_col) = (0u32, 0u32);
         for c in cells {
             self.total += 1.0;
@@ -188,13 +159,9 @@ impl Heatmap {
         let size = (u64::from(max_row) + 1) * stride;
         if size <= Self::DENSE_BINS_MAX {
             // Counting path: counts ≥ 1, so a zero bin means untouched.
-            let bins = &mut self.scratch.bins;
-            if bins.len() < size as usize {
-                bins.resize(size as usize, 0.0);
-            }
-            let touched = &mut self.scratch.touched;
-            touched.clear();
-            for &(key, count) in runs.iter() {
+            let mut bins = vec![0.0f64; size as usize];
+            let mut touched: Vec<u32> = Vec::with_capacity(runs.len());
+            for &(key, count) in &runs {
                 let idx = ((key >> 32) * stride + (key & 0xffff_ffff)) as usize;
                 if bins[idx] == 0.0 {
                     touched.push(idx as u32);
@@ -204,19 +171,19 @@ impl Heatmap {
             touched.sort_unstable();
             self.keys.reserve(touched.len());
             self.weights.reserve(touched.len());
-            for &idx in touched.iter() {
+            for &idx in &touched {
                 self.keys.push(CellId {
                     row: (u64::from(idx) / stride) as u32,
                     col: (u64::from(idx) % stride) as u32,
                 });
-                self.weights.push(std::mem::take(&mut bins[idx as usize]));
+                self.weights.push(bins[idx as usize]);
             }
         } else {
             runs.sort_unstable_by_key(|r| r.0);
             self.keys.reserve(runs.len());
             self.weights.reserve(runs.len());
             let mut last_key: Option<u64> = None;
-            for &(key, count) in runs.iter() {
+            for &(key, count) in &runs {
                 if last_key == Some(key) {
                     *self.weights.last_mut().expect("keys and weights align") += count;
                 } else {
@@ -336,19 +303,27 @@ impl Heatmap {
         v.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
     }
 
-    /// Topsoe divergence to `other` (see [`divergence::topsoe`]); `None`
-    /// when either heatmap is empty. This is AP-Attack's profile
-    /// distance. Uses the maintained normalized masses — no
-    /// re-summation or re-normalization; every `Heatmap` comparison
-    /// sources them the same way, so the pruned/unpruned paths stay
-    /// bit-consistent.
+    /// Topsoe divergence to `other` (Endres & Schindelin 2003, the
+    /// paper's \[13\]), AP-Attack's profile distance, over both
+    /// heatmaps' normalized masses `p` and `q`:
+    ///
+    /// ```text
+    /// T(P, Q) = Σ_k [ p ln(2p/(p+q)) + q ln(2q/(p+q)) ]
+    /// ```
+    ///
+    /// Symmetric, non-negative, zero iff the masses agree, and at most
+    /// `2 ln 2` (reached when the supports are disjoint); twice the
+    /// Jensen–Shannon divergence. `None` when either heatmap is empty.
+    /// Reads the maintained normalized masses — no re-summation or
+    /// re-normalization — so every comparison sources them the same way.
     pub fn topsoe(&self, other: &Heatmap) -> Option<f64> {
         self.topsoe_bounded(other, f64::INFINITY)
     }
 
     /// [`Heatmap::topsoe`] with best-bound pruning: returns `None` as
-    /// soon as the score provably exceeds `bound` (see
-    /// [`divergence::topsoe_soa_bounded`]). A returned score is
+    /// soon as the score provably exceeds `bound`. Every term is
+    /// clamped non-negative, so partial sums never decrease and a
+    /// pruned score would exceed `bound` too. A returned score is
     /// bit-identical to the unpruned [`Heatmap::topsoe`].
     pub fn topsoe_bounded(&self, other: &Heatmap, bound: f64) -> Option<f64> {
         divergence::topsoe_soa_bounded(
@@ -360,48 +335,6 @@ impl Heatmap {
             other.total,
             bound,
         )
-    }
-
-    /// Element-wise sum of two heatmaps (used to pool background
-    /// knowledge).
-    pub fn merged(&self, other: &Heatmap) -> Heatmap {
-        let cap = self.keys.len() + other.keys.len();
-        let mut keys = Vec::with_capacity(cap);
-        let mut weights = Vec::with_capacity(cap);
-        let (mut i, mut j) = (0, 0);
-        while i < self.keys.len() && j < other.keys.len() {
-            match self.keys[i].cmp(&other.keys[j]) {
-                std::cmp::Ordering::Less => {
-                    keys.push(self.keys[i]);
-                    weights.push(self.weights[i]);
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    keys.push(other.keys[j]);
-                    weights.push(other.weights[j]);
-                    j += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    keys.push(self.keys[i]);
-                    weights.push(self.weights[i] + other.weights[j]);
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        keys.extend_from_slice(&self.keys[i..]);
-        weights.extend_from_slice(&self.weights[i..]);
-        keys.extend_from_slice(&other.keys[j..]);
-        weights.extend_from_slice(&other.weights[j..]);
-        let mut hm = Heatmap {
-            keys,
-            weights,
-            total: self.total + other.total,
-            norm: Vec::new(),
-            scratch: RebuildScratch::default(),
-        };
-        hm.refresh_norm();
-        hm
     }
 }
 
@@ -421,7 +354,7 @@ fn unpack_cell(key: u64) -> CellId {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mood_geo::BoundingBox;
+    use mood_geo::{BoundingBox, GeoPoint};
     use mood_trace::{Record, Timestamp, UserId};
 
     fn grid() -> Grid {
@@ -559,17 +492,6 @@ mod tests {
     }
 
     #[test]
-    fn scratch_buffers_are_invisible_to_equality() {
-        let cells = [CellId { row: 1, col: 2 }, CellId { row: 1, col: 2 }];
-        let mut rebuilt = Heatmap::new();
-        rebuilt.rebuild_from_cells(&cells);
-        let mut fresh = Heatmap::new();
-        fresh.add(CellId { row: 1, col: 2 }, 2.0);
-        // rebuilt carries warm scratch buffers, fresh does not
-        assert_eq!(rebuilt, fresh);
-    }
-
-    #[test]
     fn top_cells_descending_deterministic() {
         let mut hm = Heatmap::new();
         hm.add(CellId { row: 0, col: 0 }, 5.0);
@@ -622,16 +544,6 @@ mod tests {
         assert_eq!(a.topsoe_bounded(&b, full / 2.0), None);
     }
 
-    #[test]
-    fn merged_adds_mass() {
-        let g = grid();
-        let a = Heatmap::from_trace(&g, &trace_at(&[(46.15, 6.05)]));
-        let b = Heatmap::from_trace(&g, &trace_at(&[(46.15, 6.05), (46.25, 6.25)]));
-        let m = a.merged(&b);
-        assert_eq!(m.total(), 3.0);
-        assert_eq!(m.cell_count(), 2);
-    }
-
     /// The normalized masses the Topsoe kernel reads, recomputed from
     /// scratch: every constructor and mutator must leave them equal to
     /// this, to the bit.
@@ -655,23 +567,28 @@ mod tests {
         assert_norm_fresh(&hm);
         hm.add(CellId { row: 0, col: 0 }, 1.0);
         assert_norm_fresh(&hm);
-        let merged = hm.merged(&Heatmap::from_trace(&g, &trace_at(&[(46.22, 6.12)])));
-        assert_norm_fresh(&merged);
-        let back: Heatmap = serde_json::from_str(&serde_json::to_string(&merged).unwrap()).unwrap();
+        let back: Heatmap = serde_json::from_str(&serde_json::to_string(&hm).unwrap()).unwrap();
         assert_norm_fresh(&back);
-        let mut reused = merged.clone();
+        let mut reused = hm.clone();
         reused.rebuild_from_cells(&[CellId { row: 3, col: 1 }, CellId { row: 0, col: 2 }]);
         assert_norm_fresh(&reused);
         reused.rebuild_from_cells(&[]);
         assert_norm_fresh(&reused);
         assert!(reused.norm.is_empty());
-        // the stored masses give the score the BTreeMap entry point
-        // computes from raw counts
-        let as_map =
-            |h: &Heatmap| -> std::collections::BTreeMap<CellId, f64> { h.cell_entries().collect() };
+        // the stored masses give the score the scalar oracle computes
+        // from raw counts
+        let other = Heatmap::from_trace(&g, &trace_at(&[(46.22, 6.12), (46.15, 6.05)]));
+        let pairs = |h: &Heatmap| -> Vec<(CellId, f64)> { h.cell_entries().collect() };
         assert_eq!(
-            back.topsoe(&hm).map(f64::to_bits),
-            divergence::topsoe(&as_map(&back), &as_map(&hm)).map(f64::to_bits)
+            back.topsoe(&other).map(f64::to_bits),
+            divergence::topsoe_pairs_reference(
+                &pairs(&back),
+                back.total(),
+                &pairs(&other),
+                other.total(),
+                f64::INFINITY
+            )
+            .map(f64::to_bits)
         );
     }
 

@@ -30,8 +30,7 @@ const ROW_MARGIN: f64 = 1.0 / (1u64 << 22) as f64;
 /// ```
 ///
 /// the exact value of every one-sided term, and Pinsker's lower bound
-/// on every shared one (see the kernel,
-/// [`divergence::topsoe_soa_bounded`](crate::divergence::topsoe_soa_bounded)).
+/// on every shared one.
 /// Writing `σ = ΣP + ΣQ` for the two summed masses and
 /// `c = ln 2 · s − (p − q)²/(2s)` (with `s = p + q`) for the *credit* of
 /// a shared cell, it equals `ln 2 · σ − Σ_shared c`. Only the credits
@@ -205,9 +204,10 @@ impl HeatmapIndex {
     ///   adds at most `N` non-negative terms, so recursive summation
     ///   loses at most a factor `(1 − u)^N`. A one-sided term is
     ///   `fl(v · ln 2) ≥ (1 − u) v ln 2`. A shared term is at least the
-    ///   matched-key bound with its own margin `m` (proven there, and
-    ///   swept by `matched_lower_bound_never_exceeds_exact_term`), which
-    ///   is at least `(1 − 2m) · (p − q)²/(2s) − 2m · s`. Where that
+    ///   matched-key bound with its own margin `m` (a lemma of the
+    ///   kernel's tests, proven in its doc and swept by
+    ///   `matched_lower_bound_never_exceeds_exact_term`), which is at
+    ///   least `(1 − 2m) · (p − q)²/(2s) − 2m · s`. Where that
     ///   bound's range guard gives 0 instead (`s < 1e-150`), the term's
     ///   Pinsker value is below `1e-150` and the absolute slack covers
     ///   it: a valid profile's masses sum to 1 up to rounding, so
@@ -618,7 +618,7 @@ mod tests {
 
     proptest! {
         // The index's bound never exceeds the kernel's computed score,
-        // on the shapes of `two_pass_kernel_is_bit_identical_at_the_score`
+        // on the shapes of `one_walk_kernel_is_bit_identical_at_the_score`
         // (shared support with unrelated counts, identical maps, near-
         // equal masses, one-sided), disjoint supports, query cells
         // outside every profile's extent, and empty profiles.

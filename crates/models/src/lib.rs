@@ -13,29 +13,29 @@
 //!   [`mood_geo::Grid`], compared with the **Topsoe divergence** used by
 //!   AP-Attack.
 //!
-//! The [`divergence`] module provides the underlying f64 distribution
-//! distances (KL, Topsoe), including the sorted-slice merge walk with
-//! **best-bound pruning** (and its logarithm-free lower-bound pass) the
-//! candidate hot path uses. [`HeatmapIndex`] bounds a query's Topsoe
-//! divergence from every profile of a set in one pass over the query's
-//! cells, so profile scans run that walk only where the bound leaves a
-//! profile in contention. [`HeatmapSet`] holds one heatmap per
-//! background user with that index, over the [`background_grid`] that
-//! AP-Attack, HMC and spatial cloaking share.
+//! [`Heatmap::topsoe`] and [`Heatmap::topsoe_bounded`] are the one
+//! Topsoe API: one exact merge walk over the sorted cells, with
+//! **best-bound pruning** for the candidate hot path. [`HeatmapIndex`]
+//! bounds a query's Topsoe divergence from every profile of a set in
+//! one pass over the query's cells, so profile scans run that walk only
+//! where the bound leaves a profile in contention. [`HeatmapSet`] holds
+//! one heatmap per background user with that index, over the
+//! [`background_grid`] that AP-Attack, HMC and spatial cloaking share.
 //!
-//! Every model supports a scratch-reuse path for allocation-free hot
-//! loops: [`Heatmap::rebuild_from_cells`],
+//! Every model supports a scratch-reuse path for hot loops:
+//! [`Heatmap::rebuild_from_cells`],
 //! [`PoiExtractor::extract_stays_into`],
 //! [`PoiProfile::rebuild_from_stays`] and
 //! [`MarkovChain::rebuild_from_profile`] refill existing buffers with
-//! exactly what the allocating constructors would produce, and
-//! [`TraceRaster`] caches a trace's grid cell-sequence so it is computed
-//! once per `(grid, trace)` and shared by every consumer.
+//! exactly what the allocating constructors would produce (a heatmap
+//! rebuild still builds its count table afresh), and [`TraceRaster`]
+//! caches a trace's grid cell-sequence so it is computed once per
+//! `(grid, trace)` and shared by every consumer.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod divergence;
+mod divergence;
 mod heatmap;
 mod heatmap_index;
 mod heatmap_set;

@@ -59,12 +59,12 @@ impl ClientResponse {
 /// OS default applies) and a generous 30 s read timeout so a wedged
 /// server fails a test instead of hanging it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ClientConfig {
+struct ClientConfig {
     /// Bound on establishing the TCP connection; `None` leaves the OS
     /// default in place.
-    pub connect_timeout: Option<Duration>,
+    connect_timeout: Option<Duration>,
     /// Bound on each blocking read; `None` blocks forever.
-    pub read_timeout: Option<Duration>,
+    read_timeout: Option<Duration>,
 }
 
 impl Default for ClientConfig {
@@ -84,7 +84,8 @@ pub struct Client {
 }
 
 impl Client {
-    /// Connects with the default [`ClientConfig`] (30 s read timeout).
+    /// Connects with a 30 s read timeout and the OS default connect
+    /// timeout.
     ///
     /// # Errors
     ///
@@ -99,7 +100,7 @@ impl Client {
     ///
     /// Returns the connect/configuration error, if any — including
     /// `TimedOut` when `connect_timeout` expires first.
-    pub fn connect_with<A: ToSocketAddrs>(addr: A, config: ClientConfig) -> io::Result<Client> {
+    fn connect_with<A: ToSocketAddrs>(addr: A, config: ClientConfig) -> io::Result<Client> {
         let stream = match config.connect_timeout {
             // `TcpStream::connect_timeout` needs a resolved address;
             // try each in turn like `connect` itself would.

@@ -94,7 +94,7 @@ pub use api::{
     ProtectRequest, ProtectResponse, ProtectResult, PublishedTrace, TraceExport,
 };
 pub use chaos::{ChaosConfig, FaultKind, FaultPlan};
-pub use client::{fetch, Client, ClientConfig, ClientResponse};
+pub use client::{fetch, Client, ClientResponse};
 pub use http::{reason_phrase, Conn, Request, RequestOutcome, Response, MAX_HEAD_BYTES};
 pub use metrics::ServerMetrics;
 pub use mood_obs;

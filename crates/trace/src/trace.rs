@@ -243,7 +243,8 @@ impl Trace {
     ///
     /// Returns [`TraceError::EmptyTrace`] when `parts` is empty and
     /// [`TraceError::DuplicateUser`] when fragments disagree on the user.
-    pub fn concat(parts: &[Trace]) -> Result<Trace> {
+    #[cfg(test)]
+    fn concat(parts: &[Trace]) -> Result<Trace> {
         let first = parts.first().ok_or(TraceError::EmptyTrace)?;
         let user = first.user;
         let mut records = Vec::new();

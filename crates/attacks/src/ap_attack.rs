@@ -94,8 +94,8 @@ impl TrainedAttack for TrainedApAttack {
         Prediction::from_scores(scores)
     }
 
-    /// Scratch path: the cell-sequence comes from the shared raster
-    /// cache, the heatmap is rebuilt into the worker's buffer, and every
+    /// Scratch path: the heatmap is rebuilt into the worker's buffer
+    /// straight from the trace's records, and every
     /// other profile is matched under the true user's own Topsoe score
     /// as a fixed bound (Topsoe partial sums are monotone — see
     /// [`Heatmap::topsoe_bounded`] — so exceeding it
@@ -130,15 +130,14 @@ impl TrainedApAttack {
         mut exact: impl FnMut(&Heatmap, &Heatmap, f64) -> Option<f64>,
     ) -> bool {
         let AttackScratch {
-            raster,
             heatmap,
             ap_beater,
             ap_bounds,
             ap_credits,
             ..
         } = scratch;
-        let cells = raster.cells(self.profiles.grid(), trace);
-        heatmap.rebuild_from_cells(cells);
+        let grid = self.profiles.grid();
+        heatmap.rebuild_from_cells(trace.records().iter().map(|r| grid.cell_of(&r.point())));
         if heatmap.is_empty() {
             return false; // predict abstains
         }

@@ -126,7 +126,7 @@ impl AttackSuite {
     /// [`AttackSuite::protects`] on a leased scratch — the candidate hot
     /// path's verdict. Every attack runs its scratch-aware inference
     /// ([`TrainedAttack::reidentify_with`]), sharing the scratch's
-    /// rasterization cache and feature buffers. Same order, same
+    /// feature buffers and POI-profile cache. Same order, same
     /// short-circuit, and — by the `reidentify_with` contract — exactly
     /// the same verdict as the allocating form.
     pub fn protects_with(

@@ -68,9 +68,10 @@ struct TrainedPitAttack {
     profiles: Arc<ChainSet>,
 }
 
-/// Reference form of the stationary term; the scoring path inlines it
-/// in [`stats_prox_bounded`] so pruning can check after each term.
-#[cfg(test)]
+/// The stationary term of [`stats_prox`]: each anonymous state's
+/// nearest candidate centroid, weighted by its stationary probability.
+/// The scoring path streams the same sum through the SoA kernel in
+/// [`stats_prox_bounded_soa`] so pruning can check after each term.
 fn stationary_distance(anon: &MarkovChain, cand: &MarkovChain) -> f64 {
     let pi = anon.stationary();
     let mut sum = 0.0;
@@ -109,17 +110,7 @@ fn stats_prox(anon: &MarkovChain, cand: &MarkovChain, top_k: usize) -> f64 {
     if cand.is_empty() {
         return f64::INFINITY;
     }
-    let pi = anon.stationary();
-    let mut sum = 0.0;
-    for (i, a_state) in anon.states().iter().enumerate() {
-        let nearest = cand
-            .states()
-            .iter()
-            .map(|c| a_state.centroid.approx_distance(&c.centroid))
-            .fold(f64::INFINITY, f64::min);
-        sum += pi[i] * nearest;
-    }
-    0.5 * sum + 0.5 * proximity_distance(anon, cand, top_k)
+    0.5 * stationary_distance(anon, cand) + 0.5 * proximity_distance(anon, cand, top_k)
 }
 
 /// [`stats_prox`] with best-bound pruning on the stationary half, which

@@ -7,10 +7,8 @@
 //! clusters for POI-Attack, a Mobility Markov Chain for PIT-Attack.
 //! [`AttackScratch`] owns one reusable buffer per feature so a task
 //! builds them in place instead of allocating per candidate (AP's
-//! heatmap rebuild still builds its count table afresh), plus a
-//! shared [`TraceRaster`] so a trace's grid cell-sequence is computed
-//! once and reused by every grid-based consumer (AP-Attack today, HMC's
-//! `apply` upstream, future grid attacks).
+//! heatmap rebuild still builds its count table afresh, rasterizing
+//! the trace as it goes).
 //!
 //! # Contract (for attack implementors)
 //!
@@ -32,7 +30,7 @@
 //!   visiting order — a stale, foreign or out-of-range hint costs
 //!   work, never a verdict.
 
-use mood_models::{MarkovChain, PoiExtractor, PoiProfile, Stay, TraceRaster};
+use mood_models::{MarkovChain, PoiExtractor, PoiProfile, Stay};
 use mood_trace::{Record, Trace, UserId};
 
 /// The rival that last beat a true user in one attack's decision scan:
@@ -105,11 +103,11 @@ pub(crate) fn true_user_wins(
 /// A one-entry **verified** `(extractor, trace) → POI profile` cache:
 /// POI-Attack and PIT-Attack run back to back on the same trace with
 /// the same paper-default extractor, and stay extraction — a distance
-/// computation per record — dominates both. Like [`TraceRaster`], a hit
-/// is only taken after comparing the stored trace records exactly
-/// (plus the extractor parameters), so cached and fresh inference are
-/// bit-identical; the comparison costs three `f64` equality checks per
-/// record versus extraction's centroid/distance arithmetic.
+/// computation per record — dominates both. A hit is only taken after
+/// comparing the stored trace records exactly (plus the extractor
+/// parameters), so cached and fresh inference are bit-identical; the
+/// comparison costs three `f64` equality checks per record versus
+/// extraction's centroid/distance arithmetic.
 #[derive(Default)]
 pub(crate) struct ProfileCache {
     extractor: Option<PoiExtractor>,
@@ -153,8 +151,6 @@ impl ProfileCache {
 /// and users via their scratch pools.
 #[derive(Default)]
 pub struct AttackScratch {
-    /// Shared `(grid, trace) → cells` cache (exact, verified hits).
-    pub(crate) raster: TraceRaster,
     /// AP-Attack's anonymous-trace heatmap buffer.
     pub(crate) heatmap: mood_models::Heatmap,
     /// Shared POI/PIT stay-extraction + profile cache.
@@ -185,13 +181,6 @@ impl AttackScratch {
         Self::default()
     }
 
-    /// The shared rasterization cache, for callers that want to pre-warm
-    /// it (e.g. an LPPM's `apply` rasterizing the same trace the suite
-    /// scores next).
-    pub fn raster_mut(&mut self) -> &mut TraceRaster {
-        &mut self.raster
-    }
-
     /// `true` once at least one inference call used this scratch — i.e.
     /// the next call starts from warmed-up buffers.
     pub fn is_warm(&self) -> bool {
@@ -201,12 +190,6 @@ impl AttackScratch {
     /// Marks the scratch as used (called by the suite after inference).
     pub(crate) fn mark_used(&mut self) {
         self.used = true;
-    }
-
-    /// Drains the rasterization-cache hit/miss counters for aggregation
-    /// into shared metrics; returns `(hits, misses)`.
-    pub fn take_raster_counters(&mut self) -> (u64, u64) {
-        self.raster.take_counters()
     }
 
     /// POI-profile-cache hits so far (PIT reusing POI's extraction of

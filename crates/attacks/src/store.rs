@@ -13,8 +13,8 @@
 //!
 //! # Exactness contract
 //!
-//! Like every cache on the verdict path ([`mood_models::TraceRaster`],
-//! the scratch `ProfileCache`), hits are **verified**: the dataset key
+//! Like the other cache on the verdict path (the scratch
+//! `ProfileCache`), hits are **verified**: the dataset key
 //! is a fingerprint used only as a fast reject — a hit is taken only
 //! after a full `Dataset` equality compare, so two different datasets
 //! can never alias and store-trained suites are byte-identical to

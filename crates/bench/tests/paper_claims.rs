@@ -9,12 +9,17 @@
 //!   HybridLPPM.
 //!
 //! `run_figures` reads every bar from one MooD run, so these hold by
-//! construction and need no tolerance. A single LPPM against no LPPM is
-//! printed, not asserted: an attack can re-identify a user from a noisy
-//! trace when the raw one hid them (see the README's "Figures").
+//! construction and need no tolerance.
+//!
+//! A single LPPM against no LPPM is printed: an attack can re-identify
+//! a user from a noisy trace when the raw one hid them (see the
+//! README's "Figures"). On the resident presets the cause is asserted
+//! instead: every such user is a twin-group member, whose raw trace
+//! hid them only in a near-tie with a twin that any spatial blur
+//! breaks.
 
 use mood_bench::{run_figures, Adversary, ExperimentContext, MechanismOutcome};
-use mood_synth::{presets, DatasetSpec};
+use mood_synth::{presets, DatasetSpec, PopulationModel};
 
 const SINGLES: [&str; 3] = ["Geo-I", "TRL", "HMC"];
 
@@ -27,7 +32,35 @@ fn under_edges(bar: &MechanismOutcome) -> [usize; 3] {
     })
 }
 
+/// Every (user, single LPPM) pair of the panel where the raw trace hid
+/// the user but the figures' own draw of that LPPM is re-identified
+/// belongs to a twin. Returns how many such pairs there were.
+fn assert_flips_are_twins(ctx: &ExperimentContext, adversary: Adversary, panel: &str) -> usize {
+    let engine = ctx.engine(adversary);
+    let mut flips = 0;
+    for trace in ctx.test.iter() {
+        let user = trace.user();
+        if !engine.suite().protects(trace, user) {
+            continue;
+        }
+        let singles = engine.single_candidates(trace);
+        for (lppm, single) in engine.lppms().iter().zip(singles) {
+            if single.is_none() {
+                flips += 1;
+                assert!(
+                    ctx.spec.is_twin(user),
+                    "{panel}: {} re-identifies user {user}, whom the raw trace hid, \
+                     and who is no twin",
+                    lppm.name()
+                );
+            }
+        }
+    }
+    flips
+}
+
 fn check_preset(preset: DatasetSpec) {
+    let residents = matches!(preset.population, PopulationModel::Residents { .. });
     for offset in 0..3 {
         let spec = DatasetSpec {
             seed: preset.seed + offset,
@@ -67,6 +100,11 @@ fn check_preset(preset: DatasetSpec) {
                     "{panel}: under 500 m / 1 km / 5 km, MooD keeps {ours:?} users, {} {theirs:?}",
                     other.mechanism
                 );
+            }
+
+            if residents {
+                let flips = assert_flips_are_twins(&ctx, adversary, &panel);
+                println!("{panel}: {flips} single-LPPM draws re-identify a user the raw trace hid, all twins");
             }
         }
     }

@@ -30,14 +30,10 @@ use crate::{
 type Visit<'a> = dyn Fn(&mut CandidateScratch, usize, &Trace) -> bool + Sync + 'a;
 
 /// Reusable state for candidate evaluation, leased by one task at a time
-/// from the engine's [`ScratchPool`]: the derived RNG
-/// (stack-only, reassigned per candidate), spare buffers the LPPMs
-/// write candidate records into, and the attack scratch the suite
-/// scores on — per-trace features (heatmap, POI clusters, Markov chain)
-/// plus the shared rasterization cache both the LPPM fast paths and the
-/// attacks use.
+/// from the engine's [`ScratchPool`]: spare buffers the LPPMs write
+/// candidate records into, and the attack scratch the suite scores on
+/// (per-trace features: heatmap, POI clusters, Markov chain).
 struct CandidateScratch {
-    rng: StdRng,
     spare: Vec<Vec<Record>>,
     attack: AttackScratch,
 }
@@ -50,7 +46,6 @@ const SPARE_BUFFERS: usize = 8;
 impl CandidateScratch {
     fn new() -> Self {
         Self {
-            rng: StdRng::seed_from_u64(0),
             spare: Vec::new(),
             attack: AttackScratch::new(),
         }
@@ -75,14 +70,11 @@ impl CandidateScratch {
 /// half of the zero-allocation claim: they count candidate evaluations
 /// that started from an already-warm protection buffer
 /// (`reuses`) / attack scratch (`attack_reuses`) instead of fresh
-/// allocations; the raster counters aggregate the rasterization-cache
-/// hits and misses drained from returning leases.
+/// allocations.
 struct ScratchPool {
     free: Mutex<Vec<CandidateScratch>>,
     reuses: AtomicU64,
     attack_reuses: AtomicU64,
-    raster_hits: AtomicU64,
-    raster_misses: AtomicU64,
 }
 
 impl ScratchPool {
@@ -91,8 +83,6 @@ impl ScratchPool {
             free: Mutex::new(Vec::new()),
             reuses: AtomicU64::new(0),
             attack_reuses: AtomicU64::new(0),
-            raster_hits: AtomicU64::new(0),
-            raster_misses: AtomicU64::new(0),
         }
     }
 
@@ -132,12 +122,7 @@ impl ScratchLease<'_> {
 
 impl Drop for ScratchLease<'_> {
     fn drop(&mut self) {
-        if let Some(mut scratch) = self.scratch.take() {
-            // Surface the scratch-local raster-cache counters before the
-            // scratch goes back to sleep in the pool.
-            let (hits, misses) = scratch.attack.take_raster_counters();
-            self.pool.raster_hits.fetch_add(hits, Ordering::Relaxed);
-            self.pool.raster_misses.fetch_add(misses, Ordering::Relaxed);
+        if let Some(scratch) = self.scratch.take() {
             self.pool
                 .free
                 .lock()
@@ -617,22 +602,6 @@ impl MoodEngine {
         self.scratch.attack_reuses.load(Ordering::Relaxed)
     }
 
-    /// Rasterization-cache hits across all attack scratches: trace
-    /// cell-sequences served from each scratch's `(grid, trace)` cache
-    /// (exact, comparison-verified) instead of recomputed. Counters are
-    /// drained from a scratch as its lease returns to the pool at the end
-    /// of each candidate task, so in-flight work surfaces once that task
-    /// finishes.
-    pub fn raster_cache_hits(&self) -> u64 {
-        self.scratch.raster_hits.load(Ordering::Relaxed)
-    }
-
-    /// Rasterization-cache misses (fresh rasterizations), same
-    /// accounting as [`MoodEngine::raster_cache_hits`].
-    pub fn raster_cache_misses(&self) -> u64 {
-        self.scratch.raster_misses.load(Ordering::Relaxed)
-    }
-
     /// The enumerated composition space `C − L` (length ≥ 2 chains).
     pub fn compositions(&self) -> &[Composition] {
         &self.compositions
@@ -700,7 +669,7 @@ impl MoodEngine {
         idx: usize,
         scratch: &mut CandidateScratch,
     ) -> Trace {
-        scratch.rng = self.variant_rng(trace, idx);
+        let mut rng = self.variant_rng(trace, idx);
         let mut buf = scratch.spare.pop().unwrap_or_default();
         if buf.capacity() > 0 {
             self.scratch.reuses.fetch_add(1, Ordering::Relaxed);
@@ -708,12 +677,7 @@ impl MoodEngine {
         if scratch.attack.is_warm() {
             self.scratch.attack_reuses.fetch_add(1, Ordering::Relaxed);
         }
-        self.stage_lppm(idx).apply(
-            input,
-            &mut scratch.rng,
-            &mut buf,
-            scratch.attack.raster_mut(),
-        );
+        self.stage_lppm(idx).apply(input, &mut rng, &mut buf);
         // `apply` yields time-sorted records (the `Trace` invariant),
         // so this re-sort is a stable identity pass: the candidate is
         // byte-identical to what `protect` would have returned.
@@ -1058,9 +1022,7 @@ impl MoodEngine {
     /// Protects one user's trace end to end (Algorithm 1 plus the §4.2
     /// experimental protocol) and classifies the user.
     pub fn protect_user(&self, trace: &Trace) -> UserProtection {
-        // The raw-trace check scores on a pooled scratch, which also
-        // pre-warms the rasterization cache for the raw trace the HMC
-        // single is about to re-raster. It is
+        // The raw-trace check scores on a pooled scratch. It is
         // deliberately outside the candidate budget: the user's taxonomy
         // class must not depend on how much compute the request was
         // granted.
@@ -1126,7 +1088,6 @@ mod tests {
     use super::*;
     use mood_attacks::{Prediction, TrainedAttack};
     use mood_geo::GeoPoint;
-    use mood_models::TraceRaster;
     use mood_synth::{presets, DatasetSpec};
     use mood_trace::{TimeDelta, UserId};
     use rand::RngCore;
@@ -1200,13 +1161,7 @@ mod tests {
             self.name
         }
 
-        fn apply(
-            &self,
-            trace: &Trace,
-            _rng: &mut dyn RngCore,
-            out: &mut Vec<Record>,
-            _raster: &mut TraceRaster,
-        ) {
+        fn apply(&self, trace: &Trace, _rng: &mut dyn RngCore, out: &mut Vec<Record>) {
             out.clear();
             out.extend(trace.records().iter().map(|r| {
                 let p = r.point();
@@ -1733,27 +1688,16 @@ mod tests {
     }
 
     #[test]
-    fn attack_scratch_is_reused_and_rasterizations_are_shared() {
+    fn attack_scratch_is_reused() {
         let (bg, test) = mini_world();
         let engine = MoodEngine::paper_default(&bg);
         for trace in test.iter() {
             let _ = engine.protect_user(trace);
         }
-        // Multi-candidate scoring must run on warmed attack arenas...
+        // Multi-candidate scoring must run on warmed attack arenas.
         assert!(
             engine.attack_scratch_reuses() > 0,
             "candidate scoring never reused a warm attack scratch"
-        );
-        // ...and the shared raster cache must have served repeats: the
-        // raw trace is rasterized by the suite's AP profile and again by
-        // the HMC single.
-        assert!(
-            engine.raster_cache_misses() > 0,
-            "raster cache never populated"
-        );
-        assert!(
-            engine.raster_cache_hits() > 0,
-            "raster cache never hit: raw-trace rasterizations not shared"
         );
     }
 
@@ -2053,15 +1997,9 @@ mod tests {
             self.inner.name()
         }
 
-        fn apply(
-            &self,
-            trace: &Trace,
-            rng: &mut dyn RngCore,
-            out: &mut Vec<Record>,
-            raster: &mut TraceRaster,
-        ) {
+        fn apply(&self, trace: &Trace, rng: &mut dyn RngCore, out: &mut Vec<Record>) {
             self.record(trace);
-            self.inner.apply(trace, rng, out, raster)
+            self.inner.apply(trace, rng, out)
         }
     }
 

@@ -1,7 +1,7 @@
 use rand::RngCore;
 
 use mood_geo::Grid;
-use mood_models::{background_grid, TraceRaster};
+use mood_models::background_grid;
 use mood_trace::{Dataset, Record, Trace};
 
 use crate::Lppm;
@@ -71,13 +71,7 @@ impl Lppm for SpatialCloaking {
         "Cloaking"
     }
 
-    fn apply(
-        &self,
-        trace: &Trace,
-        _rng: &mut dyn RngCore,
-        out: &mut Vec<Record>,
-        _raster: &mut TraceRaster,
-    ) {
+    fn apply(&self, trace: &Trace, _rng: &mut dyn RngCore, out: &mut Vec<Record>) {
         out.clear();
         out.reserve(trace.len());
         out.extend(

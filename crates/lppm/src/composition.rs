@@ -2,7 +2,6 @@ use std::sync::Arc;
 
 use rand::RngCore;
 
-use mood_models::TraceRaster;
 use mood_trace::{Record, Trace};
 
 use crate::Lppm;
@@ -15,8 +14,7 @@ use crate::Lppm;
 ///
 /// The first mechanism in `parts` is applied first; order matters, just
 /// like function composition. [`Lppm::apply`] runs the whole chain on
-/// the one RNG and raster it is given: this is the API form of a
-/// composition.
+/// the one RNG it is given: this is the API form of a composition.
 ///
 /// MooD's engine does not apply a composition as one LPPM. It builds its
 /// candidates as a tree instead: composition `p → x` applies `x`, under
@@ -85,18 +83,12 @@ impl Lppm for Composition {
         &self.name
     }
 
-    fn apply(
-        &self,
-        trace: &Trace,
-        rng: &mut dyn RngCore,
-        out: &mut Vec<Record>,
-        raster: &mut TraceRaster,
-    ) {
-        self.parts[0].apply(trace, rng, out, raster);
+    fn apply(&self, trace: &Trace, rng: &mut dyn RngCore, out: &mut Vec<Record>) {
+        self.parts[0].apply(trace, rng, out);
         for part in &self.parts[1..] {
             let input = Trace::new(trace.user(), std::mem::take(out))
                 .expect("LPPMs never produce an empty trace");
-            part.apply(&input, rng, out, raster);
+            part.apply(&input, rng, out);
         }
     }
 }
@@ -303,8 +295,7 @@ mod tests {
         // chained, over both presets: a recycled buffer pre-seeded with
         // junk must come back holding exactly what `protect` returns (one
         // stale record appended would silently corrupt every downstream
-        // verdict), whether the raster is cold or already holds the
-        // input's cells.
+        // verdict).
         let junk = Record::new(
             GeoPoint::new(10.0, 10.0).unwrap(),
             Timestamp::from_unix(-999),
@@ -315,17 +306,11 @@ mod tests {
                 .protect(trace, &mut StdRng::seed_from_u64(seed))
                 .into_records();
             for stale_len in [0usize, 3, 64] {
-                let mut raster = TraceRaster::new();
-                for pass in ["cold", "warm"] {
-                    let mut out = vec![junk; stale_len];
-                    let rng = &mut StdRng::seed_from_u64(seed);
-                    lppm.apply(trace, rng, &mut out, &mut raster);
-                    let who = format!("{} on {}", lppm.name(), trace.user());
-                    assert_eq!(out, expected, "{who}, {stale_len} stale, {pass}");
-                }
-                // HMC rasterizes its input, so its warm pass must hit
-                let hmc = lppm.name().contains("HMC");
-                assert_eq!(raster.hits() > 0, hmc, "{}", lppm.name());
+                let mut out = vec![junk; stale_len];
+                let rng = &mut StdRng::seed_from_u64(seed);
+                lppm.apply(trace, rng, &mut out);
+                let who = format!("{} on {}", lppm.name(), trace.user());
+                assert_eq!(out, expected, "{who}, {stale_len} stale");
             }
         };
         for spec in [

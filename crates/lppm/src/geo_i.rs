@@ -1,7 +1,6 @@
 use rand::{Rng, RngCore};
 
 use mood_geo::LocalProjection;
-use mood_models::TraceRaster;
 use mood_trace::{Record, Trace};
 
 use crate::Lppm;
@@ -101,13 +100,7 @@ impl Lppm for GeoI {
         "Geo-I"
     }
 
-    fn apply(
-        &self,
-        trace: &Trace,
-        rng: &mut dyn RngCore,
-        out: &mut Vec<Record>,
-        _raster: &mut TraceRaster,
-    ) {
+    fn apply(&self, trace: &Trace, rng: &mut dyn RngCore, out: &mut Vec<Record>) {
         out.clear();
         out.reserve(trace.len());
         let (blocks, tail) = trace.records().as_chunks::<LANES>();
@@ -323,8 +316,7 @@ mod tests {
                 let mut oracle_rng = StdRng::seed_from_u64(seed);
                 let mut blocked = vec![trace.records()[0]; 3];
                 let mut oracle = Vec::new();
-                let raster = &mut TraceRaster::new();
-                geo_i.apply(&trace, &mut blocked_rng, &mut blocked, raster);
+                geo_i.apply(&trace, &mut blocked_rng, &mut blocked);
                 geo_i.apply_per_record(&trace, &mut oracle_rng, &mut oracle);
                 assert_eq!(blocked.len(), oracle.len());
                 for (a, b) in blocked.iter().zip(&oracle) {

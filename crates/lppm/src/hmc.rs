@@ -1,7 +1,7 @@
 use rand::{Rng, RngCore};
 
 use mood_geo::{CellId, Grid};
-use mood_models::{Heatmap, HeatmapSet, TraceRaster};
+use mood_models::{Heatmap, HeatmapSet};
 use mood_trace::{Dataset, Record, Trace, UserId};
 
 use crate::Lppm;
@@ -240,26 +240,23 @@ impl Lppm for Hmc {
         "HMC"
     }
 
-    /// Plans (the decoy and the rank map), then rebuilds the records run
-    /// by run. The cell sequence comes from (and warms) the caller's
-    /// shared rasterization cache, so an input the attack side has
-    /// already rasterized (the raw trace after the raw check) skips
-    /// rasterization, and so does scoring the same trace afterwards.
-    fn apply(
-        &self,
-        trace: &Trace,
-        rng: &mut dyn RngCore,
-        out: &mut Vec<Record>,
-        raster: &mut TraceRaster,
-    ) {
-        let cells = raster.cells(self.grid(), trace);
+    /// Rasterizes the input once, plans on its heatmap (the decoy and
+    /// the rank map), then rebuilds the records run by run over the
+    /// same cells.
+    fn apply(&self, trace: &Trace, rng: &mut dyn RngCore, out: &mut Vec<Record>) {
+        let grid = self.grid();
+        let cells: Vec<CellId> = trace
+            .records()
+            .iter()
+            .map(|r| grid.cell_of(&r.point()))
+            .collect();
         out.clear();
         out.reserve(trace.len());
         let mut own = Heatmap::new();
-        own.rebuild_from_cells(cells);
+        own.rebuild_from_cells(cells.iter().copied());
         let decoy_idx = self.decoy_for(trace.user(), &own);
         let map = self.rank_map(&own, decoy_idx);
-        self.rebuild_records(trace, cells, decoy_idx, &map, rng, out);
+        self.rebuild_records(trace, &cells, decoy_idx, &map, rng, out);
     }
 }
 
@@ -375,25 +372,22 @@ mod tests {
     }
 
     #[test]
-    fn fast_path_is_byte_identical_and_hits_the_raster_cache() {
+    fn apply_into_a_dirty_buffer_equals_protect() {
         let hmc = Hmc::paper_default(&background());
         let traces = [
             dwell_trace(1, 46.161, 6.061, 40),
             dwell_trace(2, 46.251, 6.201, 30),
         ];
-        let mut raster = TraceRaster::new();
         let mut out = vec![rec(0.0, 0.0, 0)]; // dirty recycled buffer
         for round in 0..3 {
             for t in &traces {
                 let mut r1 = StdRng::seed_from_u64(11 + round);
                 let mut r2 = StdRng::seed_from_u64(11 + round);
                 let expected = hmc.protect(t, &mut r1);
-                hmc.apply(t, &mut r2, &mut out, &mut raster);
+                hmc.apply(t, &mut r2, &mut out);
                 assert_eq!(out.as_slice(), expected.records(), "round {round}");
             }
         }
-        // repeats of the same traces reuse cached rasterizations
-        assert!(raster.hits() > 0, "no raster hits");
     }
 
     #[test]

@@ -47,7 +47,6 @@ pub use trl::Trl;
 
 use rand::RngCore;
 
-use mood_models::TraceRaster;
 use mood_trace::{Record, Trace};
 
 /// A Location Privacy Protection Mechanism.
@@ -72,16 +71,8 @@ pub trait Lppm: Send + Sync {
     /// discarded, never appended to, so callers may hand in a dirty
     /// recycled buffer.
     ///
-    /// `raster` is the caller's shared `(grid, trace) → cell-sequence`
-    /// cache, the one attack scoring uses on the same scratch arena.
-    /// Grid-based mechanisms (HMC) take the input's cells from it, so
-    /// rasterizing a trace is shared with, or served by, the attack
-    /// side; everything else ignores it. Its hits are verified by full
-    /// record comparison, so the records are the same, cold or warm.
-    ///
     /// ```
     /// use mood_lppm::{GeoI, Lppm};
-    /// use mood_models::TraceRaster;
     /// use mood_synth::presets;
     /// use rand::SeedableRng;
     ///
@@ -95,23 +86,17 @@ pub trait Lppm: Send + Sync {
     /// // a recycled buffer full of stale records...
     /// let mut out = vec![expected[0]; 5];
     /// let mut r2 = rand::rngs::StdRng::seed_from_u64(7);
-    /// geoi.apply(trace, &mut r2, &mut out, &mut TraceRaster::new());
+    /// geoi.apply(trace, &mut r2, &mut out);
     /// // ...is cleared then filled: prior contents never leak through
     /// assert_eq!(out, expected);
     /// ```
-    fn apply(
-        &self,
-        trace: &Trace,
-        rng: &mut dyn RngCore,
-        out: &mut Vec<Record>,
-        raster: &mut TraceRaster,
-    );
+    fn apply(&self, trace: &Trace, rng: &mut dyn RngCore, out: &mut Vec<Record>);
 
     /// Produces the obfuscated version of `trace`: [`Lppm::apply`] into
-    /// a new buffer, with a new [`TraceRaster`].
+    /// a new buffer.
     fn protect(&self, trace: &Trace, rng: &mut dyn RngCore) -> Trace {
         let mut records = Vec::new();
-        self.apply(trace, rng, &mut records, &mut TraceRaster::new());
+        self.apply(trace, rng, &mut records);
         Trace::new(trace.user(), records).expect("LPPMs never produce an empty trace")
     }
 }

@@ -1,7 +1,6 @@
 use rand::{Rng, RngCore};
 
 use mood_geo::{GeoPoint, LocalProjection};
-use mood_models::TraceRaster;
 use mood_trace::{Record, Trace};
 
 use crate::Lppm;
@@ -84,13 +83,7 @@ impl Lppm for Trl {
         "TRL"
     }
 
-    fn apply(
-        &self,
-        trace: &Trace,
-        rng: &mut dyn RngCore,
-        out: &mut Vec<Record>,
-        _raster: &mut TraceRaster,
-    ) {
+    fn apply(&self, trace: &Trace, rng: &mut dyn RngCore, out: &mut Vec<Record>) {
         out.clear();
         out.reserve(trace.len() * 3);
         for r in trace.records() {

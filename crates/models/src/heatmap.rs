@@ -95,26 +95,24 @@ impl Heatmap {
     /// `total()` always equals the trace length.
     pub fn from_trace(grid: &Grid, trace: &Trace) -> Self {
         let mut hm = Self::new();
-        hm.accumulate(trace.records().iter().map(|r| grid.cell_of(&r.point())));
-        hm.refresh_norm();
+        hm.rebuild_from_cells(trace.records().iter().map(|r| grid.cell_of(&r.point())));
         hm
     }
 
-    /// Clears the heatmap and refills it from a pre-rasterized cell
-    /// sequence, reusing its cell buffers — the twin of
-    /// [`Heatmap::from_trace`] for scratch-arena hot loops (the cell
-    /// sequence typically comes from a
-    /// [`TraceRaster`](crate::TraceRaster)). Only the build's run list
-    /// and count table are allocated afresh, and dropped on return.
+    /// Clears the heatmap and refills it from a cell sequence, one cell
+    /// per record, reusing its cell buffers: the scratch-arena form of
+    /// [`Heatmap::from_trace`], which is this over the trace's cells.
+    /// Only the build's run list and count table are allocated afresh,
+    /// and dropped on return.
     ///
     /// The result is identical to building a fresh heatmap from the same
     /// cells: counts are whole numbers, so accumulation order cannot
     /// change the stored values.
-    pub fn rebuild_from_cells(&mut self, cells: &[CellId]) {
+    pub fn rebuild_from_cells(&mut self, cells: impl IntoIterator<Item = CellId>) {
         self.keys.clear();
         self.weights.clear();
         self.total = 0.0;
-        self.accumulate(cells.iter().copied());
+        self.accumulate(cells.into_iter());
         self.refresh_norm();
     }
 
@@ -135,9 +133,9 @@ impl Heatmap {
     /// collapse → stable-sort → merge produced: counts are whole
     /// numbers, so no regrouping of the additions can change a stored
     /// value, and both emit orders are ascending cell order.
-    fn accumulate(&mut self, cells: impl ExactSizeIterator<Item = CellId>) {
+    fn accumulate(&mut self, cells: impl Iterator<Item = CellId>) {
         debug_assert!(self.keys.is_empty());
-        let mut runs: Vec<(u64, f64)> = Vec::with_capacity(cells.len());
+        let mut runs: Vec<(u64, f64)> = Vec::with_capacity(cells.size_hint().0);
         let (mut max_row, mut max_col) = (0u32, 0u32);
         for c in cells {
             self.total += 1.0;
@@ -452,10 +450,10 @@ mod tests {
         let mut reused = Heatmap::new();
         // fill with junk first: rebuild must fully replace it
         reused.add(CellId { row: 9, col: 9 }, 42.0);
-        reused.rebuild_from_cells(&cells);
+        reused.rebuild_from_cells(cells.iter().copied());
         assert_eq!(reused, fresh);
         // and again, exercising the warmed buffer
-        reused.rebuild_from_cells(&cells);
+        reused.rebuild_from_cells(cells.iter().copied());
         assert_eq!(reused, fresh);
     }
 
@@ -474,9 +472,9 @@ mod tests {
             })
             .collect();
         let mut hm_small = Heatmap::new();
-        hm_small.rebuild_from_cells(&small);
+        hm_small.rebuild_from_cells(small.iter().copied());
         let mut hm_large = Heatmap::new();
-        hm_large.rebuild_from_cells(&large);
+        hm_large.rebuild_from_cells(large.iter().copied());
         assert_eq!(hm_small.total(), hm_large.total());
         assert_eq!(hm_small.cell_count(), hm_large.cell_count());
         for ((ks, ws), (kl, wl)) in hm_small.cell_entries().zip(hm_large.cell_entries()) {
@@ -570,9 +568,9 @@ mod tests {
         let back: Heatmap = serde_json::from_str(&serde_json::to_string(&hm).unwrap()).unwrap();
         assert_norm_fresh(&back);
         let mut reused = hm.clone();
-        reused.rebuild_from_cells(&[CellId { row: 3, col: 1 }, CellId { row: 0, col: 2 }]);
+        reused.rebuild_from_cells([CellId { row: 3, col: 1 }, CellId { row: 0, col: 2 }]);
         assert_norm_fresh(&reused);
-        reused.rebuild_from_cells(&[]);
+        reused.rebuild_from_cells([]);
         assert_norm_fresh(&reused);
         assert!(reused.norm.is_empty());
         // the stored masses give the score the scalar oracle computes

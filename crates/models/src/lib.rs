@@ -28,9 +28,9 @@
 //! [`PoiProfile::rebuild_from_stays`] and
 //! [`MarkovChain::rebuild_from_profile`] refill existing buffers with
 //! exactly what the allocating constructors would produce (a heatmap
-//! rebuild still builds its count table afresh), and [`TraceRaster`]
-//! caches a trace's grid cell-sequence so it is computed once per
-//! `(grid, trace)` and shared by every consumer.
+//! rebuild still builds its count table afresh). A heatmap rebuild
+//! takes its cells from any iterator, so a caller rasterizes a trace as
+//! it builds and keeps no cell sequence unless it needs one.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -42,7 +42,6 @@ mod heatmap_set;
 pub mod kernels;
 mod mmc;
 mod poi;
-mod raster;
 
 pub use heatmap::Heatmap;
 pub use heatmap_index::HeatmapIndex;
@@ -50,4 +49,3 @@ pub use heatmap_set::{background_grid, HeatmapSet};
 pub use kernels::CentroidSoa;
 pub use mmc::MarkovChain;
 pub use poi::{Poi, PoiExtractor, PoiProfile, Stay};
-pub use raster::TraceRaster;

@@ -55,14 +55,11 @@ impl ClientResponse {
 
 /// Transport timeouts of a [`Client`] connection.
 ///
-/// The default keeps the historical behavior: no connect timeout (the
-/// OS default applies) and a generous 30 s read timeout so a wedged
-/// server fails a test instead of hanging it.
+/// The default keeps the historical behavior: a generous 30 s read
+/// timeout so a wedged server fails a test instead of hanging it.
+/// Connecting always uses the OS default timeout.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct ClientConfig {
-    /// Bound on establishing the TCP connection; `None` leaves the OS
-    /// default in place.
-    connect_timeout: Option<Duration>,
     /// Bound on each blocking read; `None` blocks forever.
     read_timeout: Option<Duration>,
 }
@@ -70,7 +67,6 @@ struct ClientConfig {
 impl Default for ClientConfig {
     fn default() -> Self {
         Self {
-            connect_timeout: None,
             read_timeout: Some(Duration::from_secs(30)),
         }
     }
@@ -94,36 +90,13 @@ impl Client {
         Self::connect_with(addr, ClientConfig::default())
     }
 
-    /// Connects with explicit transport timeouts.
+    /// Connects with an explicit read timeout.
     ///
     /// # Errors
     ///
-    /// Returns the connect/configuration error, if any — including
-    /// `TimedOut` when `connect_timeout` expires first.
+    /// Returns the connect/configuration error, if any.
     fn connect_with<A: ToSocketAddrs>(addr: A, config: ClientConfig) -> io::Result<Client> {
-        let stream = match config.connect_timeout {
-            // `TcpStream::connect_timeout` needs a resolved address;
-            // try each in turn like `connect` itself would.
-            Some(timeout) => {
-                let mut last = None;
-                let mut stream = None;
-                for resolved in addr.to_socket_addrs()? {
-                    match TcpStream::connect_timeout(&resolved, timeout) {
-                        Ok(s) => {
-                            stream = Some(s);
-                            break;
-                        }
-                        Err(e) => last = Some(e),
-                    }
-                }
-                stream.ok_or_else(|| {
-                    last.unwrap_or_else(|| {
-                        io::Error::new(io::ErrorKind::InvalidInput, "address resolved to nothing")
-                    })
-                })?
-            }
-            None => TcpStream::connect(addr)?,
-        };
+        let stream = TcpStream::connect(addr)?;
         stream.set_read_timeout(config.read_timeout)?;
         let _ = stream.set_nodelay(true);
         Ok(Client {
@@ -283,7 +256,6 @@ mod tests {
         });
 
         let config = ClientConfig {
-            connect_timeout: Some(Duration::from_secs(5)),
             read_timeout: Some(Duration::from_millis(100)),
         };
         let mut client = Client::connect_with(addr, config).unwrap();
@@ -358,7 +330,6 @@ mod tests {
             stream.write_all(&head).unwrap();
         });
         let config = ClientConfig {
-            connect_timeout: Some(Duration::from_secs(5)),
             read_timeout: Some(Duration::from_secs(10)),
         };
         let started = Instant::now();
@@ -382,6 +353,5 @@ mod tests {
             ClientConfig::default().read_timeout,
             Some(Duration::from_secs(30))
         );
-        assert_eq!(ClientConfig::default().connect_timeout, None);
     }
 }

@@ -36,7 +36,7 @@ pub(crate) enum Endpoint {
 /// The counter table: one `(family, labels)` series per row, in
 /// exposition order. The endpoint rows follow [`Endpoint`]'s variants
 /// and the fault rows [`FaultKind::ALL`].
-const ROWS: [(&str, &str); 20] = [
+const ROWS: [(&str, &str); 18] = [
     ("mood_serve_requests_total", r#"endpoint="healthz""#),
     ("mood_serve_requests_total", r#"endpoint="config""#),
     ("mood_serve_requests_total", r#"endpoint="metrics""#),
@@ -47,8 +47,6 @@ const ROWS: [(&str, &str); 20] = [
     ("mood_serve_users_protected_total", ""),
     ("mood_serve_scratch_reuses_total", ""),
     ("mood_serve_attack_scratch_reuses_total", ""),
-    ("mood_serve_heatmap_cache_total", r#"result="hit""#),
-    ("mood_serve_heatmap_cache_total", r#"result="miss""#),
     ("mood_serve_connections_total", ""),
     ("mood_serve_overload_rejected_total", ""),
     ("mood_serve_faults_injected_total", r#"kind="accept_drop""#),
@@ -63,12 +61,10 @@ const ROWS: [(&str, &str); 20] = [
 const USERS: usize = 7;
 const SCRATCH_REUSES: usize = 8;
 const ATTACK_SCRATCH_REUSES: usize = 9;
-const HEATMAP_HITS: usize = 10;
-const HEATMAP_MISSES: usize = 11;
-const CONNECTIONS: usize = 12;
-const OVERLOADS: usize = 13;
-const FAULTS: usize = 14;
-const DEGRADED: usize = 19;
+const CONNECTIONS: usize = 10;
+const OVERLOADS: usize = 11;
+const FAULTS: usize = 12;
+const DEGRADED: usize = 17;
 
 /// Escapes a dynamic Prometheus label value per the text exposition
 /// rules: backslash, double quote and newline must be escaped; every
@@ -181,13 +177,6 @@ impl ServerMetrics {
     /// `MoodEngine::attack_scratch_reuses`).
     pub(crate) fn add_attack_scratch_reuses(&self, n: u64) {
         self.add(ATTACK_SCRATCH_REUSES, n);
-    }
-
-    /// Adds a request engine's rasterization-cache (heatmap-scratch)
-    /// hit/miss counts to the running totals.
-    pub(crate) fn add_heatmap_cache(&self, hits: u64, misses: u64) {
-        self.add(HEATMAP_HITS, hits);
-        self.add(HEATMAP_MISSES, misses);
     }
 
     /// Counts one accepted connection.
@@ -433,7 +422,6 @@ mod tests {
         m.add_users(5);
         m.add_scratch_reuses(7);
         m.add_attack_scratch_reuses(11);
-        m.add_heatmap_cache(3, 4);
         m.record_connection();
         m.record_overload();
 
@@ -487,14 +475,6 @@ mod tests {
         assert!(text.contains("mood_serve_scratch_reuses_total 7"), "{text}");
         assert!(
             text.contains("mood_serve_attack_scratch_reuses_total 11"),
-            "{text}"
-        );
-        assert!(
-            text.contains("mood_serve_heatmap_cache_total{result=\"hit\"} 3"),
-            "{text}"
-        );
-        assert!(
-            text.contains("mood_serve_heatmap_cache_total{result=\"miss\"} 4"),
             "{text}"
         );
         assert!(
@@ -594,7 +574,6 @@ mod tests {
     fn render_with_emits_queue_and_recorder_sections() {
         let m = ServerMetrics::new();
         m.add_attack_scratch_reuses(11);
-        m.add_heatmap_cache(3, 4);
         let recorder = Recorder::new(mood_obs::RecorderConfig::default());
         let scope = RenderScope {
             backend: "persistent",
@@ -666,9 +645,6 @@ mood_serve_users_protected_total 8
 mood_serve_scratch_reuses_total 9
 # TYPE mood_serve_attack_scratch_reuses_total counter
 mood_serve_attack_scratch_reuses_total 10
-# TYPE mood_serve_heatmap_cache_total counter
-mood_serve_heatmap_cache_total{result="hit"} 11
-mood_serve_heatmap_cache_total{result="miss"} 12
 # TYPE mood_serve_profile_store_total counter
 mood_serve_profile_store_total{result="hit"} 6
 mood_serve_profile_store_total{result="miss"} 3
@@ -765,7 +741,6 @@ mood_serve_slow_requests_total 1
         m.add_users(8);
         m.add_scratch_reuses(9);
         m.add_attack_scratch_reuses(10);
-        m.add_heatmap_cache(11, 12);
         for _ in 0..13 {
             m.record_connection();
         }

@@ -607,16 +607,12 @@ pub(crate) fn parse_body<T: serde::Deserialize>(body: &[u8]) -> Result<T, Respon
 }
 
 /// Folds one request engine's scratch observables into the server
-/// metrics: protection-buffer reuses, attack-scratch reuses and the
-/// rasterization (heatmap-scratch) cache hit/miss counts.
+/// metrics: protection-buffer reuses and attack-scratch reuses.
 fn record_engine_scratch(shared: &ServerShared, engine: &mood_core::MoodEngine) {
     shared.metrics.add_scratch_reuses(engine.scratch_reuses());
     shared
         .metrics
         .add_attack_scratch_reuses(engine.attack_scratch_reuses());
-    shared
-        .metrics
-        .add_heatmap_cache(engine.raster_cache_hits(), engine.raster_cache_misses());
 }
 
 /// Folds the engine's per-stage aggregates into synthetic child spans

@@ -239,7 +239,6 @@ fn metrics_exposition_is_well_formed() {
         "mood_serve_stage_seconds",
         "mood_serve_traces_recorded_total",
         "mood_serve_attack_scratch_reuses_total",
-        "mood_serve_heatmap_cache_total",
     ] {
         assert!(types.contains_key(family), "family {family} not rendered");
     }

@@ -128,14 +128,6 @@ fn smoke_healthz_protect_roundtrip_and_clean_shutdown() {
         text.contains("mood_serve_attack_scratch_reuses_total"),
         "{text}"
     );
-    assert!(
-        text.contains("mood_serve_heatmap_cache_total{result=\"hit\"}"),
-        "{text}"
-    );
-    assert!(
-        text.contains("mood_serve_heatmap_cache_total{result=\"miss\"}"),
-        "{text}"
-    );
     // The template trains its suite through a ProfileStore: heatmaps,
     // POI profiles and chains each miss once, and the chain derivation
     // re-fetches the POI profiles (one hit) — per-request engines reuse

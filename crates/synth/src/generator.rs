@@ -18,6 +18,13 @@ const STREAM_PERSONA: u64 = 2;
 const STREAM_DAY: u64 = 3;
 const STREAM_HOTSPOTS: u64 = 4;
 
+/// The first twin of a resident population of `users`: users from
+/// `round(users × distinct_fraction)` on share their twin group's
+/// anchors, and every user before it has anchors of its own.
+pub(crate) fn first_twin(users: usize, distinct_fraction: f64) -> usize {
+    (users as f64 * distinct_fraction).round() as usize
+}
+
 /// Anchor places of a resident (shared verbatim inside a twin group).
 #[derive(Debug, Clone)]
 struct Anchors {
@@ -90,7 +97,7 @@ impl ResidentModel {
     /// [`ResidentModel::generate`].
     fn for_each_user(&self, spec: &DatasetSpec, sink: &mut dyn FnMut(UserId, Vec<Record>)) {
         let n = spec.users;
-        let n_distinct = (n as f64 * self.distinct_fraction).round() as usize;
+        let n_distinct = first_twin(n, self.distinct_fraction);
 
         // Anchor assignment: distinct users get their own anchor set;
         // the rest share a set per twin group (with small per-member

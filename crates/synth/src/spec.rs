@@ -1,7 +1,8 @@
 use serde::{Deserialize, Serialize};
 
-use mood_trace::Dataset;
+use mood_trace::{Dataset, UserId};
 
+use crate::generator::first_twin;
 use crate::{CityModel, ResidentModel, TaxiModel};
 
 /// Which population model generates the agents of a dataset.
@@ -95,6 +96,22 @@ impl DatasetSpec {
             } => TaxiModel::new(*biased_fraction, *hotspot_count).generate(self),
         }
     }
+
+    /// Whether `user` is a twin-group member: true for a resident
+    /// population's users from `round(users × distinct_fraction)` on,
+    /// who share their group's anchors verbatim, and false for taxis,
+    /// who have no groups.
+    pub fn is_twin(&self, user: UserId) -> bool {
+        match &self.population {
+            PopulationModel::Residents {
+                distinct_fraction, ..
+            } => {
+                let twins = first_twin(self.users, *distinct_fraction) as u64..self.users as u64;
+                twins.contains(&user.as_u64())
+            }
+            PopulationModel::Taxis { .. } => false,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -121,6 +138,15 @@ mod tests {
     #[should_panic(expected = "scale factor")]
     fn scaled_rejects_zero() {
         presets::mdc_like().scaled(0.0);
+    }
+
+    #[test]
+    fn twins_are_the_resident_users_past_the_distinct_fraction() {
+        let spec = presets::mdc_like().scaled(0.2); // 28 users, 16 distinct
+        let twins: Vec<u64> = (0..40).filter(|&u| spec.is_twin(UserId::new(u))).collect();
+        assert_eq!(twins, (16..28).collect::<Vec<_>>());
+        let taxis = presets::cabspotting_like().scaled(0.02);
+        assert!((0..taxis.users as u64).all(|u| !taxis.is_twin(UserId::new(u))));
     }
 
     #[test]

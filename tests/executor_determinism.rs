@@ -53,8 +53,8 @@ fn protect_dataset_is_identical_for_every_backend_and_thread_count() {
 
 #[test]
 fn scratch_attack_path_is_byte_identical_and_observably_reused() {
-    // The scratch-aware attack path (per-worker AttackScratch, pruned
-    // profile matching, shared rasterization cache, HMC plan cache) is
+    // The scratch-aware attack path (leased AttackScratch, pruned
+    // profile matching, the verified POI-profile cache) is
     // the engine's default scoring path. Gate it explicitly: every
     // backend × thread count must produce the byte-identical protection
     // AND must demonstrably run on warm attack arenas — if the scratch

@@ -60,7 +60,7 @@ pub use pit_attack::PitAttack;
 pub use poi_attack::PoiAttack;
 pub use prediction::Prediction;
 pub use scratch::AttackScratch;
-pub use store::{ChainSet, PoiProfileSet, ProfileStore, StoreCounters};
+pub use store::{ProfileSet, ProfileStore, StoreCounters};
 
 use mood_trace::{Dataset, Trace};
 
@@ -78,8 +78,8 @@ pub trait Attack {
     /// background knowledge train once.
     ///
     /// A store hit is byte-identical (verdicts *and* profiles) to a
-    /// fresh build: hits are full-compare verified, never
-    /// fingerprint-trusted.
+    /// fresh build: a hit is taken only when `background` equals the
+    /// interned copy bit for bit.
     ///
     /// # Panics
     ///

@@ -3,7 +3,7 @@ use std::sync::Arc;
 use mood_models::{kernels, CentroidSoa, MarkovChain, PoiExtractor};
 use mood_trace::{Dataset, Trace, UserId};
 
-use crate::{Attack, AttackScratch, ChainSet, Prediction, ProfileStore, TrainedAttack};
+use crate::{Attack, AttackScratch, Prediction, ProfileSet, ProfileStore, TrainedAttack};
 
 /// PIT-Attack (Gambs et al. 2014, the paper's \[16\]): profiles are
 /// Mobility Markov Chains; chains are compared with the **stats-prox**
@@ -65,7 +65,7 @@ impl Attack for PitAttack {
 struct TrainedPitAttack {
     extractor: PoiExtractor,
     top_k: usize,
-    profiles: Arc<ChainSet>,
+    profiles: Arc<ProfileSet<MarkovChain>>,
 }
 
 /// The stationary term of [`stats_prox`]: each anonymous state's
@@ -180,7 +180,7 @@ impl TrainedAttack for TrainedPitAttack {
         if chain.is_empty() {
             return false; // predict abstains
         }
-        let (chains, centroids) = (self.profiles.chains(), self.profiles.centroids());
+        let (chains, centroids) = (self.profiles.profiles(), self.profiles.centroids());
         crate::scratch::true_user_wins(
             self.profiles.users(),
             true_user,

@@ -3,7 +3,7 @@ use std::sync::Arc;
 use mood_models::{kernels, PoiExtractor, PoiProfile};
 use mood_trace::{Dataset, Trace, UserId};
 
-use crate::{Attack, AttackScratch, PoiProfileSet, Prediction, ProfileStore, TrainedAttack};
+use crate::{Attack, AttackScratch, Prediction, ProfileSet, ProfileStore, TrainedAttack};
 
 /// POI-Attack (Primault et al. 2014, the paper's \[27\]): profiles are POI
 /// sets; the similarity between an anonymous profile and a candidate is
@@ -54,7 +54,7 @@ impl Attack for PoiAttack {
 
 struct TrainedPoiAttack {
     extractor: PoiExtractor,
-    profiles: Arc<PoiProfileSet>,
+    profiles: Arc<ProfileSet<PoiProfile>>,
 }
 
 /// Weighted mean distance from each POI of `anon` to the nearest POI of

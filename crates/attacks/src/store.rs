@@ -14,41 +14,69 @@
 //! # Exactness contract
 //!
 //! Like the other cache on the verdict path (the scratch
-//! `ProfileCache`), hits are **verified**: the dataset key
-//! is a fingerprint used only as a fast reject — a hit is taken only
-//! after a full `Dataset` equality compare, so two different datasets
-//! can never alias and store-trained suites are byte-identical to
-//! independently trained ones (gated by tests below and the cold ≡ warm
-//! determinism suite).
+//! `ProfileCache`), hits are **verified**: a lookup compares the
+//! background with each interned copy bit for bit — users and record
+//! counts, then every record's timestamp and coordinate bits — so two
+//! different datasets can never alias and store-trained suites are
+//! byte-identical to independently trained ones (gated by tests below
+//! and the cold ≡ warm determinism suite). The derived `Dataset ==` is
+//! not enough: `GeoPoint`'s `PartialEq` equates `-0.0` with `0.0`, and a
+//! profile built from one can differ in its bits from one built from
+//! the other.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use mood_models::{CentroidSoa, HeatmapSet, MarkovChain, PoiExtractor, PoiProfile};
-use mood_trace::{Dataset, UserId};
+use mood_models::{CentroidSoa, HeatmapSet, MarkovChain, Poi, PoiExtractor, PoiProfile};
+use mood_trace::{Dataset, Record, Trace, UserId};
 
-/// Per-user POI profiles plus the SoA centroid sidecars the verdict
-/// kernels stream, in ascending-user order.
+/// Per-user profiles plus the SoA centroid sidecars the verdict kernels
+/// stream, in ascending-user order: POI-Attack's POI profiles
+/// ([`ProfileSet::build`]) or PIT-Attack's Markov chains, whose sidecars
+/// hold the state centroids in state order ([`ProfileSet::derive`]).
 #[derive(Debug, Clone, PartialEq)]
-pub struct PoiProfileSet {
+pub struct ProfileSet<P> {
     users: Vec<UserId>,
-    profiles: Vec<PoiProfile>,
+    profiles: Vec<P>,
     centroids: Vec<CentroidSoa>,
 }
 
-impl PoiProfileSet {
+impl ProfileSet<PoiProfile> {
     /// Extracts one POI profile per user, exactly as POI-Attack training
     /// always has, and splits each profile's centroids into SoA form.
     pub fn build(background: &Dataset, extractor: &PoiExtractor) -> Self {
-        let mut users = Vec::with_capacity(background.user_count());
-        let mut profiles = Vec::with_capacity(background.user_count());
-        let mut centroids = Vec::with_capacity(background.user_count());
-        for trace in background.iter() {
-            let profile = extractor.extract_profile(trace);
-            users.push(trace.user());
-            centroids.push(CentroidSoa::from_pois(profile.pois()));
-            profiles.push(profile);
-        }
+        Self::from_profiles(
+            background
+                .iter()
+                .map(|trace| (trace.user(), extractor.extract_profile(trace))),
+            PoiProfile::pois,
+        )
+    }
+}
+
+impl ProfileSet<MarkovChain> {
+    /// Derives one Markov chain per user from already-extracted POI
+    /// profiles — the chains are a pure function of the profiles, so
+    /// deriving from a shared POI set is byte-identical to PIT-Attack's
+    /// original extract-then-chain training.
+    pub fn derive(pois: &ProfileSet<PoiProfile>) -> Self {
+        Self::from_profiles(
+            pois.iter()
+                .map(|(user, profile, _)| (user, MarkovChain::from_profile(profile))),
+            MarkovChain::states,
+        )
+    }
+}
+
+impl<P> ProfileSet<P> {
+    /// `(user, profile)` pairs in their order, each profile's `places`
+    /// split into its SoA sidecar.
+    fn from_profiles(entries: impl Iterator<Item = (UserId, P)>, places: fn(&P) -> &[Poi]) -> Self {
+        let (users, profiles): (Vec<UserId>, Vec<P>) = entries.unzip();
+        let centroids = profiles
+            .iter()
+            .map(|profile| CentroidSoa::from_pois(places(profile)))
+            .collect();
         Self {
             users,
             profiles,
@@ -57,16 +85,16 @@ impl PoiProfileSet {
     }
 
     /// Profiles in ascending-user order.
-    pub fn profiles(&self) -> &[PoiProfile] {
+    pub fn profiles(&self) -> &[P] {
         &self.profiles
     }
 
-    /// Users, ascending, parallel to [`PoiProfileSet::profiles`].
+    /// Users, ascending, parallel to [`ProfileSet::profiles`].
     pub fn users(&self) -> &[UserId] {
         &self.users
     }
 
-    /// SoA centroid sidecars, parallel to [`PoiProfileSet::profiles`].
+    /// SoA centroid sidecars, parallel to [`ProfileSet::profiles`].
     pub(crate) fn centroids(&self) -> &[CentroidSoa] {
         &self.centroids
     }
@@ -82,81 +110,13 @@ impl PoiProfileSet {
     }
 
     /// `(user, profile, SoA centroids)` triples in ascending-user order.
-    pub fn iter(&self) -> impl Iterator<Item = (UserId, &PoiProfile, &CentroidSoa)> + '_ {
+    pub fn iter(&self) -> impl Iterator<Item = (UserId, &P, &CentroidSoa)> + '_ {
         self.users
             .iter()
             .copied()
             .zip(self.profiles.iter())
             .zip(self.centroids.iter())
             .map(|((u, p), c)| (u, p, c))
-    }
-}
-
-/// Per-user Mobility Markov Chains plus SoA centroid sidecars (state
-/// order), in ascending-user order.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ChainSet {
-    users: Vec<UserId>,
-    chains: Vec<MarkovChain>,
-    centroids: Vec<CentroidSoa>,
-}
-
-impl ChainSet {
-    /// Derives one Markov chain per user from already-extracted POI
-    /// profiles — the chains are a pure function of the profiles, so
-    /// deriving from a shared [`PoiProfileSet`] is byte-identical to
-    /// PIT-Attack's original extract-then-chain training.
-    pub fn derive(profiles: &PoiProfileSet) -> Self {
-        let mut users = Vec::with_capacity(profiles.len());
-        let mut chains = Vec::with_capacity(profiles.len());
-        let mut centroids = Vec::with_capacity(profiles.len());
-        for (user, profile, _) in profiles.iter() {
-            let chain = MarkovChain::from_profile(profile);
-            users.push(user);
-            centroids.push(CentroidSoa::from_pois(chain.states()));
-            chains.push(chain);
-        }
-        Self {
-            users,
-            chains,
-            centroids,
-        }
-    }
-
-    /// Chains in ascending-user order.
-    pub fn chains(&self) -> &[MarkovChain] {
-        &self.chains
-    }
-
-    /// Users, ascending, parallel to [`ChainSet::chains`].
-    pub fn users(&self) -> &[UserId] {
-        &self.users
-    }
-
-    /// SoA state-centroid sidecars, parallel to [`ChainSet::chains`].
-    pub(crate) fn centroids(&self) -> &[CentroidSoa] {
-        &self.centroids
-    }
-
-    /// Number of profiled users.
-    pub fn len(&self) -> usize {
-        self.users.len()
-    }
-
-    /// Whether no user is profiled.
-    pub fn is_empty(&self) -> bool {
-        self.users.is_empty()
-    }
-
-    /// `(user, chain, SoA state centroids)` triples in ascending-user
-    /// order.
-    pub fn iter(&self) -> impl Iterator<Item = (UserId, &MarkovChain, &CentroidSoa)> + '_ {
-        self.users
-            .iter()
-            .copied()
-            .zip(self.chains.iter())
-            .zip(self.centroids.iter())
-            .map(|((u, ch), c)| (u, ch, c))
     }
 }
 
@@ -175,7 +135,8 @@ pub struct StoreCounters {
 }
 
 /// Interned, `Arc`-shared trained profile sets keyed by `(background
-/// dataset, model parameters)` — hits verified by full dataset compare.
+/// dataset, model parameters)` — hits verified by a bit-for-bit dataset
+/// comparison.
 ///
 /// # Examples
 ///
@@ -208,33 +169,53 @@ pub struct ProfileStore {
     profile_builds: AtomicU64,
 }
 
+/// Interned sets under their `(dataset index, parameters)` keys.
+type Entries<K, S> = Vec<((usize, K), Arc<S>)>;
+
 #[derive(Default)]
 struct StoreInner {
-    /// Interned datasets: `(fingerprint, full copy)`. The fingerprint is
-    /// a fast reject only; interning compares the full dataset.
-    datasets: Vec<(u64, Arc<Dataset>)>,
-    /// `(dataset index, cell size bits) → heatmaps`.
-    heatmaps: Vec<(usize, u64, Arc<HeatmapSet>)>,
-    /// `(dataset index, extractor) → POI profiles`.
-    pois: Vec<(usize, PoiExtractor, Arc<PoiProfileSet>)>,
-    /// `(dataset index, extractor) → Markov chains`.
-    chains: Vec<(usize, PoiExtractor, Arc<ChainSet>)>,
+    /// Interned datasets: full copies, no two equal bit for bit.
+    datasets: Vec<Dataset>,
+    /// Heatmaps keyed by cell size bits.
+    heatmaps: Entries<u64, HeatmapSet>,
+    /// POI profiles keyed by extractor.
+    pois: Entries<PoiExtractor, ProfileSet<PoiProfile>>,
+    /// Markov chains keyed by extractor.
+    chains: Entries<PoiExtractor, ProfileSet<MarkovChain>>,
 }
 
 impl StoreInner {
-    /// Index of `background` in the interned list, adding it when new.
-    /// A fingerprint match alone is never trusted: the stored dataset
-    /// must compare equal record-for-record.
+    /// Index of the interned copy that equals `background` bit for bit,
+    /// interning a copy when there is none.
     fn dataset_index(&mut self, background: &Dataset) -> usize {
-        let fp = dataset_fingerprint(background);
-        for (i, (stored_fp, stored)) in self.datasets.iter().enumerate() {
-            if *stored_fp == fp && **stored == *background {
-                return i;
-            }
+        if let Some(i) = self.datasets.iter().position(|d| same_bits(d, background)) {
+            return i;
         }
-        self.datasets.push((fp, Arc::new(background.clone())));
+        self.datasets.push(background.clone());
         self.datasets.len() - 1
     }
+}
+
+/// Whether `a` and `b` hold the same users and records bit for bit:
+/// users and record counts first, then every record's timestamp and
+/// coordinate bits. Unlike the derived `Dataset ==`, this tells `-0.0`
+/// from `0.0`.
+fn same_bits(a: &Dataset, b: &Dataset) -> bool {
+    let shape = |t: &Trace| (t.user(), t.len());
+    let bits = |r: &Record| {
+        (
+            r.time(),
+            r.point().lat().to_bits(),
+            r.point().lng().to_bits(),
+        )
+    };
+    a.iter().map(shape).eq(b.iter().map(shape))
+        && a.iter().zip(b.iter()).all(|(s, t)| {
+            s.records()
+                .iter()
+                .map(bits)
+                .eq(t.records().iter().map(bits))
+        })
 }
 
 impl ProfileStore {
@@ -247,22 +228,10 @@ impl ProfileStore {
     /// when already built, built exactly once otherwise.
     pub fn heatmaps(&self, background: &Dataset, cell_size_m: f64) -> Arc<HeatmapSet> {
         let mut inner = self.inner.lock().expect("profile store lock");
-        let ds = inner.dataset_index(background);
-        let key = cell_size_m.to_bits();
-        if let Some((_, _, set)) = inner
-            .heatmaps
-            .iter()
-            .find(|(d, k, _)| *d == ds && *k == key)
-        {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(set);
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let set = Arc::new(HeatmapSet::build(background, cell_size_m));
-        self.profile_builds
-            .fetch_add(set.len() as u64, Ordering::Relaxed);
-        inner.heatmaps.push((ds, key, Arc::clone(&set)));
-        set
+        let key = (inner.dataset_index(background), cell_size_m.to_bits());
+        self.find_or_build(&mut inner.heatmaps, key, HeatmapSet::len, || {
+            HeatmapSet::build(background, cell_size_m)
+        })
     }
 
     /// The per-user POI profile set for `(background, extractor)`:
@@ -271,56 +240,53 @@ impl ProfileStore {
         &self,
         background: &Dataset,
         extractor: &PoiExtractor,
-    ) -> Arc<PoiProfileSet> {
+    ) -> Arc<ProfileSet<PoiProfile>> {
         let mut inner = self.inner.lock().expect("profile store lock");
-        let ds = inner.dataset_index(background);
-        self.poi_profiles_locked(&mut inner, ds, background, extractor)
-    }
-
-    fn poi_profiles_locked(
-        &self,
-        inner: &mut StoreInner,
-        ds: usize,
-        background: &Dataset,
-        extractor: &PoiExtractor,
-    ) -> Arc<PoiProfileSet> {
-        if let Some((_, _, set)) = inner
-            .pois
-            .iter()
-            .find(|(d, e, _)| *d == ds && e == extractor)
-        {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(set);
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let set = Arc::new(PoiProfileSet::build(background, extractor));
-        self.profile_builds
-            .fetch_add(set.len() as u64, Ordering::Relaxed);
-        inner.pois.push((ds, *extractor, Arc::clone(&set)));
-        set
+        let key = (inner.dataset_index(background), *extractor);
+        self.find_or_build(&mut inner.pois, key, ProfileSet::len, || {
+            ProfileSet::build(background, extractor)
+        })
     }
 
     /// The per-user Markov chain set for `(background, extractor)`:
     /// shared when already built, otherwise derived from the (also
     /// shared) POI profile set — so a POI + PIT suite extracts stays
     /// once, not twice.
-    pub fn markov_chains(&self, background: &Dataset, extractor: &PoiExtractor) -> Arc<ChainSet> {
-        let mut inner = self.inner.lock().expect("profile store lock");
-        let ds = inner.dataset_index(background);
-        if let Some((_, _, set)) = inner
-            .chains
-            .iter()
-            .find(|(d, e, _)| *d == ds && e == extractor)
-        {
+    pub fn markov_chains(
+        &self,
+        background: &Dataset,
+        extractor: &PoiExtractor,
+    ) -> Arc<ProfileSet<MarkovChain>> {
+        let mut guard = self.inner.lock().expect("profile store lock");
+        let inner = &mut *guard;
+        let key = (inner.dataset_index(background), *extractor);
+        let pois = &mut inner.pois;
+        self.find_or_build(&mut inner.chains, key, ProfileSet::len, || {
+            let profiles = self.find_or_build(pois, key, ProfileSet::len, || {
+                ProfileSet::build(background, extractor)
+            });
+            ProfileSet::derive(&profiles)
+        })
+    }
+
+    /// The set interned under `key`, counted as a hit; otherwise a miss
+    /// that builds the set, counts its `len` profiles and interns it.
+    fn find_or_build<K: PartialEq, S>(
+        &self,
+        entries: &mut Entries<K, S>,
+        key: (usize, K),
+        len: fn(&S) -> usize,
+        build: impl FnOnce() -> S,
+    ) -> Arc<S> {
+        if let Some((_, set)) = entries.iter().find(|(k, _)| *k == key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Arc::clone(set);
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let profiles = self.poi_profiles_locked(&mut inner, ds, background, extractor);
-        let set = Arc::new(ChainSet::derive(&profiles));
+        let set = Arc::new(build());
         self.profile_builds
-            .fetch_add(set.len() as u64, Ordering::Relaxed);
-        inner.chains.push((ds, *extractor, Arc::clone(&set)));
+            .fetch_add(len(&set) as u64, Ordering::Relaxed);
+        entries.push((key, Arc::clone(&set)));
         set
     }
 
@@ -334,38 +300,14 @@ impl ProfileStore {
     }
 }
 
-/// Order-sensitive 64-bit fingerprint of a dataset's full content
-/// (users, record coordinates and timestamps, bit-exact) — a fast
-/// reject for dataset interning, never trusted without the full
-/// compare.
-fn dataset_fingerprint(dataset: &Dataset) -> u64 {
-    let mut h = 0x4d6f_6f44_5374_6f72 ^ dataset.record_count() as u64; // "MooDStor"
-    for trace in dataset.iter() {
-        h = mix64(h ^ trace.user().as_u64());
-        for record in trace.records() {
-            h = mix64(h ^ record.point().lat().to_bits());
-            h = mix64(h ^ record.point().lng().to_bits());
-            h = mix64(h ^ record.time().as_unix() as u64);
-        }
-    }
-    h
-}
-
-/// SplitMix64 finalizer.
-fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{ApAttack, Attack, AttackSuite, PitAttack, PoiAttack};
+    use mood_geo::GeoPoint;
     use mood_models::Heatmap;
     use mood_synth::presets;
-    use mood_trace::TimeDelta;
+    use mood_trace::{TimeDelta, Timestamp};
 
     fn worlds() -> (Dataset, Dataset) {
         presets::privamov_like()
@@ -417,7 +359,7 @@ mod tests {
                 .map(|t| MarkovChain::from_profile(&extractor.extract_profile(t)))
                 .collect();
             assert_eq!(
-                serde_json::to_string(chains.chains()).unwrap(),
+                serde_json::to_string(chains.profiles()).unwrap(),
                 serde_json::to_string(&direct).unwrap(),
             );
         }
@@ -468,8 +410,7 @@ mod tests {
         }
     }
 
-    /// A different dataset must never alias an interned one, even
-    /// though interning starts from a fingerprint.
+    /// A different dataset must never alias an interned one.
     #[test]
     fn different_datasets_never_share_entries() {
         let (bg, _) = worlds();
@@ -505,5 +446,47 @@ mod tests {
             &store.poi_profiles(&bg, &e2)
         ));
         assert_eq!(store.counters().hits, 0);
+    }
+
+    /// Two users, two records each, the first at latitude `first_lat`;
+    /// `last_lng` and `last_time` place the last record.
+    fn two_users(first_lat: f64, last_lng: f64, last_time: i64) -> Dataset {
+        let at =
+            |lat, lng, t| Record::new(GeoPoint::new(lat, lng).unwrap(), Timestamp::from_unix(t));
+        let trace = |user, records| Trace::new(UserId::new(user), records).unwrap();
+        Dataset::from_traces([
+            trace(1, vec![at(first_lat, 6.10, 0), at(0.01, 6.11, 600)]),
+            trace(2, vec![at(0.05, 6.20, 0), at(0.07, last_lng, last_time)]),
+        ])
+        .unwrap()
+    }
+
+    /// Interning compares bits: a copy that differs from an interned
+    /// background in one sign, one ulp or one second misses, even where
+    /// the derived `Dataset ==` calls the two equal, and an equal copy
+    /// built separately hits.
+    #[test]
+    fn interning_is_exact_to_the_bit() {
+        let (lng, time) = (6.22, 1200);
+        let bg = two_users(0.0, lng, time);
+        let store = ProfileStore::new();
+        let interned = store.heatmaps(&bg, 800.0);
+        let equal = Dataset::from_traces(bg.iter().cloned()).unwrap();
+        assert!(Arc::ptr_eq(&store.heatmaps(&equal, 800.0), &interned));
+        assert_eq!((store.counters().misses, store.counters().hits), (1, 1));
+
+        let negative_zero = two_users(-0.0, lng, time);
+        assert_eq!(negative_zero, bg, "derived == equates the zeros");
+        let copies = [
+            negative_zero,
+            two_users(0.0, f64::from_bits(lng.to_bits() + 1), time),
+            two_users(0.0, lng, time + 1),
+        ];
+        for (i, copy) in copies.iter().enumerate() {
+            let set = store.heatmaps(copy, 800.0);
+            assert!(!Arc::ptr_eq(&set, &interned), "copy {i}");
+            let c = store.counters();
+            assert_eq!((c.misses, c.hits), (2 + i as u64, 1), "copy {i}");
+        }
     }
 }

@@ -402,7 +402,10 @@ mod tests {
         assert_eq!(counters.hits, 2, "{counters:?}");
         // Engines built from the context surface the same counters.
         let engine = ctx.engine(Adversary::ApOnly);
-        assert_eq!(engine.profile_store_counters(), counters);
+        let store = engine
+            .profile_store()
+            .expect("context engines share the store");
+        assert_eq!(store.counters(), counters);
     }
 
     #[test]

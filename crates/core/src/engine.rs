@@ -8,7 +8,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use mood_attacks::{
-    ApAttack, Attack, AttackScratch, AttackSuite, PitAttack, PoiAttack, ProfileStore, StoreCounters,
+    ApAttack, Attack, AttackScratch, AttackSuite, PitAttack, PoiAttack, ProfileStore,
 };
 use mood_lppm::{arrangements, Composition, GeoI, Hmc, Lppm, Trl};
 use mood_metrics::{spatio_temporal_distortion, spatio_temporal_distortion_within};
@@ -239,7 +239,8 @@ impl EngineBuilder {
     /// so a second engine built over the same background dataset —
     /// another tenant, an ablation, a per-request rebuild — reuses them
     /// without building a single profile. The store's hit/miss/build
-    /// counters are surfaced by [`MoodEngine::profile_store_counters`].
+    /// counters ([`ProfileStore::counters`]) are reached through
+    /// [`MoodEngine::profile_store`].
     ///
     /// # Panics
     ///
@@ -556,17 +557,6 @@ impl MoodEngine {
     /// sibling engine over the same background for free.
     pub fn profile_store(&self) -> Option<Arc<ProfileStore>> {
         self.store.as_ref().map(Arc::clone)
-    }
-
-    /// Hit/miss/build counters of the engine's profile store — the
-    /// observable proof that retraining over an already-seen background
-    /// dataset builds zero additional profiles. All zeros when the
-    /// engine was built without a store.
-    pub fn profile_store_counters(&self) -> StoreCounters {
-        self.store
-            .as_ref()
-            .map(|s| s.counters())
-            .unwrap_or_default()
     }
 
     /// The base LPPM set `L`.
@@ -1708,7 +1698,7 @@ mod tests {
         let store = first
             .profile_store()
             .expect("paper_default always attaches a store");
-        let cold = first.profile_store_counters();
+        let cold = store.counters();
         assert!(cold.misses > 0 && cold.profile_builds > 0);
         // POI and PIT share one extraction pass even inside one suite.
         assert!(cold.hits > 0, "PIT must reuse POI's profile extraction");
@@ -1716,7 +1706,10 @@ mod tests {
         let second = EngineBuilder::paper_default_with_store(&bg, store)
             .build()
             .unwrap();
-        let warm = second.profile_store_counters();
+        let warm = second
+            .profile_store()
+            .expect("the shared store stays attached")
+            .counters();
         assert_eq!(
             warm.profile_builds, cold.profile_builds,
             "second engine over the same background must build zero profiles"
@@ -1741,7 +1734,6 @@ mod tests {
             .build()
             .unwrap();
         assert!(engine.profile_store().is_none());
-        assert_eq!(engine.profile_store_counters(), StoreCounters::default());
     }
 
     #[test]

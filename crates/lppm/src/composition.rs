@@ -93,56 +93,19 @@ impl Lppm for Composition {
     }
 }
 
-/// Enumerates every ordered composition of distinct mechanisms from
-/// `base` with length in `[min_len, max_len]` — the search space `C` of
-/// MooD's Multi-LPPM Composition Search.
+/// Every ordered arrangement of distinct indices into `0..n` with
+/// length in `[min_len, max_len]`: the search space `C` of MooD's
+/// Multi-LPPM Composition Search over `n` base mechanisms, each chain
+/// naming the mechanisms in application order.
 ///
 /// The count over all lengths 1..=n is `Σ_{i=1..n} n!/(n−i)!` (paper
 /// §3.1): 15 for n = 3. MooD's Algorithm 1 searches singles first
 /// (`min_len = max_len = 1`) and then the proper compositions
 /// (`min_len = 2`).
 ///
-/// Enumeration order is deterministic: shorter compositions first, then
-/// lexicographic by base index — so "the best protecting variant" is
+/// Enumeration order is deterministic: shorter arrangements first, then
+/// lexicographic by index — so "the best protecting variant" is
 /// reproducible across runs.
-///
-/// # Panics
-///
-/// Panics when `base` is empty, `min_len` is zero, or
-/// `min_len > max_len`.
-///
-/// # Examples
-///
-/// ```
-/// use std::sync::Arc;
-/// use mood_lppm::{enumerate_compositions, GeoI, Hmc, Lppm, Trl};
-///
-/// let base: Vec<Arc<dyn Lppm>> = vec![
-///     Arc::new(GeoI::paper_default()),
-///     Arc::new(Trl::paper_default()),
-/// ];
-/// // n = 2: 2 singles + 2 ordered pairs = 4
-/// let all = enumerate_compositions(&base, 1, 2);
-/// assert_eq!(all.len(), 4);
-/// let pairs = enumerate_compositions(&base, 2, 2);
-/// assert_eq!(pairs.len(), 2);
-/// ```
-pub fn enumerate_compositions(
-    base: &[Arc<dyn Lppm>],
-    min_len: usize,
-    max_len: usize,
-) -> Vec<Composition> {
-    assert!(!base.is_empty(), "need at least one base LPPM");
-    arrangements(base.len(), min_len, max_len)
-        .into_iter()
-        .map(|chain| Composition::new(chain.iter().map(|&i| Arc::clone(&base[i])).collect()))
-        .collect()
-}
-
-/// The index form of [`enumerate_compositions`]: every ordered
-/// arrangement of distinct indices into `0..n` with length in
-/// `[min_len, max_len]`, in the same order (shorter first, then
-/// lexicographic).
 ///
 /// # Panics
 ///
@@ -172,21 +135,6 @@ pub fn arrangements(n: usize, min_len: usize, max_len: usize) -> Vec<Vec<usize>>
     by_len.into_iter().skip(min_len).flatten().collect()
 }
 
-/// The size of the full composition space for `n` base LPPMs:
-/// `Σ_{i=1..n} n!/(n−i)!` (paper §3.1).
-pub fn composition_space_size(n: usize) -> usize {
-    let mut total = 0usize;
-    for i in 1..=n {
-        // n!/(n-i)! = n * (n-1) * ... * (n-i+1)
-        let mut arrangements = 1usize;
-        for k in 0..i {
-            arrangements *= n - k;
-        }
-        total += arrangements;
-    }
-    total
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -196,14 +144,6 @@ mod tests {
     use mood_trace::{TimeDelta, Timestamp, UserId};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    fn base3() -> Vec<Arc<dyn Lppm>> {
-        vec![
-            Arc::new(GeoI::paper_default()) as Arc<dyn Lppm>,
-            Arc::new(Trl::paper_default()),
-            Arc::new(GeoI::new(0.001)), // stands in for HMC (needs no background)
-        ]
-    }
 
     fn walk(n: i64) -> Trace {
         let records: Vec<Record> = (0..n)
@@ -220,39 +160,30 @@ mod tests {
     #[test]
     fn paper_count_for_three_lppms() {
         // |C| = 3 + 6 + 6 = 15 (paper §3.3: "for n = 3 ... |C| = 15")
-        assert_eq!(composition_space_size(3), 15);
-        assert_eq!(enumerate_compositions(&base3(), 1, 3).len(), 15);
+        assert_eq!(arrangements(3, 1, 3).len(), 15);
         // C - L (compositions of at least 2): 12
-        assert_eq!(enumerate_compositions(&base3(), 2, 3).len(), 12);
+        assert_eq!(arrangements(3, 2, 3).len(), 12);
         // singles only
-        assert_eq!(enumerate_compositions(&base3(), 1, 1).len(), 3);
+        assert_eq!(arrangements(3, 1, 1).len(), 3);
     }
 
     #[test]
     fn space_size_formula() {
-        assert_eq!(composition_space_size(1), 1);
-        assert_eq!(composition_space_size(2), 4);
-        assert_eq!(composition_space_size(4), 4 + 12 + 24 + 24);
+        assert_eq!(arrangements(1, 1, 1).len(), 1);
+        assert_eq!(arrangements(2, 1, 2).len(), 4);
+        assert_eq!(arrangements(4, 1, 4).len(), 4 + 12 + 24 + 24);
     }
 
     #[test]
     fn enumeration_has_no_duplicates() {
-        // base with unique names (two GeoI configs share the "Geo-I"
-        // name, so use the two distinct mechanisms here)
-        let base: Vec<Arc<dyn Lppm>> = vec![
-            Arc::new(GeoI::paper_default()),
-            Arc::new(Trl::paper_default()),
-        ];
-        let all = enumerate_compositions(&base, 1, 2);
-        let names: std::collections::HashSet<String> =
-            all.iter().map(|c| c.name().to_string()).collect();
-        assert_eq!(names.len(), all.len());
+        let all = arrangements(3, 1, 3);
+        let distinct: std::collections::HashSet<&Vec<usize>> = all.iter().collect();
+        assert_eq!(distinct.len(), all.len());
     }
 
     #[test]
     fn enumeration_is_shorter_first() {
-        let all = enumerate_compositions(&base3(), 1, 3);
-        let lens: Vec<usize> = all.iter().map(Composition::len).collect();
+        let lens: Vec<usize> = arrangements(3, 1, 3).iter().map(Vec::len).collect();
         let mut sorted = lens.clone();
         sorted.sort();
         assert_eq!(lens, sorted);
@@ -368,6 +299,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "min_len must be at least 1")]
     fn zero_min_len_rejected() {
-        enumerate_compositions(&base3(), 0, 3);
+        arrangements(3, 0, 3);
     }
 }

@@ -22,10 +22,10 @@
 //! extension hook the paper names in §6.
 //!
 //! [`Composition`] applies several LPPMs in sequence (function
-//! composition, Eq. 3) and [`enumerate_compositions`] generates the full
-//! search space `C` of MooD's Multi-LPPM Composition Search
-//! (|C| = Σᵢ n!/(n−i)! = 15 for n = 3); [`arrangements`] is its index
-//! form, from which the engine builds its composition tree.
+//! composition, Eq. 3), and [`arrangements`] enumerates the search space
+//! `C` of MooD's Multi-LPPM Composition Search as index chains
+//! (|C| = Σᵢ n!/(n−i)! = 15 for n = 3), from which the engine builds its
+//! composition tree.
 //!
 //! Every mechanism is deterministic given its RNG, so whole experiment
 //! runs reproduce exactly.
@@ -40,7 +40,7 @@ mod hmc;
 mod trl;
 
 pub use cloaking::SpatialCloaking;
-pub use composition::{arrangements, composition_space_size, enumerate_compositions, Composition};
+pub use composition::{arrangements, Composition};
 pub use geo_i::GeoI;
 pub use hmc::Hmc;
 pub use trl::Trl;

@@ -65,18 +65,19 @@ threads are spawned once per run, not once per batch. The output is
 byte-identical for every thread count.
 
 `mood ingest` streams a CSV into the compressed, chunked trace store
-without ever materializing the file: rows are parsed line by line and
-buffered per user, every --seal-records rows of a user seal into one
-delta-encoded chunk, and users that go quiet are sealed early. Peak
-memory is bounded by --store-budget (the decoded-trace cache) plus
-small per-user ingest buffers — not by corpus size. With --background
-it then protects the corpus straight from the store (one decode per
-user, through the cache), producing a report and published CSV
-byte-identical to `mood protect` on the same inputs; the flags after
---background apply only with it.
+without ever materializing the file: 64 KiB blocks of rows are parsed
+on every core and handed on in file order, rows are buffered per user,
+every --seal-records rows of a user seal into one delta-encoded chunk,
+and users that go quiet are sealed early. Peak memory is bounded by
+--store-budget (the decoded-trace cache) plus small per-user ingest
+buffers and a few blocks in flight — not by corpus size. With
+--background it then protects the corpus straight from the store (one
+decode per user, through the cache), producing a report and published
+CSV byte-identical to `mood protect` on the same inputs; the flags
+after --background apply only with it.
 
 Every command rejects a flag it does not list above, and a flag
-without a value.
+without a value. An error reading a CSV names its file first.
 
 `mood serve` runs the online middleware: POST /v1/protect (one trace),
 POST /v1/protect/batch (many, via protect_stream), GET /healthz,
@@ -185,6 +186,16 @@ fn parse_flags(args: &[String], accepted: &str) -> Result<HashMap<String, String
     Ok(out)
 }
 
+/// Reads the CSV file at `path` with `read`, naming the file in any
+/// error: a command reads up to two CSVs, and the error must say which
+/// one is missing or holds the malformed row.
+fn csv_file<'a, T>(
+    path: &'a str,
+    read: impl FnOnce(&'a str) -> mood_trace::Result<T>,
+) -> Result<T, String> {
+    read(path).map_err(|e| format!("{path}: {e}"))
+}
+
 fn required<'a>(opts: &'a HashMap<String, String>, key: &str) -> Result<&'a str, String> {
     opts.get(key)
         .map(String::as_str)
@@ -256,7 +267,7 @@ fn cmd_split(opts: &HashMap<String, String>) -> Result<(), String> {
     if days <= 0 {
         return Err("--train-days must be positive".into());
     }
-    let ds = trace_io::read_csv_file(input).map_err(|e| e.to_string())?;
+    let ds = csv_file(input, trace_io::read_csv_file)?;
     let (train, test) = ds.split_chronological(TimeDelta::from_days(days));
     trace_io::write_csv_file(&train, train_out).map_err(|e| e.to_string())?;
     trace_io::write_csv_file(&test, test_out).map_err(|e| e.to_string())?;
@@ -277,8 +288,8 @@ fn cmd_protect(opts: &HashMap<String, String>) -> Result<(), String> {
     let quiet: u8 = parse_or(opts, "quiet", 0)?;
     let config = engine_config(opts)?;
 
-    let background = trace_io::read_csv_file(background_path).map_err(|e| e.to_string())?;
-    let test = trace_io::read_csv_file(input).map_err(|e| e.to_string())?;
+    let background = csv_file(background_path, trace_io::read_csv_file)?;
+    let test = csv_file(input, trace_io::read_csv_file)?;
     if background.is_empty() || test.is_empty() {
         return Err("input datasets must not be empty".into());
     }
@@ -323,7 +334,7 @@ fn cmd_ingest(opts: &HashMap<String, String>) -> Result<(), String> {
     let config = StoreConfig::default()
         .with_cache_budget(budget)
         .with_seal_records(seal_records);
-    let store = trace_io::stream_csv_file(input, config).map_err(|e| e.to_string())?;
+    let store = csv_file(input, |path| trace_io::stream_csv_file(path, config))?;
     if store.is_empty() {
         return Err("input dataset must not be empty".into());
     }
@@ -352,7 +363,7 @@ fn cmd_ingest(opts: &HashMap<String, String>) -> Result<(), String> {
     let (threads, executor_kind) = executor_opts(opts)?;
     let quiet: u8 = parse_or(opts, "quiet", 0)?;
     let config = engine_config(opts)?;
-    let background = trace_io::read_csv_file(background_path).map_err(|e| e.to_string())?;
+    let background = csv_file(background_path, trace_io::read_csv_file)?;
     if background.is_empty() {
         return Err("background dataset must not be empty".into());
     }
@@ -451,8 +462,8 @@ fn cmd_attack(opts: &HashMap<String, String>) -> Result<(), String> {
     let input = required(opts, "input")?;
     let background_path = required(opts, "background")?;
     let (threads, executor_kind) = executor_opts(opts)?;
-    let background = trace_io::read_csv_file(background_path).map_err(|e| e.to_string())?;
-    let target = trace_io::read_csv_file(input).map_err(|e| e.to_string())?;
+    let background = csv_file(background_path, trace_io::read_csv_file)?;
+    let target = csv_file(input, trace_io::read_csv_file)?;
     if background.is_empty() || target.is_empty() {
         return Err("input datasets must not be empty".into());
     }
@@ -486,8 +497,8 @@ fn cmd_eval(opts: &HashMap<String, String>) -> Result<(), String> {
     let original_path = required(opts, "original")?;
     let protected_path = required(opts, "protected")?;
     let cell_m: f64 = parse_or(opts, "cell-m", 800.0)?;
-    let original = trace_io::read_csv_file(original_path).map_err(|e| e.to_string())?;
-    let protected = trace_io::read_csv_file(protected_path).map_err(|e| e.to_string())?;
+    let original = csv_file(original_path, trace_io::read_csv_file)?;
+    let protected = csv_file(protected_path, trace_io::read_csv_file)?;
     let bbox = original
         .bounding_box()
         .ok_or("original dataset is empty")?
@@ -538,7 +549,7 @@ fn cmd_serve(opts: &HashMap<String, String>) -> Result<(), String> {
         }
     };
 
-    let background = trace_io::read_csv_file(background_path).map_err(|e| e.to_string())?;
+    let background = csv_file(background_path, trace_io::read_csv_file)?;
     if background.is_empty() {
         return Err("background dataset must not be empty".into());
     }
@@ -598,8 +609,8 @@ fn cmd_trace(opts: &HashMap<String, String>) -> Result<(), String> {
     let config = engine_config(opts)?;
     let limit: usize = parse_or(opts, "limit-users", 0)?;
 
-    let background = trace_io::read_csv_file(background_path).map_err(|e| e.to_string())?;
-    let test = trace_io::read_csv_file(input).map_err(|e| e.to_string())?;
+    let background = csv_file(background_path, trace_io::read_csv_file)?;
+    let test = csv_file(input, trace_io::read_csv_file)?;
     if background.is_empty() || test.is_empty() {
         return Err("input datasets must not be empty".into());
     }
@@ -791,6 +802,47 @@ mod tests {
                 "--threads {flag}"
             );
         }
+    }
+
+    #[test]
+    fn csv_errors_name_their_file() {
+        let dir = std::env::temp_dir().join(format!("mood_cli_csv_errors_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+        let (good, bad, missing) = (path("good.csv"), path("bad.csv"), path("missing.csv"));
+        std::fs::write(&good, "user_id,lat,lng,timestamp\n1,46.2,6.1,0\n").unwrap();
+        std::fs::write(
+            &bad,
+            "user_id,lat,lng,timestamp\n1,46.2,6.1,0\n1,x,6.1,60\n",
+        )
+        .unwrap();
+        let out = path("out.csv");
+        for (command, args, error) in [
+            (
+                "protect",
+                format!("--input {good} --background {missing} --out {out}"),
+                format!("{missing}: i/o error: "),
+            ),
+            (
+                "protect",
+                format!("--input {bad} --background {good} --out {out}"),
+                format!("{bad}: parse error at line 3: invalid latitude 'x'"),
+            ),
+            (
+                "ingest",
+                format!("--input {missing}"),
+                format!("{missing}: i/o error: "),
+            ),
+            (
+                "ingest",
+                format!("--input {good} --background {bad}"),
+                format!("{bad}: parse error at line 3: "),
+            ),
+        ] {
+            let err = run(command, &strings(&args)).unwrap_err();
+            assert!(err.starts_with(&error), "mood {command} {args}: {err}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -18,18 +18,34 @@
 //! compressed [`TraceStore`] without ever materializing the corpus —
 //! the path for files whose decoded form exceeds RAM.
 //!
-//! The loop reads each line once from a block-buffered byte stream. A
-//! row in the canonical shape (plain digit runs and decimals, as
-//! [`write_csv`] and most exports write them) is scanned and converted
-//! in that one pass, its coordinates exactly as `str::parse::<f64>`
-//! rounds them. Every other line, from the header and blank lines to
-//! every malformed row, takes the general path: UTF-8 check, `trim`,
-//! split at `,` and `str::parse` per field. That path owns every error
-//! message.
+//! The loop parses blocks of whole lines on every core. The calling
+//! thread reads blocks of about 64 KiB and cuts each after its last
+//! `\n`; the partial line behind the cut opens the next block. Helper
+//! threads, one per core up to a small cap, parse whole blocks, and the
+//! calling thread hands their rows to the reader's sink strictly in file
+//! order, so the dataset, every store chunk and the first error with its
+//! line number are the same at any core count. A few blocks are in
+//! flight at a time, each in a buffer the calling thread allocated and
+//! recycles, so memory stays bounded however long the input is. On one
+//! core, or when the input fits one block, the calling thread parses
+//! every block itself and starts no thread.
+//!
+//! Within a block each line is read once. A row in the canonical shape
+//! (plain digit runs and decimals, as [`write_csv`] and most exports
+//! write them) is scanned and converted in that one pass, its
+//! coordinates exactly as `str::parse::<f64>` rounds them. Every other
+//! line, from the header and blank lines to every malformed row, takes
+//! the general path: UTF-8 check, `trim`, split at `,` and `str::parse`
+//! per field. That path owns every error message.
 
+use std::any::Any;
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Read, Write};
+use std::io::{BufWriter, ErrorKind, Read, Write};
+use std::panic::{self, AssertUnwindSafe};
 use std::path::Path;
+use std::sync::mpsc::{self, Receiver, SyncSender};
+use std::sync::Mutex;
+use std::thread;
 
 use mood_geo::GeoPoint;
 
@@ -42,8 +58,37 @@ mod scan;
 /// [`read_csv`].
 pub const CSV_HEADER: &str = "user_id,lat,lng,timestamp";
 
-/// Bytes the row loop asks its reader for at a time.
+/// Bytes the row loop reads into a block before cutting it after its
+/// last `\n`.
 const BLOCK_BYTES: usize = 64 * 1024;
+
+/// Most helper threads the row loop parses blocks on.
+const MAX_HELPERS: usize = 4;
+
+/// Why sending to the helpers cannot fail: their receiving end lives
+/// until the scope that runs them has joined them.
+const QUEUE_OPEN: &str = "the helpers' queue outlives the loop";
+
+/// How the row loop spreads its input: the bytes it reads per block and
+/// the helper threads that parse blocks. Only tests choose other values
+/// than [`Spread::host`].
+#[derive(Clone, Copy, Debug)]
+struct Spread {
+    block_bytes: usize,
+    helpers: usize,
+}
+
+impl Spread {
+    /// 64 KiB blocks and one helper per core, up to [`MAX_HELPERS`]; on
+    /// one core no helper, and the calling thread parses every block.
+    fn host() -> Spread {
+        let cores = thread::available_parallelism().map_or(1, |n| n.get());
+        Spread {
+            block_bytes: BLOCK_BYTES,
+            helpers: if cores > 1 { cores.min(MAX_HELPERS) } else { 0 },
+        }
+    }
+}
 
 /// Parses one non-empty CSV row into a user id and record. `line_no` is
 /// 1-based and only used for error messages.
@@ -97,24 +142,20 @@ fn parse_row(trimmed: &str, line_no: usize) -> Result<(UserId, Record)> {
     ))
 }
 
-/// Hands one whole line, with its `\n` if it has one, to `sink`. A
-/// canonical row is scanned in place. Any other line takes the general
-/// path, which owns every error: a UTF-8 check that fails as `read_line`
-/// fails, `trim`, blank lines and a line-1 header skipped, then
+/// The general path for one whole line, with its `\n` if it has one:
+/// the line the scanner stopped on. It owns every error: a UTF-8 check
+/// that fails as `read_line` fails, `trim`, blank lines skipped and the
+/// header skipped on the input's first line (`first`), then
 /// [`parse_row`].
-fn parse_line<F>(line: &[u8], line_no: usize, sink: &mut F) -> Result<()>
+fn parse_line<F>(line: &[u8], line_no: usize, first: bool, sink: &mut F) -> Result<()>
 where
     F: FnMut(UserId, Record),
 {
-    if let Ok((user, record, _)) = scan::row(line) {
-        sink(user, record);
-        return Ok(());
-    }
     let text = std::str::from_utf8(line).map_err(|_| {
         std::io::Error::new(ErrorKind::InvalidData, "stream did not contain valid UTF-8")
     })?;
     let trimmed = text.trim();
-    if trimmed.is_empty() || (line_no == 1 && trimmed.eq_ignore_ascii_case(CSV_HEADER)) {
+    if trimmed.is_empty() || (first && trimmed.eq_ignore_ascii_case(CSV_HEADER)) {
         return Ok(());
     }
     let (user, record) = parse_row(trimmed, line_no)?;
@@ -126,84 +167,314 @@ fn newline(bytes: &[u8]) -> Option<usize> {
     bytes.iter().position(|&b| b == b'\n')
 }
 
-/// The shared row loop: reads each line once from blocks of the byte
-/// stream and hands each row to `sink`, in line order. Canonical rows
-/// are scanned in place, one after the other; a line the scanner stops
-/// on goes whole to [`parse_line`]. A line that straddles two blocks is
-/// copied into one reused carry buffer, and its newline search resumes
-/// in the next block, so time stays linear in the input however the
-/// reader splits it. (The header never has the canonical shape, so
-/// line 1 needs no special case.)
-fn for_each_row<R, F>(reader: R, mut sink: F) -> Result<()>
+/// Parses the lines of `block` in order, hands each row to `sink` and
+/// returns how many lines the block held. Canonical rows are scanned in
+/// place, one after the other; a line the scanner stops on goes whole
+/// to [`parse_line`]. Only the input's last line may lack its `\n`.
+/// `first` marks the block the input starts with, the only one whose
+/// line 1 may be the header. A [`TraceError::Parse`] numbers its line
+/// within the block.
+fn parse_block<F>(block: &[u8], first: bool, sink: &mut F) -> Result<usize>
+where
+    F: FnMut(UserId, Record),
+{
+    let (mut at, mut lines) = (0, 0);
+    while at < block.len() {
+        let rest = &block[at..];
+        lines += 1;
+        match scan::row(rest) {
+            Ok((user, record, used)) => {
+                sink(user, record);
+                at += used;
+            }
+            Err(stop) => {
+                let end = newline(&rest[stop..]).map_or(rest.len(), |nl| stop + nl + 1);
+                parse_line(&rest[..end], lines, first && lines == 1, sink)?;
+                at += end;
+            }
+        }
+    }
+    Ok(lines)
+}
+
+/// Numbers a block's parse error within the input, whose first
+/// `before` lines precede the block.
+fn renumber(e: TraceError, before: usize) -> TraceError {
+    match e {
+        TraceError::Parse { line, message } => TraceError::Parse {
+            line: before + line,
+            message,
+        },
+        other => other,
+    }
+}
+
+/// How the input stands after a block.
+enum Next {
+    /// More input may follow.
+    More,
+    /// The input ended with the block.
+    End,
+    /// The reader failed after the block, which holds the whole lines
+    /// read before the failure.
+    Failed(std::io::Error),
+}
+
+/// The reading side of the row loop, on the calling thread: fills
+/// blocks from `reader` and cuts each after its last `\n`.
+struct Blocks<R> {
+    reader: R,
+    block_bytes: usize,
+    /// The partial line behind the last cut, which opens the next block;
+    /// it holds no `\n`.
+    carry: Vec<u8>,
+}
+
+impl<R: Read> Blocks<R> {
+    /// Fills `block` with whole lines: the carried partial line, then
+    /// input until the block holds `block_bytes` bytes and a `\n` past
+    /// the carry, or the input ends. A block without a `\n` doubles
+    /// until one arrives, and the search for it visits each byte once,
+    /// so time stays linear in the input however the reader splits it.
+    fn fill(&mut self, block: &mut Vec<u8>) -> Next {
+        block.clear();
+        block.append(&mut self.carry);
+        // `block[..searched]` holds no `\n`; `block[..filled]` is input.
+        let (mut searched, mut filled) = (block.len(), block.len());
+        block.resize(self.block_bytes.max(filled + 1), 0);
+        loop {
+            if filled == block.len() {
+                if let Some(nl) = block[searched..].iter().rposition(|&b| b == b'\n') {
+                    let cut = searched + nl + 1;
+                    self.carry.extend_from_slice(&block[cut..]);
+                    block.truncate(cut);
+                    return Next::More;
+                }
+                searched = filled;
+                block.resize(2 * filled, 0);
+            }
+            match self.reader.read(&mut block[filled..]) {
+                Ok(0) => {
+                    block.truncate(filled);
+                    return Next::End;
+                }
+                Ok(n) => filled += n,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => {
+                    // The partial line behind the last `\n` is lost, as
+                    // it is to `read_line`.
+                    let cut = block[searched..filled]
+                        .iter()
+                        .rposition(|&b| b == b'\n')
+                        .map_or(0, |nl| searched + nl + 1);
+                    block.truncate(cut);
+                    return Next::Failed(e);
+                }
+            }
+        }
+    }
+}
+
+/// A block on its way to a helper and back: its place in the input, its
+/// bytes, the row buffer the helper fills and what the helper made of
+/// it.
+#[derive(Default)]
+struct Job {
+    seq: usize,
+    block: Vec<u8>,
+    rows: Vec<(UserId, Record)>,
+    parsed: Option<Parsed>,
+}
+
+/// What a helper made of a block.
+enum Parsed {
+    /// The row buffer had room for fewer rows than the block holds, and
+    /// this many: the calling thread grows the buffer and sends the
+    /// block again. A buffer is short at its first use in a read, and
+    /// after that only for a block with more rows than any before it.
+    Short(usize),
+    /// The block's line count, or its first error.
+    Lines(Result<usize>),
+    /// The helper's panic, which resumes on the calling thread.
+    Panicked(Box<dyn Any + Send>),
+}
+
+/// The shared row loop: hands each row of `reader` to `sink` in file
+/// order. The calling thread reads and cuts blocks ([`Blocks`]). When
+/// the input outgrows one block and `spread` has helpers, they parse
+/// the blocks ([`on_helpers`]); otherwise the calling thread parses
+/// each block itself. Either way a block's rows reach the sink after
+/// every earlier block's, and the error returned is the first in file
+/// order: a parse error comes before an I/O error the reader met after
+/// the erroneous line.
+fn for_each_row<R, F>(reader: R, spread: Spread, mut sink: F) -> Result<()>
 where
     R: Read,
     F: FnMut(UserId, Record),
 {
-    let mut reader = BufReader::with_capacity(BLOCK_BYTES, reader);
-    let mut carry = Vec::new();
-    let mut line_no = 0usize;
+    let mut blocks = Blocks {
+        reader,
+        block_bytes: spread.block_bytes,
+        carry: Vec::new(),
+    };
+    let mut block = Vec::new();
+    let mut next = blocks.fill(&mut block);
+    if spread.helpers > 0 && matches!(next, Next::More) {
+        return on_helpers(&mut blocks, block, spread.helpers, &mut sink);
+    }
+    let (mut lines, mut first) = (0, true);
     loop {
-        let block = match reader.fill_buf() {
-            Ok(block) => block,
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e.into()),
-        };
-        let len = block.len();
-        if len == 0 {
-            // End of input: a carried line is the last one, without a
-            // newline.
-            if !carry.is_empty() {
-                line_no += 1;
-                parse_line(&carry, line_no, &mut sink)?;
-            }
-            return Ok(());
+        let n = parse_block(&block, first, &mut sink).map_err(|e| renumber(e, lines))?;
+        (lines, first) = (lines + n, false);
+        match next {
+            Next::More => next = blocks.fill(&mut block),
+            Next::End => return Ok(()),
+            Next::Failed(e) => return Err(e.into()),
         }
-        let mut at = 0;
-        if !carry.is_empty() {
-            let Some(nl) = newline(block) else {
-                carry.extend_from_slice(block);
-                reader.consume(len);
-                continue;
-            };
-            at = nl + 1;
-            carry.extend_from_slice(&block[..at]);
-            line_no += 1;
-            parse_line(&carry, line_no, &mut sink)?;
-            carry.clear();
+    }
+}
+
+/// The row loop on `helpers` scoped threads, from the filled `first`
+/// block on. The calling thread reads each block, hands it out with a
+/// recycled row buffer, and sinks the parsed rows in block order. At
+/// most two blocks per helper are in flight, and the calling thread
+/// allocates every buffer (a helper sends a block back when its rows do
+/// not fit, see [`Parsed::Short`]), so the helpers allocate nothing and
+/// memory stays bounded.
+fn on_helpers<R, F>(
+    blocks: &mut Blocks<R>,
+    first: Vec<u8>,
+    helpers: usize,
+    sink: &mut F,
+) -> Result<()>
+where
+    R: Read,
+    F: FnMut(UserId, Record),
+{
+    let window = 2 * helpers;
+    let (to_helpers, jobs) = mpsc::sync_channel::<Job>(window);
+    let (to_caller, parsed) = mpsc::sync_channel::<Job>(window);
+    let jobs = Mutex::new(jobs);
+    thread::scope(|scope| {
+        for _ in 0..helpers {
+            let to_caller = to_caller.clone();
+            thread::Builder::new().spawn_scoped(scope, || help(&jobs, to_caller))?;
         }
-        while at < len {
-            let rest = &block[at..];
-            match scan::row(rest) {
-                Ok((user, record, used)) => {
-                    line_no += 1;
-                    sink(user, record);
-                    at += used;
+        drop(to_caller);
+        // Owned here, so every return closes the queue and the helpers
+        // stop before the scope joins them.
+        let (to_helpers, parsed) = (to_helpers, parsed);
+        let mut spare = Vec::with_capacity(window);
+        let mut early = BTreeMap::new();
+        let (mut job, mut next) = (
+            Job {
+                block: first,
+                ..Job::default()
+            },
+            Next::More,
+        );
+        let (mut sent, mut sunk, mut lines) = (0, 0, 0);
+        loop {
+            job.seq = sent;
+            to_helpers.send(job).expect(QUEUE_OPEN);
+            sent += 1;
+            // Sink in block order until the window has room, or at the
+            // end of the input until every block is sunk.
+            let more = matches!(next, Next::More);
+            while sent - sunk == window || (!more && sunk < sent) {
+                let mut done = match early.remove(&sunk) {
+                    Some(done) => done,
+                    None => loop {
+                        let mut done: Job = parsed.recv().expect("a helper returns every block");
+                        if let Some(Parsed::Short(rows)) = done.parsed {
+                            done.rows.clear();
+                            done.rows.reserve(rows);
+                            to_helpers.send(done).expect(QUEUE_OPEN);
+                        } else if done.seq == sunk {
+                            break done;
+                        } else {
+                            early.insert(done.seq, done);
+                        }
+                    },
+                };
+                match done.parsed.take().expect("a helper parses every block") {
+                    Parsed::Lines(Ok(n)) => lines += n,
+                    Parsed::Lines(Err(e)) => return Err(renumber(e, lines)),
+                    Parsed::Panicked(panic) => panic::resume_unwind(panic),
+                    Parsed::Short(_) => unreachable!("short blocks are sent again"),
                 }
-                Err(stop) => match newline(&rest[stop..]) {
-                    Some(nl) => {
-                        let end = stop + nl + 1;
-                        line_no += 1;
-                        parse_line(&rest[..end], line_no, &mut sink)?;
-                        at += end;
-                    }
-                    None => {
-                        carry.extend_from_slice(rest);
-                        at = len;
-                    }
-                },
+                for &(user, record) in &done.rows {
+                    sink(user, record);
+                }
+                sunk += 1;
+                spare.push(done);
             }
+            match next {
+                Next::More => {}
+                Next::End => return Ok(()),
+                Next::Failed(e) => return Err(e.into()),
+            }
+            job = spare.pop().unwrap_or_default();
+            next = blocks.fill(&mut job.block);
         }
-        reader.consume(len);
+    })
+}
+
+/// A helper's loop: parses each block it takes into the block's row
+/// buffer, until the calling thread stops sending or listening. Rows
+/// that do not fit the buffer are only counted, and the block goes back
+/// short, so the helper never grows the buffer itself.
+fn help(jobs: &Mutex<Receiver<Job>>, to_caller: SyncSender<Job>) {
+    loop {
+        let job = jobs
+            .lock()
+            .expect("no helper panics holding the queue")
+            .recv();
+        let Ok(mut job) = job else { return };
+        let Job {
+            seq,
+            block,
+            rows,
+            parsed,
+        } = &mut job;
+        rows.clear();
+        let mut left_out = 0;
+        let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
+            parse_block(block, *seq == 0, &mut |user, record| {
+                if rows.len() < rows.capacity() {
+                    rows.push((user, record));
+                } else {
+                    left_out += 1;
+                }
+            })
+        }));
+        *parsed = Some(match outcome {
+            Ok(Ok(_)) if left_out > 0 => Parsed::Short(rows.len() + left_out),
+            Ok(lines) => Parsed::Lines(lines),
+            Err(panic) => Parsed::Panicked(panic),
+        });
+        if to_caller.send(job).is_err() {
+            return;
+        }
     }
 }
 
 /// Reads a dataset from CSV text (see module docs for the format).
 ///
+/// The row loop parses blocks of the input on every core and hands the
+/// rows on strictly in file order, so the dataset, and any error with
+/// its line number, are the same at any core count. A few 64 KiB blocks
+/// are in flight at a time; on one core, or for input that fits one
+/// block, the calling thread parses every block itself.
+///
 /// # Errors
 ///
 /// Returns [`TraceError::Parse`] with a 1-based line number for malformed
 /// rows, invalid coordinates or non-integer timestamps, and
-/// [`TraceError::Io`] for underlying read failures.
+/// [`TraceError::Io`] for underlying read failures and when a helper
+/// thread cannot be started. The first error in file order wins: a
+/// malformed line that ends before the reader fails is reported, not
+/// the failure.
 ///
 /// # Examples
 ///
@@ -215,12 +486,17 @@ where
 /// # Ok::<(), mood_trace::TraceError>(())
 /// ```
 pub fn read_csv<R: Read>(reader: R) -> Result<Dataset> {
+    read_csv_with(reader, Spread::host())
+}
+
+/// [`read_csv`] with the row loop spread as `spread`.
+fn read_csv_with<R: Read>(reader: R, spread: Spread) -> Result<Dataset> {
     // Each user's records in arrival order. Consecutive rows of one user
     // form a run, and a run costs one map lookup.
     let mut slots: BTreeMap<UserId, usize> = BTreeMap::new();
     let mut by_slot: Vec<Vec<Record>> = Vec::new();
     let mut run: Option<(UserId, usize)> = None;
-    for_each_row(reader, |user, record| {
+    for_each_row(reader, spread, |user, record| {
         let slot = match run {
             Some((u, slot)) if u == user => slot,
             _ => {
@@ -248,6 +524,11 @@ pub fn read_csv<R: Read>(reader: R) -> Result<Dataset> {
 /// to exactly the dataset [`read_csv`] would produce from the same
 /// input — including the stable ordering of co-timestamped rows.
 ///
+/// The rows come from [`read_csv`]'s row loop: blocks parsed on every
+/// core, rows appended strictly in file order, so every chunk is the
+/// same at any core count, and only a few 64 KiB blocks of text are in
+/// memory at a time.
+///
 /// # Errors
 ///
 /// Identical to [`read_csv`]: same malformed-row messages and 1-based
@@ -265,8 +546,13 @@ pub fn read_csv<R: Read>(reader: R) -> Result<Dataset> {
 /// # Ok::<(), mood_trace::TraceError>(())
 /// ```
 pub fn stream_csv<R: Read>(reader: R, config: StoreConfig) -> Result<TraceStore> {
+    stream_csv_with(reader, config, Spread::host())
+}
+
+/// [`stream_csv`] with the row loop spread as `spread`.
+fn stream_csv_with<R: Read>(reader: R, config: StoreConfig, spread: Spread) -> Result<TraceStore> {
     let mut store = TraceStore::new(config);
-    for_each_row(reader, |user, record| {
+    for_each_row(reader, spread, |user, record| {
         store.append(user, record);
     })?;
     store.finish();
@@ -331,6 +617,7 @@ pub fn write_csv_file<P: AsRef<Path>>(dataset: &Dataset, path: P) -> Result<()> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::{BufRead, BufReader};
 
     fn sample_dataset() -> Dataset {
         let csv = "\
@@ -513,8 +800,13 @@ user_id,lat,lng,timestamp
 
     /// `read_csv` on the oracle loop, one map lookup per row.
     fn read_csv_by_line(bytes: &[u8]) -> Result<Dataset> {
+        read_by_line(bytes)
+    }
+
+    /// [`read_csv_by_line`] from any reader.
+    fn read_by_line<R: Read>(reader: R) -> Result<Dataset> {
         let mut by_user: BTreeMap<UserId, Vec<Record>> = BTreeMap::new();
-        for_each_row_by_line(bytes, |user, record| {
+        for_each_row_by_line(reader, |user, record| {
             by_user.entry(user).or_default().push(record);
         })?;
         let mut ds = Dataset::new();
@@ -778,6 +1070,157 @@ user_id,lat,lng,timestamp
             assert_same(&read_csv(Trickle::new(&bytes, &[1])), &want, "megabyte row");
             let streamed = stream_csv(Trickle::new(&bytes, &[1]), StoreConfig::default());
             assert_same(&streamed.map(|s| s.to_dataset()), &want, "megabyte row");
+        }
+    }
+
+    /// Both readers on the row loop spread as `spread`, each fed a fresh
+    /// `reader()`, against the oracle's outcome `want`; the streamed
+    /// store at seal sizes 7 and 512 must decode to it too.
+    fn assert_spread_matches<R: Read>(
+        reader: impl Fn() -> R,
+        spread: Spread,
+        want: &Result<Dataset>,
+        what: &str,
+    ) {
+        let what = format!("{what} at {spread:?}");
+        assert_same(&read_csv_with(reader(), spread), want, &what);
+        for seal in [7, 512] {
+            let config = StoreConfig::default().with_seal_records(seal);
+            let streamed = stream_csv_with(reader(), config, spread).map(|s| s.to_dataset());
+            assert_same(&streamed, want, &what);
+        }
+    }
+
+    #[test]
+    fn blocks_cut_anywhere_match_the_line_loop() {
+        for csv in [
+            &b"user_id,lat,lng,timestamp\n1,46.2,6.1,0\nuser_id,lat,lng,timestamp\n"[..],
+            b"user_id,lat,lng,timestamp\r\n1,46.2,6.1,0\r\n2,46.3,6.2,60\r\n",
+            b"1,46.2,6.1,0\n\n \n1,46.3,6.2,60\n2,45.7,4.8,7",
+            b"1,46.2,6.1,0\n1,46.3,6.2,60\r",
+            b"1,46.2,6.1,0\n1,x,6.2,60\n1,46\xff.2,6.1,0\n",
+            b"1,46.2,6.1,0\n1,46\xff.2,6.1,0\n1,x,6.2,60\n",
+        ] {
+            let want = read_csv_by_line(csv);
+            for block_bytes in 1..=csv.len() + 1 {
+                for helpers in 0..=3 {
+                    let spread = Spread {
+                        block_bytes,
+                        helpers,
+                    };
+                    for sizes in [&[1][..], &[3, 1, 7], &[64]] {
+                        let what = String::from_utf8_lossy(csv);
+                        assert_spread_matches(|| Trickle::new(csv, sizes), spread, &want, &what);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn seeded_corpora_match_the_line_loop_at_every_spread() {
+        for case in 0..256 {
+            let mut draw = draws(case);
+            let bytes = corpus(&mut draw);
+            let sizes: Vec<usize> = (0..=draw(6)).map(|_| 1 + draw(7) as usize).collect();
+            let want = read_csv_by_line(&bytes);
+            let what = String::from_utf8_lossy(&bytes);
+            for helpers in 0..=3 {
+                // One byte, and up to about three rows.
+                for block_bytes in [1, 1 + draw(120) as usize] {
+                    let spread = Spread {
+                        block_bytes,
+                        helpers,
+                    };
+                    assert_spread_matches(|| Trickle::new(&bytes, &sizes), spread, &want, &what);
+                }
+            }
+        }
+    }
+
+    /// A reader that hands out `bytes` five at a time and fails once it
+    /// has handed out `fail_at` of them.
+    struct Failing<'a> {
+        bytes: &'a [u8],
+        fail_at: usize,
+    }
+
+    impl Read for Failing<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            if self.fail_at == 0 {
+                return Err(std::io::Error::other("device gone"));
+            }
+            let n = buf.len().min(self.fail_at).min(5);
+            buf[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            self.fail_at -= n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn a_failing_reader_reports_what_the_line_loop_reports() {
+        let mut csv = b"user_id,lat,lng,timestamp\n".to_vec();
+        let mut malformed_end = 0;
+        for i in 0..24 {
+            let row = match i {
+                9 => "3, 46.2 ,6.1,540\n".to_string(),
+                13 => "3,46.2,x,780\n".to_string(),
+                _ => format!("{},46.{i},6.1,{}\n", i % 3, 60 * i),
+            };
+            csv.extend_from_slice(row.as_bytes());
+            if i == 13 {
+                malformed_end = csv.len();
+            }
+        }
+        let (mut parse_errors, mut io_errors) = (0, 0);
+        for fail_at in 0..=csv.len() {
+            let failing = || Failing {
+                bytes: &csv,
+                fail_at,
+            };
+            let want = read_by_line(failing());
+            match &want {
+                Err(TraceError::Parse { line: 15, .. }) => parse_errors += 1,
+                Err(TraceError::Io(e)) if e.to_string() == "device gone" => io_errors += 1,
+                other => panic!("oracle at {fail_at}: {other:?}"),
+            }
+            for block_bytes in [1, 16, BLOCK_BYTES] {
+                for helpers in [0, 1, 3] {
+                    let spread = Spread {
+                        block_bytes,
+                        helpers,
+                    };
+                    let what = format!("failing after {fail_at} bytes");
+                    assert_spread_matches(failing, spread, &want, &what);
+                }
+            }
+        }
+        // The parse error wins once the malformed line's `\n` is read.
+        let cases = csv.len() + 1;
+        assert_eq!(
+            (parse_errors, io_errors),
+            (cases - malformed_end, malformed_end)
+        );
+    }
+
+    #[test]
+    fn megabyte_rows_straddle_blocks_in_linear_time() {
+        // Two rows first send the long one through later blocks, and
+        // through the helpers when there are some; its block doubles
+        // until the input ends.
+        for fill in [b'7', b','] {
+            let mut bytes = b"1,46.2,6.1,0\n2,45.7,4.8,60\n".to_vec();
+            bytes.resize(bytes.len() + (1 << 20), fill);
+            let want = read_csv_by_line(&bytes);
+            assert!(matches!(want, Err(TraceError::Parse { line: 3, .. })));
+            for helpers in [0, 2] {
+                let spread = Spread {
+                    block_bytes: 16,
+                    helpers,
+                };
+                assert_spread_matches(|| Trickle::new(&bytes, &[1]), spread, &want, "megabyte row");
+            }
         }
     }
 }
